@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import os
 import tempfile
+import time
 from pathlib import Path
+
+
+def now_ms() -> int:
+    """Wall-clock time in whole milliseconds since the Unix epoch."""
+    return time.time_ns() // 1_000_000
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -16,7 +16,6 @@ import logging
 import signal
 import sys
 import threading
-import time
 from pathlib import Path
 from typing import Sequence
 
@@ -28,7 +27,7 @@ from . import rsu as rsu_mod
 from . import scoring as scoring_mod
 from . import survey as survey_mod
 from . import taxonomy as taxonomy_mod
-from ._util import atomic_write_bytes, atomic_write_text
+from ._util import atomic_write_bytes, atomic_write_text, now_ms
 from .errors import DecodeError, HriError, ParseError, ValidationError
 
 logger = logging.getLogger("hri.cli")
@@ -54,10 +53,6 @@ def _parse_hostport(text: str) -> tuple[str, int]:
     if not host or not port.isdigit():
         raise ValidationError(f"expected host:port, got {text!r}")
     return host, int(port)
-
-
-def _now_ms() -> int:
-    return time.time_ns() // 1_000_000
 
 
 @click.group()
@@ -331,7 +326,7 @@ def ivim_build(
     message = ivim_mod.build_ivim(
         assessment,
         station_id=station_id,
-        timestamp_ms=timestamp if timestamp is not None else _now_ms(),
+        timestamp_ms=timestamp if timestamp is not None else now_ms(),
         validity_duration_s=validity,
         ivi_identification=ivi_id,
         location=location,
@@ -435,7 +430,7 @@ def simulate_rsu(
         base_message = ivim_mod.build_ivim(
             assessment,
             station_id=station_id,
-            timestamp_ms=timestamp if timestamp is not None else _now_ms(),
+            timestamp_ms=timestamp if timestamp is not None else now_ms(),
             validity_duration_s=validity,
             ivi_identification=ivi_id,
         )

@@ -24,6 +24,7 @@ from .errors import ParseError, ValidationError
 from .taxonomy import attribute_ids, is_known_attribute
 
 _ADEQUACY_VALUES = (0, 1, 2)
+_VALUE_OF = {str(value): value for value in _ADEQUACY_VALUES}
 
 DEFAULT_SEGMENT_LENGTH_M = 100.0
 
@@ -322,72 +323,86 @@ def load_corridor(
             metadata = _parse_meta(doc, source=meta_source)
 
     reader = csv.reader(io.StringIO(text))
-    rows = []
-    for row in reader:
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        rows.append((reader.line_num, row))
-    if not rows:
+
+    def error(message: str) -> ParseError:
+        return ParseError(message, source=source, line=reader.line_num)
+
+    for header in reader:
+        if header and not header[0].lstrip().startswith("#"):
+            break
+    else:
         raise ParseError("no data rows", source=source)
-    header_line, header = rows[0]
     if [c.strip() for c in header] != _CORRIDOR_HEADER:
-        raise ParseError(
-            "expected header 'segment_index,attribute,value'", source=source, line=header_line
-        )
+        raise error("expected header 'segment_index,attribute,value'")
 
     registry = attribute_ids()
-    per_segment: dict[int, dict[str, int]] = {}
-    for line_num, row in rows[1:]:
+    slot_of = {attr: slot for slot, attr in enumerate(registry)}
+    # per segment, its adequacy values in registry order; None marks a row not seen yet
+    per_segment: dict[int, list[int | None]] = {}
+    last_key = slots = None
+    slot_for, value_for = slot_of.get, _VALUE_OF.get  # bound once: called for every row
+    for row in reader:
+        if not row:
+            continue
+        key = row[0]
+        # a repeated index text is the previous row's segment, so it is parsed once
+        if key != last_key and key.lstrip().startswith("#"):
+            continue
         if len(row) != 3:
-            raise ParseError(f"expected 3 fields, got {len(row)}", source=source, line=line_num)
-        try:
-            index = int(row[0])
-        except ValueError:
-            raise ParseError(f"malformed segment index {row[0]!r}", source=source, line=line_num) from None
-        if index < 0:
-            raise ParseError(f"negative segment index {index}", source=source, line=line_num)
-        attr = row[1].strip()
-        if not is_known_attribute(attr):
-            raise ParseError(f"unknown attribute {attr!r}", source=source, line=line_num)
-        try:
-            value = int(row[2])
-        except ValueError:
-            raise ParseError(f"malformed adequacy value {row[2]!r}", source=source, line=line_num) from None
-        if value not in _ADEQUACY_VALUES:
-            raise ParseError(f"adequacy value {value} outside 0..2", source=source, line=line_num)
-        bucket = per_segment.setdefault(index, {})
-        if attr in bucket:
-            raise ParseError(
-                f"duplicate row for segment {index}, attribute {attr!r}", source=source, line=line_num
-            )
-        bucket[attr] = value
+            raise error(f"expected 3 fields, got {len(row)}")
+        if key != last_key:
+            try:
+                index = int(key)
+            except ValueError:
+                raise error(f"malformed segment index {key!r}") from None
+            if index < 0:
+                raise error(f"negative segment index {index}")
+            slots = per_segment.get(index)
+            if slots is None:
+                slots = per_segment[index] = [None] * len(registry)
+            last_key = key
+        slot = slot_for(row[1])
+        if slot is None:
+            attr = row[1].strip()
+            slot = slot_for(attr)
+            if slot is None:
+                raise error(f"unknown attribute {attr!r}")
+        value = value_for(row[2])
+        if value is None:
+            try:
+                value = int(row[2])
+            except ValueError:
+                raise error(f"malformed adequacy value {row[2]!r}") from None
+            if value not in _ADEQUACY_VALUES:
+                raise error(f"adequacy value {value} outside 0..2")
+        if slots[slot] is not None:
+            raise error(f"duplicate row for segment {index}, attribute {registry[slot]!r}")
+        slots[slot] = value
 
     expected = expected_segment_count(metadata["length_km"], metadata["segment_length_m"])
     for index in range(expected):
         if index not in per_segment:
             raise ParseError(f"gap: segment {index} missing", source=source)
-    extras = sorted(set(per_segment) - set(range(expected)))
-    if extras:
+    if len(per_segment) > expected:
         raise ParseError(
             f"corridor length {metadata['length_km']} km implies {expected} segments, "
-            f"but segment {extras[0]} is present",
+            f"but segment {min(i for i in per_segment if i >= expected)} is present",
             source=source,
         )
     segments = []
     for index in range(expected):
         values = per_segment[index]
-        missing = [attr for attr in registry if attr not in values]
-        if missing:
+        if None in values:
+            missing = [attr for attr, value in zip(registry, values) if value is None]
             raise ParseError(
                 f"segment {index} missing attributes: {', '.join(missing)}", source=source
             )
-        ordered = {attr: values[attr] for attr in registry}
         segments.append(
             SegmentObservation(
                 index=index,
                 start_m=index * metadata["segment_length_m"],
                 length_m=metadata["segment_length_m"],
-                values=ordered,
+                values=dict(zip(registry, values)),
             )
         )
     return CorridorProfile(

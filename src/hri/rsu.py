@@ -12,10 +12,10 @@ from __future__ import annotations
 import logging
 import socket
 import threading
-import time
 from dataclasses import dataclass
 from typing import IO
 
+from ._util import now_ms
 from .errors import ValidationError
 from .ivim import IviStatus, IvimMessage, encode, with_management
 
@@ -37,10 +37,6 @@ class BroadcastConfig:
             raise ValidationError(f"broadcast period must be positive, got {self.period_s}")
         if self.count is not None and self.count < 1:
             raise ValidationError(f"broadcast count must be at least 1, got {self.count}")
-
-
-def _now_ms() -> int:
-    return time.time_ns() // 1_000_000
 
 
 def run_broadcast(
@@ -67,7 +63,7 @@ def run_broadcast(
     def stamp(i: int) -> int:
         if config.base_timestamp_ms is not None:
             return config.base_timestamp_ms + i * period_ms
-        return _now_ms()
+        return now_ms()
 
     def emit(payload: bytes) -> None:
         if sock is not None:

@@ -20,8 +20,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -81,7 +83,60 @@ class Recommendation:
         if not levels <= {1, 2, 3, 4}:
             raise ValueError(f"invalid SAE levels {sorted(levels)}")
         object.__setattr__(self, "allowed_sae_levels", frozenset(levels))
-        object.__setattr__(self, "scores", MappingProxyType(dict(self.scores)))
+        object.__setattr__(self, "scores", _read_only(self.scores))
+
+
+def _read_only(mapping: Mapping) -> Mapping:
+    """A ``MappingProxyType`` is kept as given, so that a segment's assessment
+    and recommendation can share one; any other mapping is copied into one."""
+    return mapping if type(mapping) is MappingProxyType else MappingProxyType(dict(mapping))
+
+
+class _WeightedRatio:
+    """``100 * sum(w * v) / sum(w * V_MAX)`` over fixed ``(key, weight)`` pairs.
+
+    Both sums run in the pairs' order, starting from 0.0, so a ratio
+    resolved once and applied to many value mappings gives bit-for-bit the
+    scores of summing afresh each time. ``label`` names the weight sum in the
+    error raised when it is not positive.
+    """
+
+    def __init__(self, pairs, label: str) -> None:
+        self.pairs = tuple(pairs)
+        self.keys = frozenset(key for key, _ in self.pairs)
+        self.label = label
+        denominator = 0.0
+        for _, weight in self.pairs:
+            denominator += weight * V_MAX
+        self.denominator = denominator
+
+    def __call__(self, values: Mapping) -> float:
+        if self.denominator <= 0.0:
+            raise ValidationError(f"{self.label} is not positive")
+        numerator = 0.0
+        for key, weight in self.pairs:
+            numerator += weight * values[key]
+        # summation round-off can push the ratio a few ulp past its exact bounds
+        return min(100.0, max(0.0, 100.0 * numerator / self.denominator))
+
+
+def _group_ratio(weights: WeightTable, group: AutomationLevelGroup) -> _WeightedRatio:
+    return _WeightedRatio(weights.group_weights(group).items(), f"weight sum for group {group.value}")
+
+
+def _score(obs: SegmentObservation, ratio: _WeightedRatio, group: AutomationLevelGroup) -> ReadinessScore:
+    if obs.values.keys() != ratio.keys:
+        missing = set(obs.values) - ratio.keys
+        extra = ratio.keys - set(obs.values)
+        detail = []
+        if missing:
+            detail.append(f"weights missing for {sorted(missing)}")
+        if extra:
+            detail.append(f"observation missing {sorted(extra)}")
+        raise ValidationError(
+            f"attribute mismatch between observation and weights: {'; '.join(detail)}"
+        )
+    return ReadinessScore(group=group, value=ratio(obs.values), segment_index=obs.index)
 
 
 def score_segment(
@@ -94,28 +149,7 @@ def score_segment(
     The observation and the weight table must cover the same attribute set;
     a zero weight sum (degenerate custom table) is an error.
     """
-    group_weights = weights.group_weights(group)
-    if set(group_weights) != set(obs.values):
-        missing = set(obs.values) - set(group_weights)
-        extra = set(group_weights) - set(obs.values)
-        detail = []
-        if missing:
-            detail.append(f"weights missing for {sorted(missing)}")
-        if extra:
-            detail.append(f"observation missing {sorted(extra)}")
-        raise ValidationError(
-            f"attribute mismatch between observation and weights: {'; '.join(detail)}"
-        )
-    numerator = 0.0
-    denominator = 0.0
-    for attr, weight in group_weights.items():
-        numerator += weight * obs.values[attr]
-        denominator += weight * V_MAX
-    if denominator <= 0.0:
-        raise ValidationError(f"weight sum for group {group.value} is not positive")
-    # summation round-off can push the ratio a few ulp past its exact bounds
-    value = min(100.0, max(0.0, 100.0 * numerator / denominator))
-    return ReadinessScore(group=group, value=value, segment_index=obs.index)
+    return _score(obs, _group_ratio(weights, group), group)
 
 
 def classify(score: ReadinessScore | float) -> ReadinessClass:
@@ -154,7 +188,7 @@ def recommend(
     return Recommendation(
         segment_index=segment_index,
         allowed_sae_levels=frozenset(levels),
-        scores=dict(scores),
+        scores=scores,
     )
 
 
@@ -170,8 +204,8 @@ class SegmentAssessment:
     recommendation: Recommendation
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scores", MappingProxyType(dict(self.scores)))
-        object.__setattr__(self, "classes", MappingProxyType(dict(self.classes)))
+        object.__setattr__(self, "scores", _read_only(self.scores))
+        object.__setattr__(self, "classes", _read_only(self.classes))
 
     @property
     def end_m(self) -> float:
@@ -201,21 +235,18 @@ def score_corridor(
     threshold_inclusive: bool = True,
 ) -> CorridorAssessment:
     """Score, classify and recommend for every segment, preserving order."""
+    ratios = {group: _group_ratio(weights, group) for group in AutomationLevelGroup}
     assessments = []
     for segment in profile.segments:
-        scores = {
-            group: score_segment(segment, weights, group) for group in AutomationLevelGroup
-        }
-        classes = {group: classify(score) for group, score in scores.items()}
-        recommendation = recommend(scores, threshold, threshold_inclusive=threshold_inclusive)
+        scores = MappingProxyType({group: _score(segment, ratio, group) for group, ratio in ratios.items()})
         assessments.append(
             SegmentAssessment(
                 segment_index=segment.index,
                 start_m=segment.start_m,
                 length_m=segment.length_m,
                 scores=scores,
-                classes=classes,
-                recommendation=recommendation,
+                classes=MappingProxyType({group: classify(score) for group, score in scores.items()}),
+                recommendation=recommend(scores, threshold, threshold_inclusive=threshold_inclusive),
             )
         )
     return CorridorAssessment(
@@ -297,16 +328,11 @@ def macro_sensitivity(
     values = config.category_values()
     result = {}
     for group in AutomationLevelGroup:
-        numerator = 0.0
-        denominator = 0.0
-        for category in MacroCategory:
-            weight = weights[(group, category)]
-            numerator += weight * values[category]
-            denominator += weight * V_MAX
-        if denominator <= 0.0:
-            raise ValidationError(f"macro weight sum for group {group.value} is not positive")
-        value = min(100.0, max(0.0, 100.0 * numerator / denominator))
-        result[group] = ReadinessScore(group=group, value=value)
+        ratio = _WeightedRatio(
+            ((category, weights[(group, category)]) for category in MacroCategory),
+            f"macro weight sum for group {group.value}",
+        )
+        result[group] = ReadinessScore(group=group, value=ratio(values))
     return result
 
 
@@ -345,29 +371,64 @@ def dump_score_profile_csv(assessment: CorridorAssessment) -> str:
     return out.getvalue()
 
 
+def _json_number(value: float) -> str:
+    """A number exactly as ``json.dumps`` writes it."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def dump_score_profile_json(assessment: CorridorAssessment) -> str:
-    """JSON score profile with full float precision."""
-    doc = {
-        "corridor_id": assessment.corridor_id,
-        "length_km": assessment.length_km,
-        "segment_length_m": assessment.segment_length_m,
-        "threshold": assessment.threshold,
-        "weight_provenance": assessment.weight_provenance,
-        "segments": [
-            {
-                "segment_index": seg.segment_index,
-                "start_m": seg.start_m,
-                "length_m": seg.length_m,
-                "asd_score": seg.scores[AutomationLevelGroup.ASD].value,
-                "aud_score": seg.scores[AutomationLevelGroup.AUD].value,
-                "asd_class": seg.classes[AutomationLevelGroup.ASD].value,
-                "aud_class": seg.classes[AutomationLevelGroup.AUD].value,
-                "allowed_sae_levels": sorted(seg.recommendation.allowed_sae_levels),
-            }
-            for seg in assessment.segments
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """JSON score profile with full float precision.
+
+    The text is byte-identical to ``json.dumps(doc, indent=2) + "\n"`` for
+    the document of the README's "File formats" section, written directly
+    because ``json`` skips its C encoder whenever ``indent`` is set.
+    """
+    asd, aud = AutomationLevelGroup.ASD, AutomationLevelGroup.AUD
+    segments = []
+    for seg in assessment.segments:
+        levels = sorted(seg.recommendation.allowed_sae_levels)
+        levels_json = (
+            "[\n" + ",\n".join("        " + _json_number(level) for level in levels) + "\n      ]"
+            if levels
+            else "[]"
+        )
+        segments.append(
+            "    {\n"
+            f'      "segment_index": {_json_number(seg.segment_index)},\n'
+            f'      "start_m": {_json_number(seg.start_m)},\n'
+            f'      "length_m": {_json_number(seg.length_m)},\n'
+            f'      "asd_score": {_json_number(seg.scores[asd].value)},\n'
+            f'      "aud_score": {_json_number(seg.scores[aud].value)},\n'
+            f'      "asd_class": {encode_basestring_ascii(seg.classes[asd].value)},\n'
+            f'      "aud_class": {encode_basestring_ascii(seg.classes[aud].value)},\n'
+            f'      "allowed_sae_levels": {levels_json}\n'
+            "    }"
+        )
+    segments_json = "[\n" + ",\n".join(segments) + "\n  ]" if segments else "[]"
+    return (
+        "{\n"
+        f'  "corridor_id": {encode_basestring_ascii(assessment.corridor_id)},\n'
+        f'  "length_km": {_json_number(assessment.length_km)},\n'
+        f'  "segment_length_m": {_json_number(assessment.segment_length_m)},\n'
+        f'  "threshold": {_json_number(assessment.threshold)},\n'
+        f'  "weight_provenance": {encode_basestring_ascii(assessment.weight_provenance)},\n'
+        f'  "segments": {segments_json}\n'
+        "}\n"
+    )
+
+
+_CLASS_BY_NAME = {readiness_class.value: readiness_class for readiness_class in ReadinessClass}
+
+
+def _parse_class(text: str) -> ReadinessClass:
+    try:
+        return _CLASS_BY_NAME[text]
+    except (KeyError, TypeError):  # not a canonical name: let parse() normalize it or explain
+        return ReadinessClass.parse(text)
 
 
 def load_score_profile_json(path: str | Path) -> CorridorAssessment:
@@ -377,25 +438,23 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", source=source, line=exc.lineno, column=exc.colno) from None
+    asd, aud = AutomationLevelGroup.ASD, AutomationLevelGroup.AUD
     try:
         segments = []
         for item in doc["segments"]:
             index = int(item["segment_index"])
-            scores = {
-                AutomationLevelGroup.ASD: ReadinessScore(
-                    group=AutomationLevelGroup.ASD, value=float(item["asd_score"]), segment_index=index
-                ),
-                AutomationLevelGroup.AUD: ReadinessScore(
-                    group=AutomationLevelGroup.AUD, value=float(item["aud_score"]), segment_index=index
-                ),
-            }
-            classes = {
-                AutomationLevelGroup.ASD: ReadinessClass.parse(item["asd_class"]),
-                AutomationLevelGroup.AUD: ReadinessClass.parse(item["aud_class"]),
-            }
+            scores = MappingProxyType(
+                {
+                    asd: ReadinessScore(group=asd, value=float(item["asd_score"]), segment_index=index),
+                    aud: ReadinessScore(group=aud, value=float(item["aud_score"]), segment_index=index),
+                }
+            )
+            classes = MappingProxyType(
+                {asd: _parse_class(item["asd_class"]), aud: _parse_class(item["aud_class"])}
+            )
             recommendation = Recommendation(
                 segment_index=index,
-                allowed_sae_levels=frozenset(int(l) for l in item["allowed_sae_levels"]),
+                allowed_sae_levels=frozenset(map(int, item["allowed_sae_levels"])),
                 scores=scores,
             )
             segments.append(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -102,6 +103,56 @@ class TestLoadCorridor:
         path = write_corridor_csv(tmp_path, rows)
         with pytest.raises(ParseError, match="segment 1 missing attributes"):
             load_corridor(path)
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("x,hd-maps,2", "malformed segment index 'x'"),
+            ("-1,hd-maps,2", "negative segment index -1"),
+            ("1,hd-maps,x", "malformed adequacy value 'x'"),
+            ("1,hd-maps", "expected 3 fields, got 2"),
+        ],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, bad_row, message):
+        rows = full_rows(0) + full_rows(1)
+        rows[30] = bad_row
+        path = write_corridor_csv(tmp_path, rows)
+        with pytest.raises(ParseError, match=message) as excinfo:
+            load_corridor(path)
+        assert excinfo.value.line == 2 + 30 + 1  # meta + header + offset
+
+    def test_wrong_header_names_its_line(self, tmp_path):
+        path = write_corridor_csv(tmp_path, full_rows(0) + full_rows(1))
+        path.write_text(path.read_text().replace("segment_index,attribute,value", "segment,attribute,value"))
+        with pytest.raises(ParseError, match="expected header") as excinfo:
+            load_corridor(path)
+        assert excinfo.value.line == 2
+
+    def test_header_only_file(self, tmp_path):
+        path = write_corridor_csv(tmp_path, [])
+        with pytest.raises(ParseError, match="gap: segment 0 missing") as excinfo:
+            load_corridor(path)
+        assert excinfo.value.line is None
+
+    def test_padded_fields_accepted(self, tmp_path):
+        rows = full_rows(0) + full_rows(1)
+        rows[3] = rows[3].replace(",2", ", 1")
+        rows[5] = " 0, " + rows[5].split(",")[1] + " ,0"
+        profile = load_corridor(write_corridor_csv(tmp_path, rows))
+        values = profile.segments[0].values
+        assert values[attribute_ids()[3]] == 1
+        assert values[attribute_ids()[5]] == 0
+        assert list(values) == list(attribute_ids())
+
+    def test_row_order_does_not_matter(self, tmp_path):
+        rows = [f"{i},{attr},{(i + j) % 3}" for i in range(3) for j, attr in enumerate(attribute_ids())]
+        sorted_profile = load_corridor(write_corridor_csv(tmp_path, rows, length_km=0.3, name="sorted.csv"))
+        split = rows[:10] + rows[23:46] + rows[10:23] + rows[46:]  # segment 0 split around segment 1
+        shuffled = list(rows)
+        random.Random(7).shuffle(shuffled)
+        for name, variant in (("split.csv", split), ("shuffled.csv", shuffled)):
+            path = write_corridor_csv(tmp_path, variant, length_km=0.3, name=name)
+            assert load_corridor(path) == sorted_profile
 
     def test_sidecar_metadata(self, tmp_path):
         data = "segment_index,attribute,value\n" + "\n".join(full_rows(0)) + "\n"

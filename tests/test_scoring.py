@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hri.corridor import SegmentObservation, apply_overlay
+from hri.corridor import CorridorProfile, SegmentObservation, apply_overlay
 from hri.errors import ValidationError
 from hri.scoring import (
     ReadinessClass,
@@ -23,6 +23,7 @@ from hri.scoring import (
     score_segment,
 )
 from hri.taxonomy import (
+    V_MAX,
     AutomationLevelGroup,
     MacroCategory,
     WeightTable,
@@ -50,6 +51,49 @@ def direct_ratio(weights, values, v_max=2):
     num = sum(w * v for w, v in zip(weights, values))
     den = sum(w * v_max for w in weights)
     return 100.0 * num / den
+
+
+def corridor_of(value_rows, corridor_id="c", length_km=None):
+    """A 100 m-segment corridor with one values mapping per segment."""
+    segments = tuple(obs(values, index=i) for i, values in enumerate(value_rows))
+    if length_km is None:
+        length_km = len(segments) / 10.0
+    return CorridorProfile(corridor_id=corridor_id, length_km=length_km, segment_length_m=100.0, segments=segments)
+
+
+def reference_score(table, group, values):
+    """The weighted ratio summed afresh, in the table's order for the group."""
+    numerator = 0.0
+    denominator = 0.0
+    for attr, weight in table.group_weights(group).items():
+        numerator += weight * values[attr]
+        denominator += weight * V_MAX
+    return min(100.0, max(0.0, 100.0 * numerator / denominator))
+
+
+@st.composite
+def scoring_cases(draw):
+    """A custom weight table whose groups list the attributes in different
+    orders (zero weights included), a corridor whose attribute set may not
+    match it, and a threshold rule."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    attrs = [f"attr-{i}" for i in range(k)]
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 5.0, allow_nan=False, allow_infinity=False))
+    weights = {}
+    for group in (ASD, AUD):
+        for attr in draw(st.permutations(attrs)):
+            weights[(group, attr)] = draw(weight)
+    corridor_attrs = draw(st.sampled_from([attrs, attrs[1:], attrs + ["extra"]]))
+    rows = draw(
+        st.lists(
+            st.lists(st.sampled_from([0, 1, 2]), min_size=len(corridor_attrs), max_size=len(corridor_attrs)),
+            max_size=5,
+        )
+    )
+    threshold = draw(st.one_of(st.sampled_from([33.0, 50.0, 66.0]), st.floats(0.01, 99.99)))
+    inclusive = draw(st.booleans())
+    profile = corridor_of([dict(zip(corridor_attrs, row)) for row in rows])
+    return WeightTable(weights), profile, threshold, inclusive
 
 
 class TestScoreSegment:
@@ -243,6 +287,36 @@ class TestScoreCorridor:
     def test_segment_order_preserved(self, baseline_assessment):
         assert [seg.segment_index for seg in baseline_assessment.segments] == list(range(240))
 
+    @settings(max_examples=300, deadline=None)
+    @given(scoring_cases())
+    def test_matches_score_segment_exactly(self, case):
+        table, profile, threshold, inclusive = case
+        try:
+            expected = [{group: score_segment(seg, table, group) for group in (ASD, AUD)} for seg in profile.segments]
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                score_corridor(profile, table, threshold=threshold, threshold_inclusive=inclusive)
+            assert str(raised.value) == str(exc)
+            return
+        assessment = score_corridor(profile, table, threshold=threshold, threshold_inclusive=inclusive)
+        assert len(assessment.segments) == len(expected)
+        for seg, assessed, want in zip(profile.segments, assessment.segments, expected):
+            for group in (ASD, AUD):
+                assert assessed.scores[group].value == want[group].value
+                assert assessed.scores[group].value == reference_score(table, group, seg.values)
+                assert assessed.classes[group] is classify(want[group])
+            assert assessed.recommendation == recommend(want, threshold, threshold_inclusive=inclusive)
+
+    def test_attribute_mismatch_message(self, weights):
+        values = {attr: 2 for attr in attribute_ids() if attr != "hd-maps"}
+        values["potholes"] = 1
+        with pytest.raises(ValidationError) as raised:
+            score_corridor(corridor_of([values]), weights)
+        assert str(raised.value) == (
+            "attribute mismatch between observation and weights: "
+            "weights missing for ['potholes']; observation missing ['hd-maps']"
+        )
+
 
 class TestMacroSensitivity:
     def test_compliant_no_hd_automated_is_66(self):
@@ -318,3 +392,67 @@ class TestScoreProfiles:
         doc = json.loads(dump_score_profile_json(baseline_assessment))
         raw = doc["segments"][0]["asd_score"]
         assert raw == baseline_assessment.segments[0].scores[ASD].value
+
+
+def reference_profile_json(assessment):
+    """The JSON score profile as ``json.dumps(doc, indent=2)`` writes it."""
+    doc = {
+        "corridor_id": assessment.corridor_id,
+        "length_km": assessment.length_km,
+        "segment_length_m": assessment.segment_length_m,
+        "threshold": assessment.threshold,
+        "weight_provenance": assessment.weight_provenance,
+        "segments": [
+            {
+                "segment_index": seg.segment_index,
+                "start_m": seg.start_m,
+                "length_m": seg.length_m,
+                "asd_score": seg.scores[ASD].value,
+                "aud_score": seg.scores[AUD].value,
+                "asd_class": seg.classes[ASD].value,
+                "aud_class": seg.classes[AUD].value,
+                "allowed_sae_levels": sorted(seg.recommendation.allowed_sae_levels),
+            }
+            for seg in assessment.segments
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestJsonProfileLayout:
+    def check(self, assessment, tmp_path):
+        text = dump_score_profile_json(assessment)
+        assert text == reference_profile_json(assessment)
+        path = tmp_path / "profile.json"
+        path.write_text(text, encoding="utf-8")
+        assert load_score_profile_json(path) == assessment
+
+    @pytest.mark.parametrize("overlays", [(), ("roadworks",), ("maintenance",), ("roadworks", "maintenance")])
+    def test_fixture_with_overlays(self, corridor, weights, roadworks, maintenance, overlays, tmp_path):
+        by_name = {"roadworks": roadworks, "maintenance": maintenance}
+        profile = corridor
+        for name in overlays:
+            profile = apply_overlay(profile, by_name[name])
+        self.check(score_corridor(profile, weights), tmp_path)
+
+    def test_empty_level_set(self, weights, tmp_path):
+        assessment = score_corridor(
+            corridor_of([{attr: 0 for attr in attribute_ids()}, {attr: 2 for attr in attribute_ids()}]), weights
+        )
+        assert assessment.segments[0].recommendation.allowed_sae_levels == frozenset()
+        self.check(assessment, tmp_path)
+
+    def test_zero_segments(self, weights, tmp_path):
+        assessment = score_corridor(corridor_of([]), weights)
+        assert assessment.segments == ()
+        self.check(assessment, tmp_path)
+
+    def test_escaped_strings(self, weights, tmp_path):
+        table = WeightTable(weights.weights, provenance='survey "2024" \\ Zürich')
+        profile = corridor_of([{attr: 1 for attr in attribute_ids()}], corridor_id='A4 "north" \\ Brücke 路')
+        self.check(score_corridor(profile, table), tmp_path)
+
+    def test_non_integral_length_and_int_threshold(self, weights, tmp_path):
+        profile = corridor_of([{attr: (i + j) % 3 for j, attr in enumerate(attribute_ids())} for i in range(3)], length_km=0.25)
+        self.check(score_corridor(profile, weights), tmp_path)
+        self.check(score_corridor(profile, weights, threshold=70), tmp_path)

@@ -7,6 +7,10 @@ import tempfile
 import time
 from pathlib import Path
 
+# CLI help defaults, kept here so --help imports no domain module; corridor and scoring re-export them.
+DEFAULT_SEGMENT_LENGTH_M = 100.0
+DEFAULT_THRESHOLD = 66.0
+
 
 def now_ms() -> int:
     """Wall-clock time in whole milliseconds since the Unix epoch."""

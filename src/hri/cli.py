@@ -12,28 +12,25 @@ are written atomically, so failed runs leave no partial outputs.
 
 from __future__ import annotations
 
-import logging
-import signal
 import sys
-import threading
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import click
 
-from . import corridor as corridor_mod
-from . import ivim as ivim_mod
-from . import rsu as rsu_mod
-from . import scoring as scoring_mod
-from . import survey as survey_mod
-from . import taxonomy as taxonomy_mod
+# Each subcommand imports the domain modules it runs, so that a process loads
+# only those: at module level this file needs no more than these two.
+from ._util import DEFAULT_SEGMENT_LENGTH_M, DEFAULT_THRESHOLD
 from ._util import atomic_write_bytes, atomic_write_text, now_ms
-from .errors import DecodeError, HriError, ParseError, ValidationError
+from .errors import HriError, ValidationError
 
-logger = logging.getLogger("hri.cli")
+if TYPE_CHECKING:
+    from .taxonomy import WeightTable
 
 
-def _load_weights(selector: str) -> taxonomy_mod.WeightTable:
+def _load_weights(selector: str) -> WeightTable:
+    from . import taxonomy as taxonomy_mod
+
     if selector == "builtin":
         return taxonomy_mod.builtin_weight_table()
     table = taxonomy_mod.load_weight_table(selector)
@@ -73,7 +70,7 @@ def cli() -> None:
 @click.option(
     "--segment-length",
     type=float,
-    default=corridor_mod.DEFAULT_SEGMENT_LENGTH_M,
+    default=DEFAULT_SEGMENT_LENGTH_M,
     show_default=True,
     help="Metadata fallback segment length, metres.",
 )
@@ -84,7 +81,7 @@ def cli() -> None:
     show_default=True,
     help="'builtin' or a weight-table CSV path.",
 )
-@click.option("--threshold", type=float, default=scoring_mod.DEFAULT_THRESHOLD, show_default=True)
+@click.option("--threshold", type=float, default=DEFAULT_THRESHOLD, show_default=True)
 @click.option(
     "--overlay",
     "overlays",
@@ -109,6 +106,10 @@ def score(
     pretty: bool,
 ) -> None:
     """Score a corridor and write CSV + JSON readiness profiles."""
+    from . import corridor as corridor_mod
+    from . import scoring as scoring_mod
+    from .taxonomy import AutomationLevelGroup
+
     _check_threshold(threshold)
     table = _load_weights(weights)
     meta_arg: Path | dict | None = meta
@@ -130,8 +131,7 @@ def score(
     click.echo(f"wrote {csv_path} and {json_path} ({len(assessment.segments)} segments)")
 
     if pretty:
-        asd = taxonomy_mod.AutomationLevelGroup.ASD
-        aud = taxonomy_mod.AutomationLevelGroup.AUD
+        asd, aud = AutomationLevelGroup.ASD, AutomationLevelGroup.AUD
         click.echo(f"corridor {assessment.corridor_id}: {assessment.length_km} km")
         for group in (asd, aud):
             values = [seg.scores[group].value for seg in assessment.segments]
@@ -164,6 +164,9 @@ def survey(
     pretty: bool,
 ) -> None:
     """Aggregate survey responses into a weight table and summary reports."""
+    from . import survey as survey_mod
+    from . import taxonomy as taxonomy_mod
+
     responses = survey_mod.load_survey(ratings_csv, respondents_csv)
     table = survey_mod.aggregate_mean_impact(responses)
     diffs = survey_mod.impact_difference(table)
@@ -192,9 +195,6 @@ def survey(
 # sensitivity
 # ---------------------------------------------------------------------------
 
-_CATEGORY_ALIASES = {category.value: category for category in taxonomy_mod.MacroCategory}
-
-
 @cli.command()
 @click.option(
     "--degraded-level",
@@ -220,33 +220,36 @@ def sensitivity(
     pretty: bool,
 ) -> None:
     """Score the three macro-category scenarios for both groups."""
-    degraded = {
-        category: degraded_level
-        for category in taxonomy_mod.MacroCategory
-        if category is not taxonomy_mod.MacroCategory.PRELOADED_HD_MAPS
-    }
+    from . import scoring as scoring_mod
+    from .taxonomy import AutomationLevelGroup, MacroCategory
+
+    degraded = dict.fromkeys(scoring_mod.DEFAULT_DEGRADED_LEVELS, degraded_level)
     for override in overrides:
         name, _, level_text = override.partition("=")
-        category = _CATEGORY_ALIASES.get(name.strip())
-        if category is None or category is taxonomy_mod.MacroCategory.PRELOADED_HD_MAPS:
-            raise ValidationError(f"unknown degradable category {name!r}")
         try:
-            level = int(level_text)
+            category = MacroCategory(name.strip())
+        except ValueError:
+            raise ValidationError(f"unknown degradable category {name!r}") from None
+        try:
+            degraded[category] = int(level_text)
         except ValueError:
             raise ValidationError(f"bad degraded level in {override!r}") from None
-        if level not in (0, 1, 2):
-            raise ValidationError(f"degraded level {level} outside 0..2")
-        degraded[category] = level
+    try:
+        configs = [
+            scoring_mod.SensitivityConfig(scenario=scenario, degraded_levels=degraded)
+            for scenario in scoring_mod.SensitivityScenario
+        ]
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
 
     rows = []
-    for scenario in scoring_mod.SensitivityScenario:
-        config = scoring_mod.SensitivityConfig(scenario=scenario, degraded_levels=degraded)
+    for config in configs:
         scores = scoring_mod.macro_sensitivity(config)
-        for group in taxonomy_mod.AutomationLevelGroup:
+        for group in AutomationLevelGroup:
             value = scores[group].value
             rows.append(
                 {
-                    "scenario": scenario.value,
+                    "scenario": config.scenario.value,
                     "group": group.value,
                     "score": value,
                     "readiness_class": scoring_mod.classify(value).value,
@@ -314,6 +317,9 @@ def ivim_build(
     out: Path | None,
 ) -> None:
     """Build a canonical-text message from a score profile JSON."""
+    from . import ivim as ivim_mod
+    from .scoring import load_score_profile_json
+
     if (ref_lat is None) != (ref_lon is None):
         raise ValidationError("--ref-lat and --ref-lon must be given together")
     location = None
@@ -322,7 +328,7 @@ def ivim_build(
             latitude_e7=int(round(ref_lat * 1e7)),
             longitude_e7=int(round(ref_lon * 1e7)),
         )
-    assessment = scoring_mod.load_score_profile_json(profile_json)
+    assessment = load_score_profile_json(profile_json)
     message = ivim_mod.build_ivim(
         assessment,
         station_id=station_id,
@@ -343,6 +349,8 @@ def ivim_build(
 @click.option("--out", type=click.Path(path_type=Path), help="Binary output path.")
 def ivim_encode(text_in: Path, out: Path | None) -> None:
     """Encode a canonical-text message into the binary wire form."""
+    from . import ivim as ivim_mod
+
     message = ivim_mod.from_canonical_text(
         text_in.read_text(encoding="utf-8"), source=str(text_in)
     )
@@ -362,6 +370,8 @@ def ivim_encode(text_in: Path, out: Path | None) -> None:
 @click.option("--out", type=click.Path(path_type=Path), help="Text output path (default: stdout).")
 def ivim_decode(bin_in: Path, out: Path | None) -> None:
     """Decode a binary message back into canonical text."""
+    from . import ivim as ivim_mod
+
     message = ivim_mod.decode(bin_in.read_bytes())
     text = ivim_mod.to_canonical_text(message)
     if out is not None:
@@ -375,6 +385,8 @@ def ivim_decode(bin_in: Path, out: Path | None) -> None:
 @click.argument("bin_in", type=click.Path(path_type=Path))
 def ivim_inspect(bin_in: Path) -> None:
     """Print a human summary of a binary message."""
+    from . import ivim as ivim_mod
+
     message = ivim_mod.decode(bin_in.read_bytes())
     click.echo(ivim_mod.describe(message), nl=False)
 
@@ -412,6 +424,15 @@ def simulate_rsu(
     timestamp: int | None,
 ) -> None:
     """Broadcast a message periodically, ending with a cancellation."""
+    import logging
+    import signal
+    import threading
+
+    from . import ivim as ivim_mod
+    from . import rsu as rsu_mod
+    from .scoring import load_score_profile_json
+
+    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(name)s: %(message)s")
     if (message_path is None) == (profile_path is None):
         raise ValidationError("exactly one of --message or --profile is required")
     if not dry_run and target is None:
@@ -426,7 +447,7 @@ def simulate_rsu(
                 raw.decode("utf-8"), source=str(message_path)
             )
     else:
-        assessment = scoring_mod.load_score_profile_json(profile_path)
+        assessment = load_score_profile_json(profile_path)
         base_message = ivim_mod.build_ivim(
             assessment,
             station_id=station_id,
@@ -447,7 +468,7 @@ def simulate_rsu(
     previous_handlers = {}
 
     def request_stop(signum, frame) -> None:  # noqa: ARG001 - signal signature
-        logger.info("stop requested, sending cancellation")
+        logging.getLogger("hri.cli").info("stop requested, sending cancellation")
         stop.set()
 
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -467,7 +488,6 @@ def simulate_rsu(
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point with the documented exit-code mapping."""
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(name)s: %(message)s")
     try:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
@@ -475,14 +495,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except click.exceptions.Abort:
         click.echo("aborted", err=True)
         return 1
-    except click.UsageError as exc:
+    except click.ClickException as exc:  # usage errors included
         exc.show()
-        return 1
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except (ParseError, DecodeError) as exc:
-        click.echo(f"error: {exc}", err=True)
         return 1
     except ValidationError as exc:
         click.echo(f"error: {exc}", err=True)
@@ -490,7 +504,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         click.echo(f"i/o error: {exc}", err=True)
         return 3
-    except HriError as exc:
+    except HriError as exc:  # ParseError, DecodeError
         click.echo(f"error: {exc}", err=True)
         return 1
     return 0

@@ -20,13 +20,12 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
+from ._util import DEFAULT_SEGMENT_LENGTH_M  # noqa: F401 - public at this path too
 from .errors import ParseError, ValidationError
 from .taxonomy import attribute_ids, is_known_attribute
 
 _ADEQUACY_VALUES = (0, 1, 2)
 _VALUE_OF = {str(value): value for value in _ADEQUACY_VALUES}
-
-DEFAULT_SEGMENT_LENGTH_M = 100.0
 
 _GEOM_EPS = 1e-6  # float slack for chainage arithmetic on metre grids
 
@@ -327,57 +326,60 @@ def load_corridor(
     def error(message: str) -> ParseError:
         return ParseError(message, source=source, line=reader.line_num)
 
-    for header in reader:
-        if header and not header[0].lstrip().startswith("#"):
-            break
-    else:
-        raise ParseError("no data rows", source=source)
-    if [c.strip() for c in header] != _CORRIDOR_HEADER:
-        raise error("expected header 'segment_index,attribute,value'")
+    try:
+        for header in reader:
+            if header and not header[0].lstrip().startswith("#"):
+                break
+        else:
+            raise ParseError("no data rows", source=source)
+        if [c.strip() for c in header] != _CORRIDOR_HEADER:
+            raise error("expected header 'segment_index,attribute,value'")
 
-    registry = attribute_ids()
-    slot_of = {attr: slot for slot, attr in enumerate(registry)}
-    # per segment, its adequacy values in registry order; None marks a row not seen yet
-    per_segment: dict[int, list[int | None]] = {}
-    last_key = slots = None
-    slot_for, value_for = slot_of.get, _VALUE_OF.get  # bound once: called for every row
-    for row in reader:
-        if not row:
-            continue
-        key = row[0]
-        # a repeated index text is the previous row's segment, so it is parsed once
-        if key != last_key and key.lstrip().startswith("#"):
-            continue
-        if len(row) != 3:
-            raise error(f"expected 3 fields, got {len(row)}")
-        if key != last_key:
-            try:
-                index = int(key)
-            except ValueError:
-                raise error(f"malformed segment index {key!r}") from None
-            if index < 0:
-                raise error(f"negative segment index {index}")
-            slots = per_segment.get(index)
-            if slots is None:
-                slots = per_segment[index] = [None] * len(registry)
-            last_key = key
-        slot = slot_for(row[1])
-        if slot is None:
-            attr = row[1].strip()
-            slot = slot_for(attr)
+        registry = attribute_ids()
+        slot_of = {attr: slot for slot, attr in enumerate(registry)}
+        # per segment, its adequacy values in registry order; None marks a row not seen yet
+        per_segment: dict[int, list[int | None]] = {}
+        last_key = slots = None
+        slot_for, value_for = slot_of.get, _VALUE_OF.get  # bound once: called for every row
+        for row in reader:
+            if not row:
+                continue
+            key = row[0]
+            # a repeated index text is the previous row's segment, so it is parsed once
+            if key != last_key and key.lstrip().startswith("#"):
+                continue
+            if len(row) != 3:
+                raise error(f"expected 3 fields, got {len(row)}")
+            if key != last_key:
+                try:
+                    index = int(key)
+                except ValueError:
+                    raise error(f"malformed segment index {key!r}") from None
+                if index < 0:
+                    raise error(f"negative segment index {index}")
+                slots = per_segment.get(index)
+                if slots is None:
+                    slots = per_segment[index] = [None] * len(registry)
+                last_key = key
+            slot = slot_for(row[1])
             if slot is None:
-                raise error(f"unknown attribute {attr!r}")
-        value = value_for(row[2])
-        if value is None:
-            try:
-                value = int(row[2])
-            except ValueError:
-                raise error(f"malformed adequacy value {row[2]!r}") from None
-            if value not in _ADEQUACY_VALUES:
-                raise error(f"adequacy value {value} outside 0..2")
-        if slots[slot] is not None:
-            raise error(f"duplicate row for segment {index}, attribute {registry[slot]!r}")
-        slots[slot] = value
+                attr = row[1].strip()
+                slot = slot_for(attr)
+                if slot is None:
+                    raise error(f"unknown attribute {attr!r}")
+            value = value_for(row[2])
+            if value is None:
+                try:
+                    value = int(row[2])
+                except ValueError:
+                    raise error(f"malformed adequacy value {row[2]!r}") from None
+                if value not in _ADEQUACY_VALUES:
+                    raise error(f"adequacy value {value} outside 0..2")
+            if slots[slot] is not None:
+                raise error(f"duplicate row for segment {index}, attribute {registry[slot]!r}")
+            slots[slot] = value
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise error(f"malformed CSV: {exc}") from None
 
     expected = expected_segment_count(metadata["length_km"], metadata["segment_length_m"])
     for index in range(expected):

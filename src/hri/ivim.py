@@ -37,10 +37,13 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .errors import DecodeError, ParseError, ValidationError
-from .scoring import CorridorAssessment, ReadinessClass
-from .taxonomy import AutomationLevelGroup
+from .taxonomy import AutomationLevelGroup, ReadinessClass
+
+if TYPE_CHECKING:
+    from .scoring import CorridorAssessment
 
 MAGIC = b"IVIM"
 MESSAGE_TYPE_IVIM = 0x06

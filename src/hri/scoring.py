@@ -26,32 +26,21 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .corridor import CorridorProfile, SegmentObservation
+from ._util import DEFAULT_THRESHOLD
 from .errors import ParseError, ValidationError
 from .taxonomy import (
     V_MAX,
     AutomationLevelGroup,
     MacroCategory,
+    ReadinessClass,
     WeightTable,
     macro_weight_table,
 )
 
-DEFAULT_THRESHOLD = 66.0
-
-
-class ReadinessClass(Enum):
-    UNLIKELY = "unlikely"
-    MAY_BE = "may-be"
-    HIGHLY_LIKELY = "highly-likely"
-
-    @classmethod
-    def parse(cls, text: str) -> "ReadinessClass":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown readiness class {text!r}") from None
+if TYPE_CHECKING:
+    from .corridor import CorridorProfile, SegmentObservation
 
 
 @dataclass(frozen=True)
@@ -293,7 +282,8 @@ class SensitivityConfig:
     def __post_init__(self) -> None:
         for category, level in self.degraded_levels.items():
             if category not in _PHYSICAL_CATEGORIES:
-                raise ValueError(f"degraded level given for non-physical category {category}")
+                name = getattr(category, "value", category)
+                raise ValueError(f"degraded level given for non-physical category {name!r}")
             if level not in (0, 1, 2):
                 raise ValueError(f"degraded level for {category.value} must be 0, 1 or 2")
         merged = dict(DEFAULT_DEGRADED_LEVELS)
@@ -428,6 +418,8 @@ def _parse_class(text: str) -> ReadinessClass:
     try:
         return _CLASS_BY_NAME[text]
     except (KeyError, TypeError):  # not a canonical name: let parse() normalize it or explain
+        if not isinstance(text, str):
+            raise TypeError(f"readiness class must be a string, got {text!r}") from None
         return ReadinessClass.parse(text)
 
 
@@ -475,5 +467,5 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
             weight_provenance=str(doc.get("weight_provenance", "unknown")),
             segments=tuple(segments),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of 1e400
         raise ParseError(f"bad score profile: {exc}", source=source) from None

@@ -27,6 +27,7 @@ from .taxonomy import (
     WeightTable,
     attribute_ids,
     is_known_attribute,
+    read_csv_rows,
 )
 
 
@@ -169,12 +170,7 @@ _RESPONDENTS_HEADER = [
 
 
 def _read_rows(text: str, source: str | None) -> list[tuple[int, list[str]]]:
-    reader = csv.reader(io.StringIO(text))
-    rows = []
-    for row in reader:
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        rows.append((reader.line_num, row))
+    rows = read_csv_rows(text, source)
     if not rows:
         raise ParseError("empty file", source=source)
     return rows

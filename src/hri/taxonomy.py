@@ -50,6 +50,19 @@ class AutomationLevelGroup(Enum):
             raise ValueError(f"unknown automation-level group {text!r} (expected 'asd' or 'aud')") from None
 
 
+class ReadinessClass(Enum):
+    UNLIKELY = "unlikely"
+    MAY_BE = "may-be"
+    HIGHLY_LIKELY = "highly-likely"
+
+    @classmethod
+    def parse(cls, text: str) -> "ReadinessClass":
+        try:
+            return cls(text.strip().lower())
+        except ValueError:
+            raise ValueError(f"unknown readiness class {text!r}") from None
+
+
 class MacroCategory(Enum):
     ROAD_MARKINGS_SIGNAGE = "road-markings-signage"
     ROAD_MAINTENANCE_MANAGEMENT = "road-maintenance-management"
@@ -195,6 +208,20 @@ def validate_weight_table(
     return issues
 
 
+def read_csv_rows(text: str, source: str | None) -> list[tuple[int, list[str]]]:
+    """The ``(line number, fields)`` of each row that is neither blank nor a
+    ``#`` comment; a malformed record raises ``ParseError`` at its line."""
+    reader = csv.reader(io.StringIO(text))
+    rows = []
+    try:
+        for row in reader:
+            if row and not row[0].lstrip().startswith("#"):
+                rows.append((reader.line_num, row))
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise ParseError(f"malformed CSV: {exc}", source=source, line=reader.line_num) from None
+    return rows
+
+
 def parse_weight_table(
     text: str,
     *,
@@ -206,12 +233,7 @@ def parse_weight_table(
     Lines starting with ``#`` are comments. Unknown attributes, duplicates
     and malformed numbers are rejected with their line number.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows: list[tuple[int, list[str]]] = []
-    for row in reader:
-        if not row or (row[0].lstrip().startswith("#")):
-            continue
-        rows.append((reader.line_num, row))
+    rows = read_csv_rows(text, source)
     if not rows:
         raise ParseError("empty weight table", source=source)
     header_line, header = rows[0]

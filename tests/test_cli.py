@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from hri.cli import main
+from hri.errors import ParseError
 from hri.fixtures import (
     SURVEY20_RATINGS_FILE,
     SURVEY20_RESPONDENTS_FILE,
@@ -16,6 +19,7 @@ from hri.fixtures import (
     ROADWORKS_OVERLAY_FILE,
 )
 from hri.ivim import IviStatus, decode, encode
+from hri.scoring import load_score_profile_json
 from hri.taxonomy import builtin_weight_table, parse_weight_table
 
 from test_ivim import one_zone_message
@@ -70,6 +74,14 @@ class TestScoreCommand:
         )
         out_csv = tmp_path / "p.csv"
         assert run("score", bad, "--out-csv", out_csv, "--out-json", tmp_path / "p.json") == 1
+        assert not out_csv.exists()
+
+    def test_oversized_csv_field_exits_1_without_outputs(self, tmp_path, capsys):
+        corridor_csv = tmp_path / "c.csv"
+        corridor_csv.write_text(CORRIDOR.read_text() + "0,hd-maps," + "2" * 200_000 + "\n")
+        out_csv = tmp_path / "p.csv"
+        assert run("score", corridor_csv, "--out-csv", out_csv, "--out-json", tmp_path / "p.json") == 1
+        assert capsys.readouterr().err.startswith(f"error: {corridor_csv}:line ")
         assert not out_csv.exists()
 
     def test_bad_threshold_exits_2(self, tmp_path):
@@ -217,6 +229,17 @@ class TestSensitivityCommand:
     def test_bad_override_exits_2(self):
         assert run("sensitivity", "--degraded", "weather=1") == 2
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("road-markings-signage=3", "degraded level for road-markings-signage must be 0, 1 or 2"),
+            ("preloaded-hd-maps=1", "degraded level given for non-physical category 'preloaded-hd-maps'"),
+        ],
+    )
+    def test_override_rejected_by_config_exits_2(self, override, message, capsys):
+        assert run("sensitivity", "--degraded", override) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestIvimCommands:
     def build_profile(self, tmp_path) -> Path:
@@ -271,6 +294,25 @@ class TestIvimCommands:
         bad.write_bytes(encode(one_zone_message())[:20])
         assert run("ivim", "decode", bad) == 1
         assert "offset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("asd_class", None), ("asd_class", 3), ("aud_class", ["x"]), ("segment_index", float("inf"))],
+    )
+    def test_build_rejects_malformed_profile_exits_1(self, tmp_path, capsys, field, value):
+        profile = self.build_profile(tmp_path)
+        doc = json.loads(profile.read_text())
+        doc["segments"][5][field] = value
+        # json.dumps writes inf as "Infinity"; the profile under test says 1e400, which json reads as inf
+        profile.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+        with pytest.raises(ParseError, match="bad score profile: "):
+            load_score_profile_json(profile)
+        capsys.readouterr()
+        out = tmp_path / "m.ivim.txt"
+        assert run("ivim", "build", profile, "--station-id", 1, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {profile}:") and "bad score profile: " in err
+        assert not out.exists()
 
     def test_build_deterministic_with_timestamp(self, tmp_path):
         profile = self.build_profile(tmp_path)

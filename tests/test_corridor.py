@@ -128,6 +128,14 @@ class TestLoadCorridor:
             load_corridor(path)
         assert excinfo.value.line == 2
 
+    def test_oversized_field_names_its_line(self, tmp_path):
+        rows = full_rows(0) + full_rows(1)
+        rows[30] = "1,hd-maps," + "2" * 200_000  # over csv's 131,072-character field limit
+        path = write_corridor_csv(tmp_path, rows)
+        with pytest.raises(ParseError, match="malformed CSV: field larger than field limit") as excinfo:
+            load_corridor(path)
+        assert (excinfo.value.source, excinfo.value.line) == (str(path), 2 + 30 + 1)
+
     def test_header_only_file(self, tmp_path):
         path = write_corridor_csv(tmp_path, [])
         with pytest.raises(ParseError, match="gap: segment 0 missing") as excinfo:

@@ -246,6 +246,18 @@ class TestSurveyFiles:
         with pytest.raises(ParseError, match="duplicate rating"):
             load_survey(ratings, respondents)
 
+    def test_oversized_field_names_its_line(self, tmp_path):
+        respondents = tmp_path / "resp.csv"
+        respondents.write_text(
+            "respondent_id,role,region,av_expertise,cits_expertise,day1,day2,day3\n"
+            "r1,Professor,usa,5,4,,,\n"
+        )
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("respondent_id,attribute,group,rating\nr1,hd-maps,aud," + "2" * 200_000 + "\n")
+        with pytest.raises(ParseError, match="malformed CSV: field larger than field limit") as excinfo:
+            load_survey(ratings, respondents)
+        assert (excinfo.value.source, excinfo.value.line) == (str(ratings), 2)
+
     def test_empty_ratings_rejected(self, tmp_path):
         respondents = tmp_path / "resp.csv"
         respondents.write_text(

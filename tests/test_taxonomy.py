@@ -140,6 +140,12 @@ class TestWeightTableCsv:
         with pytest.raises(ParseError, match="header"):
             parse_weight_table("attr,a,b\nhd-maps,1,1\n")
 
+    def test_oversized_field_names_its_line(self):
+        text = "attribute,asd_weight,aud_weight\nhd-maps,1,1\nhd-maps," + "1" * 200_000 + ",1\n"
+        with pytest.raises(ParseError, match="malformed CSV: field larger than field limit") as excinfo:
+            parse_weight_table(text, source="w.csv")
+        assert (excinfo.value.source, excinfo.value.line) == ("w.csv", 3)
+
     def test_malformed_number_rejected(self):
         with pytest.raises(ParseError, match="malformed weight"):
             parse_weight_table("attribute,asd_weight,aud_weight\nhd-maps,high,1\n")

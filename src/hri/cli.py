@@ -108,7 +108,6 @@ def score(
     """Score a corridor and write CSV + JSON readiness profiles."""
     from . import corridor as corridor_mod
     from . import scoring as scoring_mod
-    from .taxonomy import AutomationLevelGroup
 
     _check_threshold(threshold)
     table = _load_weights(weights)
@@ -131,15 +130,14 @@ def score(
     click.echo(f"wrote {csv_path} and {json_path} ({len(assessment.segments)} segments)")
 
     if pretty:
-        asd, aud = AutomationLevelGroup.ASD, AutomationLevelGroup.AUD
+        segments = assessment.segments
         click.echo(f"corridor {assessment.corridor_id}: {assessment.length_km} km")
-        for group in (asd, aud):
-            values = [seg.scores[group].value for seg in assessment.segments]
+        for name, values in (("asd", [s.asd_score for s in segments]), ("aud", [s.aud_score for s in segments])):
             click.echo(
-                f"  {group.value}: min {min(values):.2f}  max {max(values):.2f}  "
+                f"  {name}: min {min(values):.2f}  max {max(values):.2f}  "
                 f"mean {sum(values) / len(values):.2f}"
             )
-        empty = sum(1 for seg in assessment.segments if not seg.recommendation.allowed_sae_levels)
+        empty = sum(1 for seg in segments if not seg.allowed_sae_levels)
         click.echo(f"  segments with no recommendation: {empty}")
 
 

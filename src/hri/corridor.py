@@ -25,6 +25,7 @@ from .errors import ParseError, ValidationError
 from .taxonomy import attribute_ids, is_known_attribute
 
 _ADEQUACY_VALUES = (0, 1, 2)
+_ADEQUACY_SET = frozenset(_ADEQUACY_VALUES)
 _VALUE_OF = {str(value): value for value in _ADEQUACY_VALUES}
 
 _GEOM_EPS = 1e-6  # float slack for chainage arithmetic on metre grids
@@ -48,12 +49,18 @@ class SegmentObservation:
             raise ValueError(
                 f"segment {self.index}: start_m {self.start_m} != index * length_m"
             )
-        for attr, value in self.values.items():
-            if value not in _ADEQUACY_VALUES:
-                raise ValueError(
-                    f"segment {self.index}: adequacy for {attr!r} must be 0, 1 or 2, got {value}"
-                )
-        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
+        try:
+            valid = _ADEQUACY_SET.issuperset(self.values.values())
+        except TypeError:  # an unhashable value, named below
+            valid = False
+        if not valid:
+            for attr, value in self.values.items():
+                if value not in _ADEQUACY_VALUES:
+                    raise ValueError(
+                        f"segment {self.index}: adequacy for {attr!r} must be 0, 1 or 2, got {value}"
+                    )
+        if type(self.values) is not MappingProxyType:
+            object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
 
     @property
     def end_m(self) -> float:
@@ -159,7 +166,7 @@ def apply_overlay(profile: CorridorProfile, overlay: ScenarioOverlay) -> Corrido
                         f"value for {op.attribute!r}"
                     )
                 values[op.attribute] = op.apply(values[op.attribute])
-            segments.append(replace(segment, values=values))
+            segments.append(replace(segment, values=MappingProxyType(values)))
         else:
             segments.append(segment)
     return replace(profile, segments=tuple(segments))
@@ -404,7 +411,7 @@ def load_corridor(
                 index=index,
                 start_m=index * metadata["segment_length_m"],
                 length_m=metadata["segment_length_m"],
-                values=dict(zip(registry, values)),
+                values=MappingProxyType(dict(zip(registry, values))),
             )
         )
     return CorridorProfile(

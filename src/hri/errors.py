@@ -31,12 +31,10 @@ class ParseError(HriError):
         self.line = line
         self.column = column
         where = ""
-        if source is not None:
-            where += f"{source}:"
         if line is not None:
-            where += f"line {line}"
-            if column is not None:
-                where += f", column {column}"
+            where = f"line {line}" if column is None else f"line {line}, column {column}"
+        if source is not None:
+            where = f"{source}:{where}" if where else source
         super().__init__(f"{where}: {message}" if where else message)
 
 

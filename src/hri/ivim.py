@@ -37,10 +37,11 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import groupby
 from typing import TYPE_CHECKING
 
 from .errors import DecodeError, ParseError, ValidationError
-from .taxonomy import AutomationLevelGroup, ReadinessClass
+from .taxonomy import ReadinessClass, readiness_band
 
 if TYPE_CHECKING:
     from .scoring import CorridorAssessment
@@ -236,38 +237,23 @@ def build_ivim(
     if not assessment.segments:
         raise ValidationError("cannot build a message from an empty assessment")
 
-    zones: list[ZoneRecord] = []
-    run: list = []
-
     def run_key(seg) -> tuple:
-        return (
-            seg.recommendation.allowed_sae_levels,
-            seg.classes[AutomationLevelGroup.ASD],
-            seg.classes[AutomationLevelGroup.AUD],
-        )
+        return (seg.allowed_sae_levels, readiness_band(seg.asd_score), readiness_band(seg.aud_score))
 
-    def flush() -> None:
-        first, last = run[0], run[-1]
-        asd_min = min(s.scores[AutomationLevelGroup.ASD].value for s in run)
-        aud_min = min(s.scores[AutomationLevelGroup.AUD].value for s in run)
+    zones = []
+    for (levels, asd_class, aud_class), run in groupby(assessment.segments, run_key):
+        run = list(run)
         zones.append(
             ZoneRecord(
-                start_m=int(round(first.start_m)),
-                end_m=int(round(last.end_m)),
-                allowed_sae_levels=first.recommendation.allowed_sae_levels,
-                asd_class=first.classes[AutomationLevelGroup.ASD],
-                aud_class=first.classes[AutomationLevelGroup.AUD],
-                asd_score_cpct=math.floor(asd_min * 100.0),
-                aud_score_cpct=math.floor(aud_min * 100.0),
+                start_m=int(round(run[0].start_m)),
+                end_m=int(round(run[-1].end_m)),
+                allowed_sae_levels=levels,
+                asd_class=asd_class,
+                aud_class=aud_class,
+                asd_score_cpct=math.floor(min(s.asd_score for s in run) * 100.0),
+                aud_score_cpct=math.floor(min(s.aud_score for s in run) * 100.0),
             )
         )
-
-    for seg in assessment.segments:
-        if run and run_key(seg) != run_key(run[0]):
-            flush()
-            run = []
-        run.append(seg)
-    flush()
 
     msg = IvimMessage(
         header=IvimHeader(station_id=station_id, protocol_version=protocol_version),

@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -37,6 +38,7 @@ from .taxonomy import (
     ReadinessClass,
     WeightTable,
     macro_weight_table,
+    readiness_band,
 )
 
 if TYPE_CHECKING:
@@ -57,6 +59,22 @@ class ReadinessScore:
             raise ValueError(f"readiness score {self.value} outside [0, 100]")
 
 
+_ASD, _AUD = AutomationLevelGroup.ASD, AutomationLevelGroup.AUD
+# the only valid allowed-level sets, indexed by ``asd_passes + 2 * aud_passes``
+_LEVELS = (frozenset(), frozenset({1, 2}), frozenset({3, 4}), frozenset({1, 2, 3, 4}))
+_SHARED_LEVELS = {levels: levels for levels in _LEVELS}
+
+
+def _shared_levels(levels) -> frozenset[int]:
+    """The shared instance of a valid level set; levels always enter in group pairs."""
+    shared = _SHARED_LEVELS.get(frozenset(levels))
+    if shared is None:
+        if (1 in levels) != (2 in levels) or (3 in levels) != (4 in levels):
+            raise ValueError(f"unpaired SAE levels {sorted(levels)}")
+        raise ValueError(f"invalid SAE levels {sorted(levels)}")
+    return shared
+
+
 @dataclass(frozen=True)
 class Recommendation:
     """Allowed SAE levels for one segment; levels always enter in group pairs."""
@@ -66,19 +84,8 @@ class Recommendation:
     scores: Mapping[AutomationLevelGroup, ReadinessScore]
 
     def __post_init__(self) -> None:
-        levels = self.allowed_sae_levels
-        if (1 in levels) != (2 in levels) or (3 in levels) != (4 in levels):
-            raise ValueError(f"unpaired SAE levels {sorted(levels)}")
-        if not levels <= {1, 2, 3, 4}:
-            raise ValueError(f"invalid SAE levels {sorted(levels)}")
-        object.__setattr__(self, "allowed_sae_levels", frozenset(levels))
-        object.__setattr__(self, "scores", _read_only(self.scores))
-
-
-def _read_only(mapping: Mapping) -> Mapping:
-    """A ``MappingProxyType`` is kept as given, so that a segment's assessment
-    and recommendation can share one; any other mapping is copied into one."""
-    return mapping if type(mapping) is MappingProxyType else MappingProxyType(dict(mapping))
+        object.__setattr__(self, "allowed_sae_levels", _shared_levels(self.allowed_sae_levels))
+        object.__setattr__(self, "scores", MappingProxyType(dict(self.scores)))
 
 
 class _WeightedRatio:
@@ -113,10 +120,11 @@ def _group_ratio(weights: WeightTable, group: AutomationLevelGroup) -> _Weighted
     return _WeightedRatio(weights.group_weights(group).items(), f"weight sum for group {group.value}")
 
 
-def _score(obs: SegmentObservation, ratio: _WeightedRatio, group: AutomationLevelGroup) -> ReadinessScore:
-    if obs.values.keys() != ratio.keys:
-        missing = set(obs.values) - ratio.keys
-        extra = ratio.keys - set(obs.values)
+def _ratio_of(values: Mapping, ratio: _WeightedRatio) -> float:
+    """``ratio(values)`` once the values cover exactly the ratio's attributes."""
+    if values.keys() != ratio.keys:
+        missing = set(values) - ratio.keys
+        extra = ratio.keys - set(values)
         detail = []
         if missing:
             detail.append(f"weights missing for {sorted(missing)}")
@@ -125,7 +133,7 @@ def _score(obs: SegmentObservation, ratio: _WeightedRatio, group: AutomationLeve
         raise ValidationError(
             f"attribute mismatch between observation and weights: {'; '.join(detail)}"
         )
-    return ReadinessScore(group=group, value=ratio(obs.values), segment_index=obs.index)
+    return ratio(values)
 
 
 def score_segment(
@@ -138,19 +146,12 @@ def score_segment(
     The observation and the weight table must cover the same attribute set;
     a zero weight sum (degenerate custom table) is an error.
     """
-    return _score(obs, _group_ratio(weights, group), group)
+    return ReadinessScore(group, _ratio_of(obs.values, _group_ratio(weights, group)), obs.index)
 
 
 def classify(score: ReadinessScore | float) -> ReadinessClass:
     """Band a score: [0,33) unlikely, [33,66) may-be, [66,100] highly-likely."""
-    value = score.value if isinstance(score, ReadinessScore) else float(score)
-    if not 0.0 <= value <= 100.0:
-        raise ValueError(f"score {value} outside [0, 100]")
-    if value < 33.0:
-        return ReadinessClass.UNLIKELY
-    if value < 66.0:
-        return ReadinessClass.MAY_BE
-    return ReadinessClass.HIGHLY_LIKELY
+    return readiness_band(score.value if isinstance(score, ReadinessScore) else float(score))
 
 
 def recommend(
@@ -167,38 +168,50 @@ def recommend(
     for group in AutomationLevelGroup:
         if group not in scores:
             raise ValidationError(f"missing score for group {group.value}")
-    levels: set[int] = set()
-    for group, score in scores.items():
-        passed = score.value >= threshold if threshold_inclusive else score.value > threshold
-        if passed:
-            levels.update(group.sae_levels)
+    passes = operator.ge if threshold_inclusive else operator.gt
+    asd_passes, aud_passes = passes(scores[_ASD].value, threshold), passes(scores[_AUD].value, threshold)
     indexes = {score.segment_index for score in scores.values()}
-    segment_index = indexes.pop() if len(indexes) == 1 else None
     return Recommendation(
-        segment_index=segment_index,
-        allowed_sae_levels=frozenset(levels),
+        segment_index=indexes.pop() if len(indexes) == 1 else None,
+        allowed_sae_levels=_LEVELS[asd_passes + 2 * aud_passes],
         scores=scores,
     )
 
 
 @dataclass(frozen=True)
 class SegmentAssessment:
-    """Scores, classes and recommendation for one segment."""
+    """One segment's two group scores and allowed SAE levels; ``scores``,
+    ``classes`` and ``recommendation`` are derived from them on each access."""
 
     segment_index: int
     start_m: float
     length_m: float
-    scores: Mapping[AutomationLevelGroup, ReadinessScore]
-    classes: Mapping[AutomationLevelGroup, ReadinessClass]
-    recommendation: Recommendation
+    asd_score: float
+    aud_score: float
+    allowed_sae_levels: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scores", _read_only(self.scores))
-        object.__setattr__(self, "classes", _read_only(self.classes))
+        for score in (self.asd_score, self.aud_score):
+            if not 0.0 <= score <= 100.0:
+                raise ValueError(f"readiness score {score} outside [0, 100]")
+        object.__setattr__(self, "allowed_sae_levels", _shared_levels(self.allowed_sae_levels))
 
     @property
     def end_m(self) -> float:
         return self.start_m + self.length_m
+
+    @property
+    def scores(self) -> Mapping[AutomationLevelGroup, ReadinessScore]:
+        pairs = ((_ASD, self.asd_score), (_AUD, self.aud_score))
+        return MappingProxyType({group: ReadinessScore(group, value, self.segment_index) for group, value in pairs})
+
+    @property
+    def classes(self) -> Mapping[AutomationLevelGroup, ReadinessClass]:
+        return MappingProxyType({_ASD: readiness_band(self.asd_score), _AUD: readiness_band(self.aud_score)})
+
+    @property
+    def recommendation(self) -> Recommendation:
+        return Recommendation(self.segment_index, self.allowed_sae_levels, self.scores)
 
 
 @dataclass(frozen=True)
@@ -223,19 +236,25 @@ def score_corridor(
     threshold: float = DEFAULT_THRESHOLD,
     threshold_inclusive: bool = True,
 ) -> CorridorAssessment:
-    """Score, classify and recommend for every segment, preserving order."""
-    ratios = {group: _group_ratio(weights, group) for group in AutomationLevelGroup}
+    """Score both groups and recommend SAE levels for every segment, preserving order."""
+    asd_ratio, aud_ratio = _group_ratio(weights, _ASD), _group_ratio(weights, _AUD)
+    keys = asd_ratio.keys if asd_ratio.keys == aud_ratio.keys else None
+    passes = operator.ge if threshold_inclusive else operator.gt
     assessments = []
     for segment in profile.segments:
-        scores = MappingProxyType({group: _score(segment, ratio, group) for group, ratio in ratios.items()})
+        values = segment.values
+        if values.keys() != keys:  # raises the error score_segment gives, group by group
+            for ratio in (asd_ratio, aud_ratio):
+                _ratio_of(values, ratio)
+        asd_score, aud_score = asd_ratio(values), aud_ratio(values)
         assessments.append(
             SegmentAssessment(
                 segment_index=segment.index,
                 start_m=segment.start_m,
                 length_m=segment.length_m,
-                scores=scores,
-                classes=MappingProxyType({group: classify(score) for group, score in scores.items()}),
-                recommendation=recommend(scores, threshold, threshold_inclusive=threshold_inclusive),
+                asd_score=asd_score,
+                aud_score=aud_score,
+                allowed_sae_levels=_LEVELS[passes(asd_score, threshold) + 2 * passes(aud_score, threshold)],
             )
         )
     return CorridorAssessment(
@@ -351,11 +370,11 @@ def dump_score_profile_csv(assessment: CorridorAssessment) -> str:
             [
                 seg.segment_index,
                 f"{seg.start_m / 1000.0:.3f}",
-                f"{seg.scores[AutomationLevelGroup.ASD].value:.2f}",
-                f"{seg.scores[AutomationLevelGroup.AUD].value:.2f}",
-                seg.classes[AutomationLevelGroup.ASD].value,
-                seg.classes[AutomationLevelGroup.AUD].value,
-                ",".join(str(l) for l in sorted(seg.recommendation.allowed_sae_levels)),
+                f"{seg.asd_score:.2f}",
+                f"{seg.aud_score:.2f}",
+                readiness_band(seg.asd_score).value,
+                readiness_band(seg.aud_score).value,
+                ",".join(str(l) for l in sorted(seg.allowed_sae_levels)),
             ]
         )
     return out.getvalue()
@@ -377,10 +396,9 @@ def dump_score_profile_json(assessment: CorridorAssessment) -> str:
     the document of the README's "File formats" section, written directly
     because ``json`` skips its C encoder whenever ``indent`` is set.
     """
-    asd, aud = AutomationLevelGroup.ASD, AutomationLevelGroup.AUD
     segments = []
     for seg in assessment.segments:
-        levels = sorted(seg.recommendation.allowed_sae_levels)
+        levels = sorted(seg.allowed_sae_levels)
         levels_json = (
             "[\n" + ",\n".join("        " + _json_number(level) for level in levels) + "\n      ]"
             if levels
@@ -391,10 +409,10 @@ def dump_score_profile_json(assessment: CorridorAssessment) -> str:
             f'      "segment_index": {_json_number(seg.segment_index)},\n'
             f'      "start_m": {_json_number(seg.start_m)},\n'
             f'      "length_m": {_json_number(seg.length_m)},\n'
-            f'      "asd_score": {_json_number(seg.scores[asd].value)},\n'
-            f'      "aud_score": {_json_number(seg.scores[aud].value)},\n'
-            f'      "asd_class": {encode_basestring_ascii(seg.classes[asd].value)},\n'
-            f'      "aud_class": {encode_basestring_ascii(seg.classes[aud].value)},\n'
+            f'      "asd_score": {_json_number(seg.asd_score)},\n'
+            f'      "aud_score": {_json_number(seg.aud_score)},\n'
+            f'      "asd_class": {encode_basestring_ascii(readiness_band(seg.asd_score).value)},\n'
+            f'      "aud_class": {encode_basestring_ascii(readiness_band(seg.aud_score).value)},\n'
             f'      "allowed_sae_levels": {levels_json}\n'
             "    }"
         )
@@ -423,42 +441,35 @@ def _parse_class(text: str) -> ReadinessClass:
         return ReadinessClass.parse(text)
 
 
+def _json_int(value, name: str) -> int:
+    """``int(value)``, refusing a number with a fractional part."""
+    if type(value) is float and not value.is_integer():
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
 def load_score_profile_json(path: str | Path) -> CorridorAssessment:
-    """Reconstruct an assessment from its JSON profile."""
+    """Reconstruct an assessment from its JSON profile; each class must be the band of its score."""
     source = str(path)
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", source=source, line=exc.lineno, column=exc.colno) from None
-    asd, aud = AutomationLevelGroup.ASD, AutomationLevelGroup.AUD
     try:
         segments = []
         for item in doc["segments"]:
-            index = int(item["segment_index"])
-            scores = MappingProxyType(
-                {
-                    asd: ReadinessScore(group=asd, value=float(item["asd_score"]), segment_index=index),
-                    aud: ReadinessScore(group=aud, value=float(item["aud_score"]), segment_index=index),
-                }
-            )
-            classes = MappingProxyType(
-                {asd: _parse_class(item["asd_class"]), aud: _parse_class(item["aud_class"])}
-            )
-            recommendation = Recommendation(
-                segment_index=index,
-                allowed_sae_levels=frozenset(map(int, item["allowed_sae_levels"])),
-                scores=scores,
-            )
-            segments.append(
-                SegmentAssessment(
-                    segment_index=index,
-                    start_m=float(item["start_m"]),
-                    length_m=float(item["length_m"]),
-                    scores=scores,
-                    classes=classes,
-                    recommendation=recommendation,
-                )
-            )
+            index = _json_int(item["segment_index"], "segment_index")
+            scores = (float(item["asd_score"]), float(item["aud_score"]))
+            classes = (_parse_class(item["asd_class"]), _parse_class(item["aud_class"]))
+            levels = frozenset([_json_int(level, "SAE level") for level in item["allowed_sae_levels"]])
+            segment = SegmentAssessment(index, float(item["start_m"]), float(item["length_m"]), *scores, levels)
+            for name, loaded, score in zip(("asd", "aud"), classes, scores):
+                if loaded is not readiness_band(score):
+                    raise ValidationError(
+                        f"{source}: segment {index}: {name}_class {loaded.value!r} "
+                        f"does not match {name}_score {score!r} ({readiness_band(score).value})"
+                    )
+            segments.append(segment)
         return CorridorAssessment(
             corridor_id=str(doc["corridor_id"]),
             length_km=float(doc["length_km"]),

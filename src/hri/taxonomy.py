@@ -63,6 +63,17 @@ class ReadinessClass(Enum):
             raise ValueError(f"unknown readiness class {text!r}") from None
 
 
+def readiness_band(score: float) -> ReadinessClass:
+    """Band a score: [0,33) unlikely, [33,66) may-be, [66,100] highly-likely."""
+    if not 0.0 <= score <= 100.0:
+        raise ValueError(f"score {score} outside [0, 100]")
+    if score < 33.0:
+        return ReadinessClass.UNLIKELY
+    if score < 66.0:
+        return ReadinessClass.MAY_BE
+    return ReadinessClass.HIGHLY_LIKELY
+
+
 class MacroCategory(Enum):
     ROAD_MARKINGS_SIGNAGE = "road-markings-signage"
     ROAD_MAINTENANCE_MANAGEMENT = "road-maintenance-management"

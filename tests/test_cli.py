@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from hri.cli import main
-from hri.errors import ParseError
+from hri.errors import ParseError, ValidationError
 from hri.fixtures import (
     SURVEY20_RATINGS_FILE,
     SURVEY20_RESPONDENTS_FILE,
@@ -297,7 +297,14 @@ class TestIvimCommands:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("asd_class", None), ("asd_class", 3), ("aud_class", ["x"]), ("segment_index", float("inf"))],
+        [
+            ("asd_class", None),
+            ("asd_class", 3),
+            ("aud_class", ["x"]),
+            ("segment_index", float("inf")),
+            ("segment_index", 2.7),
+            ("allowed_sae_levels", [1.9, 2.2]),
+        ],
     )
     def test_build_rejects_malformed_profile_exits_1(self, tmp_path, capsys, field, value):
         profile = self.build_profile(tmp_path)
@@ -312,6 +319,30 @@ class TestIvimCommands:
         assert run("ivim", "build", profile, "--station-id", 1, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {profile}:") and "bad score profile: " in err
+        assert not out.exists()
+
+    def test_build_error_names_the_profile_once(self, tmp_path, capsys):
+        profile = self.build_profile(tmp_path)
+        doc = json.loads(profile.read_text())
+        del doc["segments"][3]["start_m"]
+        profile.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("ivim", "build", profile, "--station-id", 1, "--out", tmp_path / "m.ivim.txt") == 1
+        assert capsys.readouterr().err == f"error: {profile}: bad score profile: 'start_m'\n"
+
+    def test_build_rejects_class_that_disagrees_with_score_exits_2(self, tmp_path, capsys):
+        profile = self.build_profile(tmp_path)
+        doc = json.loads(profile.read_text())
+        assert doc["segments"][7]["aud_class"] == "highly-likely"
+        doc["segments"][7]["aud_class"] = "may-be"
+        profile.write_text(json.dumps(doc, indent=2) + "\n")
+        with pytest.raises(ValidationError, match="segment 7: aud_class 'may-be' does not match aud_score"):
+            load_score_profile_json(profile)
+        capsys.readouterr()
+        out = tmp_path / "m.ivim.txt"
+        assert run("ivim", "build", profile, "--station-id", 1, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {profile}: segment 7: aud_class 'may-be'") and "(highly-likely)" in err
         assert not out.exists()
 
     def test_build_deterministic_with_timestamp(self, tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -328,6 +329,22 @@ class TestSegmentObservation:
     def test_rejects_bad_adequacy(self):
         with pytest.raises(ValueError, match="must be 0, 1 or 2"):
             SegmentObservation(index=0, start_m=0.0, length_m=100.0, values={"hd-maps": 5})
+
+    @pytest.mark.parametrize("value", [3, -1, 1.5, None, "1", [1]])
+    def test_rejection_names_the_bad_value(self, value):
+        values = {"hd-maps": 2, "lane-mark-contrast": value}
+        with pytest.raises(ValueError) as raised:
+            SegmentObservation(index=1, start_m=100.0, length_m=100.0, values=values)
+        assert str(raised.value) == f"segment 1: adequacy for 'lane-mark-contrast' must be 0, 1 or 2, got {value}"
+
+    def test_values_are_read_only_and_a_proxy_is_kept(self):
+        given = {"hd-maps": 2}
+        copied = SegmentObservation(index=0, start_m=0.0, length_m=100.0, values=given)
+        assert type(copied.values) is MappingProxyType and copied.values == given
+        given["hd-maps"] = 0
+        assert copied.values["hd-maps"] == 2
+        proxy = MappingProxyType({"hd-maps": 1})
+        assert SegmentObservation(index=0, start_m=0.0, length_m=100.0, values=proxy).values is proxy
 
     def test_rejects_misaligned_start(self):
         with pytest.raises(ValueError, match="start_m"):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,8 @@ from hri.errors import ValidationError
 from hri.scoring import (
     ReadinessClass,
     ReadinessScore,
+    Recommendation,
+    SegmentAssessment,
     SensitivityConfig,
     SensitivityScenario,
     classify,
@@ -392,6 +395,65 @@ class TestScoreProfiles:
         doc = json.loads(dump_score_profile_json(baseline_assessment))
         raw = doc["segments"][0]["asd_score"]
         assert raw == baseline_assessment.segments[0].scores[ASD].value
+
+
+class TestSegmentAssessmentStore:
+    def store(self, asd=70.0, aud=40.0, levels=frozenset({1, 2}), index=4):
+        return SegmentAssessment(
+            segment_index=index, start_m=index * 100.0, length_m=100.0,
+            asd_score=asd, aud_score=aud, allowed_sae_levels=levels,
+        )
+
+    def test_views_are_derived_from_the_store(self):
+        seg = self.store()
+        scores = {ASD: ReadinessScore(ASD, 70.0, 4), AUD: ReadinessScore(AUD, 40.0, 4)}
+        assert type(seg.scores) is MappingProxyType and seg.scores == scores
+        assert type(seg.classes) is MappingProxyType
+        assert dict(seg.classes) == {ASD: ReadinessClass.HIGHLY_LIKELY, AUD: ReadinessClass.MAY_BE}
+        assert seg.recommendation == Recommendation(4, frozenset({1, 2}), scores)
+        assert seg.recommendation == recommend(scores)
+        assert seg.end_m == 500.0
+
+    def test_level_sets_are_shared(self, baseline_assessment):
+        shared = {id(seg.allowed_sae_levels) for seg in baseline_assessment.segments}
+        assert len(shared) == 1
+        assert self.store(levels={1, 2}).allowed_sae_levels is self.store(levels=[2, 1]).allowed_sae_levels
+        assert recommend(self.store().scores).allowed_sae_levels is self.store().allowed_sae_levels
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"asd": 100.5}, "readiness score 100.5 outside [0, 100]"),
+            ({"aud": -0.1}, "readiness score -0.1 outside [0, 100]"),
+            ({"aud": float("nan")}, "readiness score nan outside [0, 100]"),
+            ({"levels": frozenset({1, 3})}, "unpaired SAE levels [1, 3]"),
+            ({"levels": frozenset({1})}, "unpaired SAE levels [1]"),
+            ({"levels": frozenset({1, 2, 5, 6})}, "invalid SAE levels [1, 2, 5, 6]"),
+        ],
+    )
+    def test_invariants_keep_their_texts(self, kwargs, message):
+        with pytest.raises(ValueError) as raised:
+            self.store(**kwargs)
+        assert str(raised.value) == message
+        if "levels" in kwargs:
+            with pytest.raises(ValueError) as raised:
+                Recommendation(0, kwargs["levels"], {})
+            assert str(raised.value) == message
+
+    def test_loader_accepts_integral_floats(self, baseline_assessment, tmp_path):
+        doc = json.loads(dump_score_profile_json(baseline_assessment))
+        doc["segments"][2]["segment_index"] = 2.0
+        doc["segments"][2]["allowed_sae_levels"] = [1.0, 2.0, 3, 4]
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(doc))
+        assert load_score_profile_json(path) == baseline_assessment
+
+    def test_loader_accepts_a_class_name_in_other_case(self, baseline_assessment, tmp_path):
+        doc = json.loads(dump_score_profile_json(baseline_assessment))
+        doc["segments"][0]["asd_class"] = " Highly-Likely "
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(doc))
+        assert load_score_profile_json(path) == baseline_assessment
 
 
 def reference_profile_json(assessment):

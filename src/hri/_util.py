@@ -11,6 +11,8 @@ from pathlib import Path
 DEFAULT_SEGMENT_LENGTH_M = 100.0
 DEFAULT_THRESHOLD = 66.0
 
+GEOM_EPS = 1e-6  # float slack for chainage arithmetic on metre grids
+
 
 def now_ms() -> int:
     """Wall-clock time in whole milliseconds since the Unix epoch."""

@@ -123,22 +123,25 @@ def score(
         profile = corridor_mod.apply_overlay(profile, corridor_mod.load_overlay(overlay_path))
     assessment = scoring_mod.score_corridor(profile, table, threshold=threshold)
 
+    summary = []
+    if pretty:  # built before anything is written
+        segments = assessment.segments
+        summary.append(f"corridor {assessment.corridor_id}: {assessment.length_km} km")
+        for name, values in (("asd", segments.asd_scores), ("aud", segments.aud_scores)):
+            summary.append(
+                f"  {name}: min {min(values):.2f}  max {max(values):.2f}  mean {sum(values) / len(values):.2f}"
+                if values
+                else f"  {name}: no segments"
+            )
+        summary.append(f"  segments with no recommendation: {segments.levels.count(0)}")
+
     csv_path = out_csv if out_csv is not None else corridor_csv.with_suffix(".scores.csv")
     json_path = out_json if out_json is not None else corridor_csv.with_suffix(".scores.json")
     atomic_write_text(csv_path, scoring_mod.dump_score_profile_csv(assessment))
     atomic_write_text(json_path, scoring_mod.dump_score_profile_json(assessment))
     click.echo(f"wrote {csv_path} and {json_path} ({len(assessment.segments)} segments)")
-
-    if pretty:
-        segments = assessment.segments
-        click.echo(f"corridor {assessment.corridor_id}: {assessment.length_km} km")
-        for name, values in (("asd", [s.asd_score for s in segments]), ("aud", [s.aud_score for s in segments])):
-            click.echo(
-                f"  {name}: min {min(values):.2f}  max {max(values):.2f}  "
-                f"mean {sum(values) / len(values):.2f}"
-            )
-        empty = sum(1 for seg in segments if not seg.allowed_sae_levels)
-        click.echo(f"  segments with no recommendation: {empty}")
+    for line in summary:
+        click.echo(line)
 
 
 # ---------------------------------------------------------------------------

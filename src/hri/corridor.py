@@ -6,7 +6,9 @@ every registered attribute. Scenario overlays mutate adequacy over a km
 range (roadworks, degraded maintenance) without touching geometry; rubrics
 map raw field measurements onto the adequacy scale.
 
-Profiles are immutable; overlay application returns a new profile.
+A profile stores its segments as rows (:class:`SegmentRows`): one attribute
+order and one ``bytes`` row of values per segment, with geometry taken from
+the grid. Profiles are immutable; overlay application returns a new profile.
 """
 
 from __future__ import annotations
@@ -15,20 +17,22 @@ import csv
 import io
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
 from ._util import DEFAULT_SEGMENT_LENGTH_M  # noqa: F401 - public at this path too
+from ._util import GEOM_EPS as _GEOM_EPS
 from .errors import ParseError, ValidationError
 from .taxonomy import attribute_ids, is_known_attribute
 
 _ADEQUACY_VALUES = (0, 1, 2)
 _ADEQUACY_SET = frozenset(_ADEQUACY_VALUES)
 _VALUE_OF = {str(value): value for value in _ADEQUACY_VALUES}
-
-_GEOM_EPS = 1e-6  # float slack for chainage arithmetic on metre grids
+MISSING = 0xFF
+"""The row byte of an attribute that a segment has no value for."""
 
 
 @dataclass(frozen=True)
@@ -67,34 +71,102 @@ class SegmentObservation:
         return self.start_m + self.length_m
 
 
+class SegmentRows(Sequence):
+    """A corridor's segments as rows: ``rows[i]`` holds segment ``i``'s
+    adequacy values in ``attributes`` order, one byte each (``MISSING`` where
+    the segment has no value). Segment ``i`` starts at ``i * segment_length_m``.
+
+    ``len`` reads the row count; indexing builds a :class:`SegmentObservation`.
+    """
+
+    __slots__ = ("attributes", "rows", "segment_length_m")
+
+    def __init__(self, attributes: tuple[str, ...], rows: tuple[bytes, ...], segment_length_m: float) -> None:
+        self.attributes = tuple(attributes)
+        self.rows = tuple(rows)
+        self.segment_length_m = segment_length_m
+
+    @classmethod
+    def of(cls, segments: tuple[SegmentObservation, ...], segment_length_m: float) -> SegmentRows:
+        """Rows of segments whose values may name any attributes, in first-seen order."""
+        order = tuple(dict.fromkeys(attr for segment in segments for attr in segment.values))
+        slot_of = {attr: slot for slot, attr in enumerate(order)}
+        rows = []
+        for segment in segments:
+            row = bytearray([MISSING]) * len(order)
+            for attr, value in segment.values.items():
+                row[slot_of[attr]] = int(value)
+            rows.append(bytes(row))
+        return cls(order, rows, segment_length_m)
+
+    @property
+    def complete(self) -> bool:
+        """Whether every segment has a value for every attribute."""
+        return bytes([MISSING]) not in b"".join(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        positions = range(len(self.rows))[i]  # the index of ``i``, or the indexes of a slice
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, positions))
+        row = self.rows[i]
+        pairs = zip(self.attributes, row)
+        values = dict(pairs) if MISSING not in row else {attr: value for attr, value in pairs if value != MISSING}
+        length = self.segment_length_m
+        return SegmentObservation(positions, positions * length, length, MappingProxyType(values))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SegmentRows):
+            return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+        if (self.attributes, self.segment_length_m) == (other.attributes, other.segment_length_m):
+            return self.rows == other.rows
+        return tuple(self) == tuple(other)
+
+    __hash__ = None  # like the observations, whose values are read-only mappings
+
+    def __repr__(self) -> str:
+        return f"SegmentRows({len(self.rows)} segments of {len(self.attributes)} attributes)"
+
+
 @dataclass(frozen=True)
 class CorridorProfile:
-    """An ordered, contiguous partition of a corridor into segments."""
+    """An ordered, contiguous partition of a corridor into segments.
+
+    ``segments`` may be given as a sequence of :class:`SegmentObservation`;
+    it is kept as :class:`SegmentRows`.
+    """
 
     corridor_id: str
     length_km: float
     segment_length_m: float
-    segments: tuple[SegmentObservation, ...]
+    segments: SegmentRows
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
+        segments = self.segments if isinstance(self.segments, SegmentRows) else tuple(self.segments)
         expected = expected_segment_count(self.length_km, self.segment_length_m)
-        if len(self.segments) != expected:
+        if len(segments) != expected:
             raise ValidationError(
-                f"corridor {self.corridor_id!r}: {len(self.segments)} segments, "
+                f"corridor {self.corridor_id!r}: {len(segments)} segments, "
                 f"expected {expected} for {self.length_km} km at {self.segment_length_m} m"
             )
-        for position, segment in enumerate(self.segments):
-            if segment.index != position:
+        if isinstance(segments, SegmentRows):
+            geometry = [(0, 0, segments.segment_length_m)] if segments else []
+        else:
+            geometry = [(position, segment.index, segment.length_m) for position, segment in enumerate(segments)]
+        for position, index, length in geometry:
+            if index != position:
                 raise ValidationError(
-                    f"corridor {self.corridor_id!r}: segment at position {position} "
-                    f"has index {segment.index}"
+                    f"corridor {self.corridor_id!r}: segment at position {position} has index {index}"
                 )
-            if abs(segment.length_m - self.segment_length_m) > _GEOM_EPS:
+            if abs(length - self.segment_length_m) > _GEOM_EPS:
                 raise ValidationError(
-                    f"corridor {self.corridor_id!r}: segment {segment.index} length "
-                    f"{segment.length_m} != {self.segment_length_m}"
+                    f"corridor {self.corridor_id!r}: segment {index} length "
+                    f"{length} != {self.segment_length_m}"
                 )
+        if not isinstance(segments, SegmentRows):
+            object.__setattr__(self, "segments", SegmentRows.of(segments, self.segment_length_m))
 
     @property
     def length_m(self) -> float:
@@ -146,30 +218,34 @@ def apply_overlay(profile: CorridorProfile, overlay: ScenarioOverlay) -> Corrido
     """Return a new profile with the overlay applied to intersecting segments.
 
     Segment intervals are half-open [start, end), so a km range partitions
-    the corridor deterministically. Geometry is never changed.
+    the corridor deterministically. Geometry is never changed; only the rows
+    of intersecting segments are rewritten.
     """
     if overlay.from_km < -_GEOM_EPS or overlay.to_km > profile.length_km + _GEOM_EPS:
         raise ValidationError(
             f"overlay {overlay.name!r} range [{overlay.from_km}, {overlay.to_km}) km "
             f"outside corridor [0, {profile.length_km}) km"
         )
-    from_m = overlay.from_km * 1000.0
-    to_m = overlay.to_km * 1000.0
-    segments = []
-    for segment in profile.segments:
-        if segment.start_m < to_m - _GEOM_EPS and segment.end_m > from_m + _GEOM_EPS:
-            values = dict(segment.values)
-            for op in overlay.ops:
-                if op.attribute not in values:
-                    raise ValidationError(
-                        f"overlay {overlay.name!r}: segment {segment.index} has no "
-                        f"value for {op.attribute!r}"
-                    )
-                values[op.attribute] = op.apply(values[op.attribute])
-            segments.append(replace(segment, values=MappingProxyType(values)))
-        else:
-            segments.append(segment)
-    return replace(profile, segments=tuple(segments))
+    segments = profile.segments
+    length = segments.segment_length_m
+    after_m = overlay.from_km * 1000.0 + _GEOM_EPS  # a segment must end after this
+    before_m = overlay.to_km * 1000.0 - _GEOM_EPS  # and start before this
+    slot_of = {attr: slot for slot, attr in enumerate(segments.attributes)}
+    ops = [(slot_of.get(op.attribute), op) for op in overlay.ops]
+    rows = list(segments.rows)
+    for index, row in enumerate(segments.rows):
+        start_m = index * length
+        if start_m >= before_m or start_m + length <= after_m:
+            continue
+        row = bytearray(row)
+        for slot, op in ops:
+            if slot is None or row[slot] == MISSING:
+                raise ValidationError(
+                    f"overlay {overlay.name!r}: segment {index} has no value for {op.attribute!r}"
+                )
+            row[slot] = op.apply(row[slot])
+        rows[index] = bytes(row)
+    return replace(profile, segments=SegmentRows(segments.attributes, rows, length))
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +420,21 @@ def load_corridor(
 
         registry = attribute_ids()
         slot_of = {attr: slot for slot, attr in enumerate(registry)}
-        # per segment, its adequacy values in registry order; None marks a row not seen yet
-        per_segment: dict[int, list[int | None]] = {}
+        blank = bytes([MISSING]) * len(registry)
+        per_segment: dict[int, bytearray] = {}  # per segment, its values in registry order
         last_key = slots = None
         slot_for, value_for = slot_of.get, _VALUE_OF.get  # bound once: called for every row
         for row in reader:
-            if not row:
-                continue
-            key = row[0]
-            # a repeated index text is the previous row's segment, so it is parsed once
-            if key != last_key and key.lstrip().startswith("#"):
-                continue
-            if len(row) != 3:
+            if len(row) == 3:
+                key, attr, text = row
+            elif row and (row[0] == last_key or not row[0].lstrip().startswith("#")):
                 raise error(f"expected 3 fields, got {len(row)}")
+            else:
+                continue  # a blank or comment line
+            # a repeated index text is the previous row's segment, so it is parsed once
             if key != last_key:
+                if key.lstrip().startswith("#"):
+                    continue
                 try:
                     index = int(key)
                 except ValueError:
@@ -366,23 +443,22 @@ def load_corridor(
                     raise error(f"negative segment index {index}")
                 slots = per_segment.get(index)
                 if slots is None:
-                    slots = per_segment[index] = [None] * len(registry)
+                    slots = per_segment[index] = bytearray(blank)
                 last_key = key
-            slot = slot_for(row[1])
+            slot = slot_for(attr)
             if slot is None:
-                attr = row[1].strip()
-                slot = slot_for(attr)
+                slot = slot_for(attr.strip())
                 if slot is None:
-                    raise error(f"unknown attribute {attr!r}")
-            value = value_for(row[2])
+                    raise error(f"unknown attribute {attr.strip()!r}")
+            value = value_for(text)
             if value is None:
                 try:
-                    value = int(row[2])
+                    value = int(text)
                 except ValueError:
-                    raise error(f"malformed adequacy value {row[2]!r}") from None
+                    raise error(f"malformed adequacy value {text!r}") from None
                 if value not in _ADEQUACY_VALUES:
                     raise error(f"adequacy value {value} outside 0..2")
-            if slots[slot] is not None:
+            if slots[slot] != MISSING:
                 raise error(f"duplicate row for segment {index}, attribute {registry[slot]!r}")
             slots[slot] = value
     except csv.Error as exc:  # e.g. a field over csv's size limit
@@ -398,27 +474,20 @@ def load_corridor(
             f"but segment {min(i for i in per_segment if i >= expected)} is present",
             source=source,
         )
-    segments = []
+    rows = []
     for index in range(expected):
-        values = per_segment[index]
-        if None in values:
-            missing = [attr for attr, value in zip(registry, values) if value is None]
+        values = bytes(per_segment[index])
+        if MISSING in values:
+            missing = [attr for attr, value in zip(registry, values) if value == MISSING]
             raise ParseError(
                 f"segment {index} missing attributes: {', '.join(missing)}", source=source
             )
-        segments.append(
-            SegmentObservation(
-                index=index,
-                start_m=index * metadata["segment_length_m"],
-                length_m=metadata["segment_length_m"],
-                values=MappingProxyType(dict(zip(registry, values))),
-            )
-        )
+        rows.append(values)
     return CorridorProfile(
         corridor_id=metadata["corridor_id"],
         length_km=metadata["length_km"],
         segment_length_m=metadata["segment_length_m"],
-        segments=tuple(segments),
+        segments=SegmentRows(registry, rows, metadata["segment_length_m"]),
     )
 
 

@@ -41,7 +41,7 @@ from itertools import groupby
 from typing import TYPE_CHECKING
 
 from .errors import DecodeError, ParseError, ValidationError
-from .taxonomy import ReadinessClass, readiness_band
+from .taxonomy import BANDS, LEVEL_SETS, ReadinessClass, band_indexes
 
 if TYPE_CHECKING:
     from .scoring import CorridorAssessment
@@ -234,26 +234,28 @@ def build_ivim(
     over the coalesced segments (floored to cpct), so a zone never
     overstates any segment it covers.
     """
-    if not assessment.segments:
+    segments = assessment.segments
+    if not segments:
         raise ValidationError("cannot build a message from an empty assessment")
 
-    def run_key(seg) -> tuple:
-        return (seg.allowed_sae_levels, readiness_band(seg.asd_score), readiness_band(seg.aud_score))
-
+    asd_scores, aud_scores, length = segments.asd_scores, segments.aud_scores, segments.segment_length_m
+    keys = zip(segments.levels, band_indexes(asd_scores), band_indexes(aud_scores))
     zones = []
-    for (levels, asd_class, aud_class), run in groupby(assessment.segments, run_key):
-        run = list(run)
+    first = 0
+    for (code, asd_band, aud_band), run in groupby(keys):
+        end = first + len(list(run))
         zones.append(
             ZoneRecord(
-                start_m=int(round(run[0].start_m)),
-                end_m=int(round(run[-1].end_m)),
-                allowed_sae_levels=levels,
-                asd_class=asd_class,
-                aud_class=aud_class,
-                asd_score_cpct=math.floor(min(s.asd_score for s in run) * 100.0),
-                aud_score_cpct=math.floor(min(s.aud_score for s in run) * 100.0),
+                start_m=int(round(first * length)),
+                end_m=int(round((end - 1) * length + length)),
+                allowed_sae_levels=LEVEL_SETS[code],
+                asd_class=BANDS[asd_band],
+                aud_class=BANDS[aud_band],
+                asd_score_cpct=math.floor(min(asd_scores[first:end]) * 100.0),
+                aud_score_cpct=math.floor(min(aud_scores[first:end]) * 100.0),
             )
         )
+        first = end
 
     msg = IvimMessage(
         header=IvimHeader(station_id=station_id, protocol_version=protocol_version),

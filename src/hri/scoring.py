@@ -13,15 +13,18 @@ Scores fall into three uniform interpretation bands — unlikely [0, 33),
 may-be [33, 66) and highly-likely [66, 100] — and a group's SAE level pair
 is recommended when its score reaches the 66% threshold (inclusive, so the
 recommendation rule agrees with the highly-likely lower bound).
+
+An assessment stores its segments as columns (:class:`SegmentColumns`): the
+ASD scores, the AUD scores and one level-set code per segment, with geometry
+taken from the grid.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -29,14 +32,17 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from ._util import DEFAULT_THRESHOLD
+from ._util import DEFAULT_THRESHOLD, GEOM_EPS
 from .errors import ParseError, ValidationError
 from .taxonomy import (
+    BANDS,
+    LEVEL_SETS,
     V_MAX,
     AutomationLevelGroup,
     MacroCategory,
     ReadinessClass,
     WeightTable,
+    band_indexes,
     macro_weight_table,
     readiness_band,
 )
@@ -60,19 +66,17 @@ class ReadinessScore:
 
 
 _ASD, _AUD = AutomationLevelGroup.ASD, AutomationLevelGroup.AUD
-# the only valid allowed-level sets, indexed by ``asd_passes + 2 * aud_passes``
-_LEVELS = (frozenset(), frozenset({1, 2}), frozenset({3, 4}), frozenset({1, 2, 3, 4}))
-_SHARED_LEVELS = {levels: levels for levels in _LEVELS}
+_LEVEL_CODE = {levels: code for code, levels in enumerate(LEVEL_SETS)}
 
 
-def _shared_levels(levels) -> frozenset[int]:
-    """The shared instance of a valid level set; levels always enter in group pairs."""
-    shared = _SHARED_LEVELS.get(frozenset(levels))
-    if shared is None:
+def _level_code(levels) -> int:
+    """The index in ``LEVEL_SETS`` of a valid level set; levels always enter in group pairs."""
+    code = _LEVEL_CODE.get(frozenset(levels))
+    if code is None:
         if (1 in levels) != (2 in levels) or (3 in levels) != (4 in levels):
             raise ValueError(f"unpaired SAE levels {sorted(levels)}")
         raise ValueError(f"invalid SAE levels {sorted(levels)}")
-    return shared
+    return code
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,7 @@ class Recommendation:
     scores: Mapping[AutomationLevelGroup, ReadinessScore]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "allowed_sae_levels", _shared_levels(self.allowed_sae_levels))
+        object.__setattr__(self, "allowed_sae_levels", LEVEL_SETS[_level_code(self.allowed_sae_levels)])
         object.__setattr__(self, "scores", MappingProxyType(dict(self.scores)))
 
 
@@ -114,6 +118,10 @@ class _WeightedRatio:
             numerator += weight * values[key]
         # summation round-off can push the ratio a few ulp past its exact bounds
         return min(100.0, max(0.0, 100.0 * numerator / self.denominator))
+
+    def over(self, slot_of: Mapping) -> _WeightedRatio:
+        """The same ratio over rows: each key is replaced by its ``slot_of`` position."""
+        return _WeightedRatio([(slot_of[key], weight) for key, weight in self.pairs], self.label)
 
 
 def _group_ratio(weights: WeightTable, group: AutomationLevelGroup) -> _WeightedRatio:
@@ -173,7 +181,7 @@ def recommend(
     indexes = {score.segment_index for score in scores.values()}
     return Recommendation(
         segment_index=indexes.pop() if len(indexes) == 1 else None,
-        allowed_sae_levels=_LEVELS[asd_passes + 2 * aud_passes],
+        allowed_sae_levels=LEVEL_SETS[asd_passes + 2 * aud_passes],
         scores=scores,
     )
 
@@ -194,7 +202,7 @@ class SegmentAssessment:
         for score in (self.asd_score, self.aud_score):
             if not 0.0 <= score <= 100.0:
                 raise ValueError(f"readiness score {score} outside [0, 100]")
-        object.__setattr__(self, "allowed_sae_levels", _shared_levels(self.allowed_sae_levels))
+        object.__setattr__(self, "allowed_sae_levels", LEVEL_SETS[_level_code(self.allowed_sae_levels)])
 
     @property
     def end_m(self) -> float:
@@ -214,19 +222,98 @@ class SegmentAssessment:
         return Recommendation(self.segment_index, self.allowed_sae_levels, self.scores)
 
 
+def _geometry_error(position: int, index, start_m, length_m, segment_length_m) -> str | None:
+    """What puts a segment off the corridor's grid, or None."""
+    if index != position:
+        return f"segment_index {index!r} at position {position}"
+    if length_m != segment_length_m:
+        return f"length_m {length_m!r} != segment_length_m {segment_length_m!r}"
+    if abs(start_m - index * segment_length_m) > GEOM_EPS:
+        return f"start_m {start_m!r} != segment_index * segment_length_m ({index * segment_length_m!r})"
+    return None
+
+
+class SegmentColumns(Sequence):
+    """An assessment's segments as parallel columns: ``asd_scores`` and
+    ``aud_scores``, and ``levels`` with one byte per segment, the index of its
+    allowed-level set in ``LEVEL_SETS``. Segment ``i`` starts at
+    ``i * segment_length_m``.
+
+    ``len`` reads the column length; indexing builds a :class:`SegmentAssessment`.
+    """
+
+    __slots__ = ("asd_scores", "aud_scores", "levels", "segment_length_m")
+
+    def __init__(self, asd_scores, aud_scores, levels, segment_length_m: float) -> None:
+        self.asd_scores = tuple(asd_scores)
+        self.aud_scores = tuple(aud_scores)
+        self.levels = bytes(levels)
+        self.segment_length_m = segment_length_m
+
+    @classmethod
+    def of(cls, segments: tuple[SegmentAssessment, ...], segment_length_m: float) -> SegmentColumns:
+        """Columns of segments that lie on the grid, in order; else a ValidationError names the segment."""
+        for position, seg in enumerate(segments):
+            problem = _geometry_error(position, seg.segment_index, seg.start_m, seg.length_m, segment_length_m)
+            if problem:
+                raise ValidationError(f"segment {seg.segment_index}: {problem}")
+        return cls(
+            [seg.asd_score for seg in segments],
+            [seg.aud_score for seg in segments],
+            [_LEVEL_CODE[seg.allowed_sae_levels] for seg in segments],
+            segment_length_m,
+        )
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+    def __getitem__(self, i):
+        positions = range(len(self.levels))[i]  # the index of ``i``, or the indexes of a slice
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, positions))
+        length = self.segment_length_m
+        return SegmentAssessment(
+            positions, positions * length, length, self.asd_scores[i], self.aud_scores[i], LEVEL_SETS[self.levels[i]]
+        )
+
+    def _key(self) -> tuple:
+        return (self.asd_scores, self.aud_scores, self.levels, self.segment_length_m if self.levels else None)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SegmentColumns):
+            return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"SegmentColumns({len(self.levels)} segments)"
+
+
 @dataclass(frozen=True)
 class CorridorAssessment:
-    """Per-segment assessment of a whole corridor, in segment order."""
+    """Per-segment assessment of a whole corridor, in segment order.
+
+    ``segments`` may be given as a sequence of :class:`SegmentAssessment`,
+    each at its position on the ``segment_length_m`` grid; it is kept as
+    :class:`SegmentColumns`.
+    """
 
     corridor_id: str
     length_km: float
     segment_length_m: float
     threshold: float
     weight_provenance: str
-    segments: tuple[SegmentAssessment, ...]
+    segments: SegmentColumns
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
+        segments = self.segments
+        if not isinstance(segments, SegmentColumns):
+            object.__setattr__(self, "segments", SegmentColumns.of(tuple(segments), self.segment_length_m))
+        elif segments and segments.segment_length_m != self.segment_length_m:
+            problem = _geometry_error(0, 0, 0.0, segments.segment_length_m, self.segment_length_m)
+            raise ValidationError(f"segment 0: {problem}")
 
 
 def score_corridor(
@@ -237,33 +324,29 @@ def score_corridor(
     threshold_inclusive: bool = True,
 ) -> CorridorAssessment:
     """Score both groups and recommend SAE levels for every segment, preserving order."""
-    asd_ratio, aud_ratio = _group_ratio(weights, _ASD), _group_ratio(weights, _AUD)
-    keys = asd_ratio.keys if asd_ratio.keys == aud_ratio.keys else None
-    passes = operator.ge if threshold_inclusive else operator.gt
-    assessments = []
-    for segment in profile.segments:
-        values = segment.values
-        if values.keys() != keys:  # raises the error score_segment gives, group by group
-            for ratio in (asd_ratio, aud_ratio):
-                _ratio_of(values, ratio)
-        asd_score, aud_score = asd_ratio(values), aud_ratio(values)
-        assessments.append(
-            SegmentAssessment(
-                segment_index=segment.index,
-                start_m=segment.start_m,
-                length_m=segment.length_m,
-                asd_score=asd_score,
-                aud_score=aud_score,
-                allowed_sae_levels=_LEVELS[passes(asd_score, threshold) + 2 * passes(aud_score, threshold)],
-            )
-        )
+    ratios = (_group_ratio(weights, _ASD), _group_ratio(weights, _AUD))
+    segments = profile.segments
+    rows = segments.rows
+    asd_scores = aud_scores = levels = ()
+    if rows:
+        # score_segment's attribute check, made once: every segment has the same attributes
+        attributes = frozenset(segments.attributes)
+        if not segments.complete or any(ratio.keys != attributes for ratio in ratios):
+            for segment in segments:  # raises score_segment's error for the first segment it rejects
+                for ratio in ratios:
+                    _ratio_of(segment.values, ratio)
+        slot_of = {attr: slot for slot, attr in enumerate(segments.attributes)}
+        asd_ratio, aud_ratio = (ratio.over(slot_of) for ratio in ratios)
+        asd_scores, aud_scores = list(map(asd_ratio, rows)), list(map(aud_ratio, rows))
+        passes = operator.ge if threshold_inclusive else operator.gt
+        levels = [passes(asd, threshold) + 2 * passes(aud, threshold) for asd, aud in zip(asd_scores, aud_scores)]
     return CorridorAssessment(
         corridor_id=profile.corridor_id,
         length_km=profile.length_km,
         segment_length_m=profile.segment_length_m,
         threshold=threshold,
         weight_provenance=weights.provenance,
-        segments=tuple(assessments),
+        segments=SegmentColumns(asd_scores, aud_scores, levels, profile.segment_length_m),
     )
 
 
@@ -349,35 +432,37 @@ def macro_sensitivity(
 # Score-profile interchange (the plotting substrate)
 # ---------------------------------------------------------------------------
 
-_PROFILE_HEADER = [
-    "segment_index",
-    "start_km",
-    "asd_score",
-    "aud_score",
-    "asd_class",
-    "aud_class",
-    "allowed_levels",
-]
+_PROFILE_HEADER = "segment_index,start_km,asd_score,aud_score,asd_class,aud_class,allowed_levels\n"
+_CSV_ROW = "%d,%.3f,%.2f,%.2f,%s,%s,%s\n"
+_LEVELS_CSV = tuple(f'"{",".join(map(str, sorted(levels)))}"' if levels else "" for levels in LEVEL_SETS)
+_CLASS_NAMES = [band.value for band in BANDS]
+
+
+def _profile_rows(segments: SegmentColumns):
+    """Per segment: index, start_m, both scores, both class names and the level-set code."""
+    length = segments.segment_length_m
+    return zip(
+        range(len(segments)),
+        [index * length for index in range(len(segments))],
+        segments.asd_scores,
+        segments.aud_scores,
+        map(_CLASS_NAMES.__getitem__, band_indexes(segments.asd_scores)),
+        map(_CLASS_NAMES.__getitem__, band_indexes(segments.aud_scores)),
+        segments.levels,
+    )
 
 
 def dump_score_profile_csv(assessment: CorridorAssessment) -> str:
-    """CSV score profile; scores are display-rounded to two decimals."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_PROFILE_HEADER)
-    for seg in assessment.segments:
-        writer.writerow(
-            [
-                seg.segment_index,
-                f"{seg.start_m / 1000.0:.3f}",
-                f"{seg.asd_score:.2f}",
-                f"{seg.aud_score:.2f}",
-                readiness_band(seg.asd_score).value,
-                readiness_band(seg.aud_score).value,
-                ",".join(str(l) for l in sorted(seg.allowed_sae_levels)),
-            ]
-        )
-    return out.getvalue()
+    """CSV score profile; scores are display-rounded to two decimals.
+
+    The text is what ``csv.writer`` writes for these rows: only the level
+    lists, which hold commas, are quoted.
+    """
+    rows = [
+        _CSV_ROW % (index, start_m / 1000.0, asd, aud, asd_class, aud_class, _LEVELS_CSV[code])
+        for index, start_m, asd, aud, asd_class, aud_class, code in _profile_rows(assessment.segments)
+    ]
+    return _PROFILE_HEADER + "".join(rows)
 
 
 def _json_number(value: float) -> str:
@@ -389,6 +474,24 @@ def _json_number(value: float) -> str:
     return json.dumps(value)
 
 
+_SEGMENT_JSON = (
+    "    {\n"
+    '      "segment_index": %d,\n'
+    '      "start_m": %s,\n'
+    '      "length_m": %s,\n'
+    '      "asd_score": %s,\n'
+    '      "aud_score": %s,\n'
+    '      "asd_class": "%s",\n'
+    '      "aud_class": "%s",\n'
+    '      "allowed_sae_levels": %s\n'
+    "    }"
+)
+_LEVELS_JSON = tuple(
+    "[\n" + ",\n".join(f"        {level}" for level in sorted(levels)) + "\n      ]" if levels else "[]"
+    for levels in LEVEL_SETS
+)
+
+
 def dump_score_profile_json(assessment: CorridorAssessment) -> str:
     """JSON score profile with full float precision.
 
@@ -396,27 +499,22 @@ def dump_score_profile_json(assessment: CorridorAssessment) -> str:
     the document of the README's "File formats" section, written directly
     because ``json`` skips its C encoder whenever ``indent`` is set.
     """
-    segments = []
-    for seg in assessment.segments:
-        levels = sorted(seg.allowed_sae_levels)
-        levels_json = (
-            "[\n" + ",\n".join("        " + _json_number(level) for level in levels) + "\n      ]"
-            if levels
-            else "[]"
+    length_json = _json_number(assessment.segments.segment_length_m)
+    items = [
+        _SEGMENT_JSON
+        % (
+            index,
+            _json_number(start_m),
+            length_json,
+            _json_number(asd),
+            _json_number(aud),
+            asd_class,
+            aud_class,
+            _LEVELS_JSON[code],
         )
-        segments.append(
-            "    {\n"
-            f'      "segment_index": {_json_number(seg.segment_index)},\n'
-            f'      "start_m": {_json_number(seg.start_m)},\n'
-            f'      "length_m": {_json_number(seg.length_m)},\n'
-            f'      "asd_score": {_json_number(seg.asd_score)},\n'
-            f'      "aud_score": {_json_number(seg.aud_score)},\n'
-            f'      "asd_class": {encode_basestring_ascii(readiness_band(seg.asd_score).value)},\n'
-            f'      "aud_class": {encode_basestring_ascii(readiness_band(seg.aud_score).value)},\n'
-            f'      "allowed_sae_levels": {levels_json}\n'
-            "    }"
-        )
-    segments_json = "[\n" + ",\n".join(segments) + "\n  ]" if segments else "[]"
+        for index, start_m, asd, aud, asd_class, aud_class, code in _profile_rows(assessment.segments)
+    ]
+    segments_json = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
     return (
         "{\n"
         f'  "corridor_id": {encode_basestring_ascii(assessment.corridor_id)},\n'
@@ -448,35 +546,63 @@ def _json_int(value, name: str) -> int:
     return int(value)
 
 
+# the level lists the JSON writer gives; integral floats such as [1.0, 2.0] give equal tuples
+_CODE_OF_LIST = {tuple(sorted(levels)): code for code, levels in enumerate(LEVEL_SETS)}
+
+
 def load_score_profile_json(path: str | Path) -> CorridorAssessment:
-    """Reconstruct an assessment from its JSON profile; each class must be the band of its score."""
+    """Reconstruct an assessment from its JSON profile.
+
+    Each class must be the band of its score, and each segment must lie at
+    its position on the ``segment_length_m`` grid.
+    """
     source = str(path)
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", source=source, line=exc.lineno, column=exc.colno) from None
     try:
-        segments = []
+        asd_scores, aud_scores, levels, geometry = [], [], [], []
         for item in doc["segments"]:
             index = _json_int(item["segment_index"], "segment_index")
             scores = (float(item["asd_score"]), float(item["aud_score"]))
             classes = (_parse_class(item["asd_class"]), _parse_class(item["aud_class"]))
-            levels = frozenset([_json_int(level, "SAE level") for level in item["allowed_sae_levels"]])
-            segment = SegmentAssessment(index, float(item["start_m"]), float(item["length_m"]), *scores, levels)
+            listed = item["allowed_sae_levels"]
+            try:
+                code = _CODE_OF_LIST[tuple(listed)]
+            except (KeyError, TypeError):  # another spelling: its set is checked after the scores
+                code = frozenset([_json_int(level, "SAE level") for level in listed])
+            geometry.append((index, float(item["start_m"]), float(item["length_m"])))
+            for score in scores:
+                if not 0.0 <= score <= 100.0:
+                    raise ValueError(f"readiness score {score} outside [0, 100]")
+            if type(code) is not int:
+                code = _level_code(code)
             for name, loaded, score in zip(("asd", "aud"), classes, scores):
                 if loaded is not readiness_band(score):
                     raise ValidationError(
                         f"{source}: segment {index}: {name}_class {loaded.value!r} "
                         f"does not match {name}_score {score!r} ({readiness_band(score).value})"
                     )
-            segments.append(segment)
-        return CorridorAssessment(
-            corridor_id=str(doc["corridor_id"]),
-            length_km=float(doc["length_km"]),
-            segment_length_m=float(doc["segment_length_m"]),
-            threshold=float(doc.get("threshold", DEFAULT_THRESHOLD)),
-            weight_provenance=str(doc.get("weight_provenance", "unknown")),
-            segments=tuple(segments),
-        )
+            asd_scores.append(scores[0])
+            aud_scores.append(scores[1])
+            levels.append(code)
+        corridor_id = str(doc["corridor_id"])
+        length_km = float(doc["length_km"])
+        segment_length_m = float(doc["segment_length_m"])
+        threshold = float(doc.get("threshold", DEFAULT_THRESHOLD))
+        weight_provenance = str(doc.get("weight_provenance", "unknown"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of 1e400
         raise ParseError(f"bad score profile: {exc}", source=source) from None
+    for position, (index, start_m, length_m) in enumerate(geometry):
+        problem = _geometry_error(position, index, start_m, length_m, segment_length_m)
+        if problem:
+            raise ValidationError(f"{source}: segment {index}: {problem}")
+    return CorridorAssessment(
+        corridor_id=corridor_id,
+        length_km=length_km,
+        segment_length_m=segment_length_m,
+        threshold=threshold,
+        weight_provenance=weight_provenance,
+        segments=SegmentColumns(asd_scores, aud_scores, levels, segment_length_m),
+    )

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -63,15 +65,23 @@ class ReadinessClass(Enum):
             raise ValueError(f"unknown readiness class {text!r}") from None
 
 
+BANDS = tuple(ReadinessClass)
+_BAND_EDGES = (33.0, 66.0)
+
+LEVEL_SETS = (frozenset(), frozenset({1, 2}), frozenset({3, 4}), frozenset({1, 2, 3, 4}))
+"""The only valid allowed-level sets, indexed by ``asd_passes + 2 * aud_passes``."""
+
+
 def readiness_band(score: float) -> ReadinessClass:
     """Band a score: [0,33) unlikely, [33,66) may-be, [66,100] highly-likely."""
     if not 0.0 <= score <= 100.0:
         raise ValueError(f"score {score} outside [0, 100]")
-    if score < 33.0:
-        return ReadinessClass.UNLIKELY
-    if score < 66.0:
-        return ReadinessClass.MAY_BE
-    return ReadinessClass.HIGHLY_LIKELY
+    return BANDS[bisect_right(_BAND_EDGES, score)]
+
+
+def band_indexes(scores: Iterable[float]) -> list[int]:
+    """The index in ``BANDS`` of each score's band; the scores must lie in [0, 100]."""
+    return list(map(bisect_right, repeat(_BAND_EDGES), scores))
 
 
 class MacroCategory(Enum):

@@ -84,6 +84,33 @@ class TestScoreCommand:
         assert capsys.readouterr().err.startswith(f"error: {corridor_csv}:line ")
         assert not out_csv.exists()
 
+    def test_pretty_summary_of_an_empty_corridor(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(
+            '# {"corridor_id": "stub", "length_km": 0, "segment_length_m": 100.0}\n'
+            "segment_index,attribute,value\n"
+        )
+        out_csv, out_json = tmp_path / "p.csv", tmp_path / "p.json"
+        assert run("score", empty, "--pretty", "--out-csv", out_csv, "--out-json", out_json) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "corridor stub: 0.0 km",
+            "  asd: no segments",
+            "  aud: no segments",
+            "  segments with no recommendation: 0",
+        ]
+        assert json.loads(out_json.read_text())["segments"] == []
+        assert out_csv.read_text().count("\n") == 1
+
+    def test_pretty_summary_of_the_fixture(self, tmp_path, capsys):
+        args = ("--out-csv", tmp_path / "p.csv", "--out-json", tmp_path / "p.json")
+        assert run("score", CORRIDOR, "--overlay", ROADWORKS, "--pretty", *args) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "corridor D08-synthetic: 24.0 km",
+            "  asd: min 46.10  max 86.23  mean 74.23",
+            "  aud: min 47.29  max 84.58  mean 73.67",
+            "  segments with no recommendation: 60",
+        ]
+
     def test_bad_threshold_exits_2(self, tmp_path):
         assert run("score", CORRIDOR, "--threshold", "0", "--out-csv", tmp_path / "a", "--out-json", tmp_path / "b") == 2
 
@@ -343,6 +370,31 @@ class TestIvimCommands:
         assert run("ivim", "build", profile, "--station-id", 1, "--out", out) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {profile}: segment 7: aud_class 'may-be'") and "(highly-likely)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda segs: segs.__setitem__(4, dict(segs[4], segment_index=5)), "segment 5: segment_index 5 at position 4"),
+            (lambda segs: segs.__delitem__(4), "segment 5: segment_index 5 at position 4"),
+            (lambda segs: segs.insert(3, segs.pop(4)), "segment 4: segment_index 4 at position 3"),
+            (lambda segs: segs[6].update(length_m=100.5), "segment 6: length_m 100.5 != segment_length_m 100.0"),
+            (lambda segs: segs[6].update(start_m=600.001), "segment 6: start_m 600.001 != segment_index * segment_length_m (600.0)"),
+        ],
+        ids=["gapped", "missing", "unordered", "length", "start"],
+    )
+    def test_build_rejects_segment_off_the_grid_exits_2(self, tmp_path, capsys, edit, message):
+        profile = self.build_profile(tmp_path)
+        doc = json.loads(profile.read_text())
+        edit(doc["segments"])
+        profile.write_text(json.dumps(doc, indent=2) + "\n")
+        with pytest.raises(ValidationError) as raised:
+            load_score_profile_json(profile)
+        assert str(raised.value) == f"{profile}: {message}"
+        capsys.readouterr()
+        out = tmp_path / "m.ivim.txt"
+        assert run("ivim", "build", profile, "--station-id", 1, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {profile}: {message}\n"
         assert not out.exists()
 
     def test_build_deterministic_with_timestamp(self, tmp_path):

@@ -5,7 +5,7 @@ import random
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hri.corridor import (
@@ -14,6 +14,7 @@ from hri.corridor import (
     RubricEntry,
     ScenarioOverlay,
     SegmentObservation,
+    SegmentRows,
     apply_overlay,
     dump_corridor,
     load_corridor,
@@ -23,7 +24,8 @@ from hri.corridor import (
 )
 from hri.errors import ParseError, ValidationError
 from hri.fixtures import RUBRIC_EXAMPLE_FILE, fixture_path
-from hri.taxonomy import attribute_ids
+from hri.scoring import score_corridor, score_segment
+from hri.taxonomy import AutomationLevelGroup, WeightTable, attribute_ids
 
 
 def tiny_profile(n_segments=4, fill=2, length_m=100.0):
@@ -369,3 +371,98 @@ class TestSegmentObservation:
                 segment_length_m=good.segment_length_m,
                 segments=good.segments[:3],
             )
+
+
+@st.composite
+def overlaid_corridors(draw):
+    """A corridor CSV's rows in shuffled or split order, 0-3 overlays whose
+    ranges fall on or between segment edges, and per segment the values
+    those rows and overlays give, worked out with plain dicts."""
+    attrs = attribute_ids()
+    length_m = draw(st.sampled_from([100.0, 50.0, 250.0]))
+    values = draw(
+        st.lists(st.lists(st.sampled_from([0, 1, 2]), min_size=len(attrs), max_size=len(attrs)), min_size=1, max_size=5)
+    )
+    n = len(values)
+    rows = [f"{i},{attr},{value}" for i, row in enumerate(values) for attr, value in zip(attrs, row)]
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    else:  # rotated, so the first and the last segment are split around the others
+        cut = draw(st.integers(0, len(rows) - 1))
+        rows = rows[cut:] + rows[:cut]
+    # whole-segment edges, and points a quarter into a segment
+    points = sorted({k * length_m / 1000.0 for k in range(n + 1)} | {(k + 0.25) * length_m / 1000.0 for k in range(n)})
+    expected = [dict(zip(attrs, row)) for row in values]
+    overlays = []
+    for number in range(draw(st.integers(0, 3))):
+        from_km, to_km = sorted(draw(st.lists(st.sampled_from(points), min_size=2, max_size=2, unique=True)))
+        ops = tuple(
+            OverlayOp(draw(st.sampled_from(["set", "cap"])), draw(st.sampled_from(attrs)), draw(st.sampled_from([0, 1, 2])))
+            for _ in range(draw(st.integers(0, 3)))
+        )
+        overlays.append(ScenarioOverlay(f"o{number}", from_km, to_km, ops))
+        for i, segment in enumerate(expected):
+            start_m = i * length_m
+            if start_m < to_km * 1000.0 - 1e-6 and start_m + length_m > from_km * 1000.0 + 1e-6:
+                for op in ops:
+                    segment[op.attribute] = op.value if op.op == "set" else min(segment[op.attribute], op.value)
+    return length_m, rows, overlays, expected
+
+
+class TestSegmentRows:
+    @settings(max_examples=150, deadline=None)
+    @given(overlaid_corridors())
+    def test_loaded_and_overlaid_values_match_a_dict_reference(self, tmp_path_factory, case):
+        length_m, rows, overlays, expected = case
+        meta = {"corridor_id": "t", "length_km": len(expected) * length_m / 1000.0, "segment_length_m": length_m}
+        path = tmp_path_factory.mktemp("rows") / "c.csv"
+        path.write_text("# " + json.dumps(meta) + "\nsegment_index,attribute,value\n" + "\n".join(rows) + "\n")
+        profile = load_corridor(path)
+        for overlay in overlays:
+            profile = apply_overlay(profile, overlay)
+        assert len(profile.segments) == len(expected)
+        assert [dict(segment.values) for segment in profile.segments] == expected
+        assert all(list(segment.values) == list(attribute_ids()) for segment in profile.segments)
+        assert [(s.index, s.start_m, s.length_m) for s in profile.segments] == [
+            (i, i * length_m, length_m) for i in range(len(expected))
+        ]
+        observed = [SegmentObservation(i, i * length_m, length_m, values) for i, values in enumerate(expected)]
+        assert profile == CorridorProfile("t", meta["length_km"], length_m, observed)
+
+    def test_custom_attribute_names_keep_their_order(self):
+        names = ["zeta", "alpha", "mid"]
+        given = tuple(
+            SegmentObservation(i, i * 100.0, 100.0, dict(zip(names, (i % 3, 2, 1)))) for i in range(3)
+        )
+        profile = CorridorProfile("c", 0.3, 100.0, given)
+        assert type(profile.segments) is SegmentRows
+        assert profile.segments.attributes == tuple(names)
+        assert profile.segments.rows == (bytes([0, 2, 1]), bytes([1, 2, 1]), bytes([2, 2, 1]))
+        assert [list(s.values.items()) for s in profile.segments] == [list(s.values.items()) for s in given]
+        assert tuple(profile.segments) == given and profile.segments == given
+        assert profile.segments[-1] == given[-1] and profile.segments[1:] == given[1:]
+        with pytest.raises(IndexError):
+            profile.segments[3]
+
+    def test_segments_missing_an_attribute_are_scored_like_score_segment(self):
+        table = WeightTable({(group, name): 1.0 for group in AutomationLevelGroup for name in ("a", "b")})
+        given = (
+            SegmentObservation(0, 0.0, 100.0, {"a": 2, "b": 1}),
+            SegmentObservation(1, 100.0, 100.0, {"b": 0}),
+        )
+        profile = CorridorProfile("c", 0.2, 100.0, given)
+        assert profile.segments.rows[1] == bytes([0xFF, 0]) and not profile.segments.complete
+        assert profile.segments[1].values == {"b": 0}
+        with pytest.raises(ValidationError) as expected:
+            score_segment(given[1], table, AutomationLevelGroup.ASD)
+        with pytest.raises(ValidationError) as raised:
+            score_corridor(profile, table)
+        assert str(raised.value) == str(expected.value)
+        overlay = ScenarioOverlay("x", 0.1, 0.2, (OverlayOp("set", "hd-maps", 0),))
+        with pytest.raises(ValidationError, match="segment 1 has no value for 'hd-maps'"):
+            apply_overlay(profile, overlay)
+
+    def test_overlay_rewrites_only_touched_rows(self, corridor, roadworks):
+        result = apply_overlay(corridor, roadworks)
+        kept = [i for i, (a, b) in enumerate(zip(corridor.segments.rows, result.segments.rows)) if a is b]
+        assert kept == list(range(110)) + list(range(170, 240))

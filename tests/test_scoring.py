@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from hri.corridor import CorridorProfile, SegmentObservation, apply_overlay
 from hri.errors import ValidationError
 from hri.scoring import (
+    CorridorAssessment,
     ReadinessClass,
     ReadinessScore,
     Recommendation,
     SegmentAssessment,
+    SegmentColumns,
     SensitivityConfig,
     SensitivityScenario,
     classify,
@@ -454,6 +456,40 @@ class TestSegmentAssessmentStore:
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(doc))
         assert load_score_profile_json(path) == baseline_assessment
+
+
+class TestSegmentColumns:
+    def test_columns_and_views(self, baseline_assessment):
+        segments = baseline_assessment.segments
+        assert type(segments) is SegmentColumns and len(segments) == 240
+        assert segments.levels == bytes([3]) * 240
+        assert segments[7] == SegmentAssessment(7, 700.0, 100.0, segments.asd_scores[7], segments.aud_scores[7], {1, 2, 3, 4})
+        assert segments[-1].segment_index == 239 and segments[2:4] == (segments[2], segments[3])
+        rebuilt = CorridorAssessment("c", 24.0, 100.0, 66.0, "x", tuple(segments))
+        assert rebuilt.segments == segments and hash(rebuilt.segments) == hash(segments)
+
+    @pytest.mark.parametrize(
+        "index, start_m, length_m, message",
+        [
+            (1, 0.0, 100.0, "segment 1: segment_index 1 at position 0"),
+            (0, 0.0, 50.0, "segment 0: length_m 50.0 != segment_length_m 100.0"),
+            (0, 0.5, 100.0, "segment 0: start_m 0.5 != segment_index * segment_length_m (0.0)"),
+        ],
+    )
+    def test_segments_off_the_grid_rejected(self, index, start_m, length_m, message):
+        segment = SegmentAssessment(index, start_m, length_m, 50.0, 50.0, frozenset())
+        with pytest.raises(ValidationError) as raised:
+            CorridorAssessment("c", 0.1, 100.0, 66.0, "x", (segment,))
+        assert str(raised.value) == message
+
+    def test_loader_accepts_integral_numbers_and_start_within_tolerance(self, baseline_assessment, tmp_path):
+        doc = json.loads(dump_score_profile_json(baseline_assessment))
+        doc["segments"][3].update(segment_index=3.0, length_m=100, start_m=300.0000004)
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_score_profile_json(path)
+        assert loaded == baseline_assessment
+        assert loaded.segments[3].start_m == 300.0
 
 
 def reference_profile_json(assessment):

@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 import time
 from pathlib import Path
+
+from .errors import ValidationError
 
 # CLI help defaults, kept here so --help imports no domain module; corridor and scoring re-export them.
 DEFAULT_SEGMENT_LENGTH_M = 100.0
 DEFAULT_THRESHOLD = 66.0
 
 GEOM_EPS = 1e-6  # float slack for chainage arithmetic on metre grids
+
+
+def expected_segment_count(length_km: float, segment_length_m: float) -> int:
+    if segment_length_m <= 0:
+        raise ValidationError(f"segment length must be positive, got {segment_length_m}")
+    return math.ceil(length_km * 1000.0 / segment_length_m - GEOM_EPS)
 
 
 def now_ms() -> int:

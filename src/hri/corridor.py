@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._util import DEFAULT_SEGMENT_LENGTH_M  # noqa: F401 - public at this path too
-from ._util import GEOM_EPS as _GEOM_EPS
+from ._util import GEOM_EPS as _GEOM_EPS, expected_segment_count
 from .errors import ParseError, ValidationError
 from .taxonomy import attribute_ids, is_known_attribute
 
@@ -171,12 +171,6 @@ class CorridorProfile:
     @property
     def length_m(self) -> float:
         return self.length_km * 1000.0
-
-
-def expected_segment_count(length_km: float, segment_length_m: float) -> int:
-    if segment_length_m <= 0:
-        raise ValidationError(f"segment length must be positive, got {segment_length_m}")
-    return math.ceil(length_km * 1000.0 / segment_length_m - _GEOM_EPS)
 
 
 @dataclass(frozen=True)
@@ -357,13 +351,20 @@ def _parse_meta(doc: object, *, source: str | None, line: int | None = None) -> 
             line=line,
         )
     try:
-        return {
+        metadata = {
             "corridor_id": str(doc["corridor_id"]),
             "length_km": float(doc["length_km"]),
             "segment_length_m": float(doc["segment_length_m"]),
         }
     except (TypeError, ValueError):
         raise ParseError("malformed corridor metadata values", source=source, line=line) from None
+    if not 0.0 <= metadata["length_km"] * 1000.0 < math.inf:
+        message = f"length_km must be at least 0 and finite in metres, got {metadata['length_km']!r}"
+        raise ParseError(message, source=source, line=line)
+    if not metadata["segment_length_m"] >= 1.0:  # shorter segments can round to zones that end where they start
+        where = source if line is None else f"{source}:line {line}"
+        raise ValidationError(f"{where}: segment_length_m must be at least 1 m, got {metadata['segment_length_m']!r}")
+    return metadata
 
 
 def load_corridor(
@@ -526,5 +527,5 @@ def load_overlay(path: str | Path) -> ScenarioOverlay:
             to_km=float(doc["to_km"]),
             ops=ops,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of 1e400
         raise ParseError(f"bad overlay: {exc}", source=source) from None

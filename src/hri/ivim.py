@@ -41,7 +41,7 @@ from itertools import groupby
 from typing import TYPE_CHECKING
 
 from .errors import DecodeError, ParseError, ValidationError
-from .taxonomy import BANDS, LEVEL_SETS, ReadinessClass, band_indexes
+from .taxonomy import BANDS, LEVEL_CODES, LEVEL_MASKS, LEVEL_SETS, ReadinessClass, band_indexes, level_code
 
 if TYPE_CHECKING:
     from .scoring import CorridorAssessment
@@ -65,7 +65,30 @@ _CPCT_MAX = 100 * 100  # 100.00 %
 _HEADER = struct.Struct(">4sBBIB")
 _MANAGEMENT = struct.Struct(">HQIB")
 _LOCATION = struct.Struct(">ii")
+_COUNT = struct.Struct(">B")
 _ZONE = struct.Struct(">IIBBBHH")
+
+# The checked integer fields of each container and their bounds: the wire
+# width, a coordinate range, or 100.00 % for a zone score.
+_HEADER_RANGES = (("protocol_version", 0, _U8), ("station_id", 0, _U32))
+_MANAGEMENT_RANGES = (("ivi_identification", 0, _U16), ("timestamp_ms", 0, _U64), ("validity_duration_s", 0, _U32))
+_LOCATION_RANGES = (("latitude_e7", -_LAT_MAX_E7, _LAT_MAX_E7), ("longitude_e7", -_LON_MAX_E7, _LON_MAX_E7))
+_CHAINAGE_RANGES = (("start_m", 0, _U32), ("end_m", 0, _U32))
+_SCORE_RANGES = (("asd_score_cpct", 0, _CPCT_MAX), ("aud_score_cpct", 0, _CPCT_MAX))
+
+# The byte offset of each checked field: in the message (the zone count, the
+# one field missing, sits just before the zones), and in a zone record.
+_FIELD_OFFSETS = {
+    "protocol_version": 4,
+    "message_type": 5,
+    "station_id": 6,
+    "ivi_identification": 11,
+    "timestamp_ms": 13,
+    "validity_duration_s": 21,
+    "latitude_e7": 26,
+    "longitude_e7": 30,
+}
+_ZONE_FIELD_OFFSETS = {"start_m": 0, "end_m": 4, "allowed_sae_levels": 8, "asd_score_cpct": 11, "aud_score_cpct": 13}
 
 _CLASS_CODES = {
     ReadinessClass.UNLIKELY: 0,
@@ -146,74 +169,64 @@ class IvimMessage:
 
 
 def levels_to_bitmask(levels: frozenset[int] | set[int]) -> int:
-    mask = 0
-    for level in levels:
-        if level not in (1, 2, 3, 4):
-            raise ValueError(f"invalid SAE level {level}")
-        mask |= 1 << (level - 1)
-    return mask
+    return LEVEL_MASKS[level_code(levels)]
 
 
 def bitmask_to_levels(mask: int) -> frozenset[int]:
-    if mask & ~0x0F:
-        raise ValueError(f"level bitmask 0x{mask:02x} has unknown bits")
-    levels = frozenset(level for level in (1, 2, 3, 4) if mask & (1 << (level - 1)))
-    if (1 in levels) != (2 in levels) or (3 in levels) != (4 in levels):
-        raise ValueError(f"level bitmask 0x{mask:02x} breaks group pairing")
-    return levels
+    code = LEVEL_CODES.get(mask)
+    if code is None:
+        problem = "has unknown bits" if mask & ~LEVEL_MASKS[-1] else "breaks group pairing"
+        raise ValueError(f"level bitmask 0x{mask:02x} {problem}")
+    return LEVEL_SETS[code]
+
+
+def _out_of_range(record, ranges, zone: int | None = None):
+    for field, low, high in ranges:
+        value = getattr(record, field)
+        if not low <= value <= high:
+            where = "" if zone is None else f"zone {zone}: "
+            bound = f"exceeds {high}" if value > high else f"is below {low}"
+            yield zone, field, f"{where}{field} {value} {bound}"
+
+
+def _problems(msg: IvimMessage):
+    """Each invariant ``msg`` breaks, container by container, as
+    ``(zone index or None, field, problem)``; the one checker behind
+    :func:`validate_message`, :func:`decode` and :func:`from_canonical_text`."""
+    yield from _out_of_range(msg.header, _HEADER_RANGES)
+    message_type = msg.header.message_type
+    if message_type != MESSAGE_TYPE_IVIM:
+        yield None, "message_type", f"unknown message type {message_type}, not the IVIM tag {MESSAGE_TYPE_IVIM}"
+    m = msg.management
+    yield from _out_of_range(m, _MANAGEMENT_RANGES)
+    if m.ivi_status in (IviStatus.NEW, IviStatus.UPDATE) and m.validity_duration_s == 0:
+        yield None, "validity_duration_s", f"validity_duration_s must be positive for status {m.ivi_status.label}"
+    if msg.location is not None:
+        yield from _out_of_range(msg.location, _LOCATION_RANGES)
+    if msg.av is None:
+        return
+    zones = msg.av.zones
+    if len(zones) > _U8:
+        yield None, "zone_count", f"{len(zones)} zones exceed the u8 zone count"
+    previous_end = None
+    for i, zone in enumerate(zones):
+        at = f"zone {i}: "
+        yield from _out_of_range(zone, _CHAINAGE_RANGES, i)
+        if zone.start_m >= zone.end_m:
+            yield i, "end_m", f"{at}start_m {zone.start_m} >= end_m {zone.end_m}"
+        if previous_end is not None and zone.start_m < previous_end:
+            yield i, "start_m", f"{at}start_m {zone.start_m} overlaps or precedes previous zone end {previous_end}"
+        previous_end = zone.end_m
+        try:
+            level_code(zone.allowed_sae_levels)
+        except ValueError as exc:
+            yield i, "allowed_sae_levels", f"{at}{exc}"
+        yield from _out_of_range(zone, _SCORE_RANGES, i)
 
 
 def validate_message(msg: IvimMessage) -> list[str]:
     """Return every structural invariant violation (empty list = valid)."""
-    issues: list[str] = []
-    h = msg.header
-    if not 0 <= h.protocol_version <= _U8:
-        issues.append(f"protocol_version {h.protocol_version} outside u8")
-    if h.message_type != MESSAGE_TYPE_IVIM:
-        issues.append(f"message_type 0x{h.message_type:02x} is not the IVIM tag 0x06")
-    if not 0 <= h.station_id <= _U32:
-        issues.append(f"station_id {h.station_id} outside u32")
-    m = msg.management
-    if not 0 <= m.ivi_identification <= _U16:
-        issues.append(f"ivi_identification {m.ivi_identification} outside u16")
-    if not 0 <= m.timestamp_ms <= _U64:
-        issues.append(f"timestamp_ms {m.timestamp_ms} outside u64")
-    if not 0 <= m.validity_duration_s <= _U32:
-        issues.append(f"validity_duration_s {m.validity_duration_s} outside u32")
-    if m.ivi_status in (IviStatus.NEW, IviStatus.UPDATE) and m.validity_duration_s <= 0:
-        issues.append(f"validity_duration_s must be positive for status {m.ivi_status.label}")
-    if msg.location is not None:
-        loc = msg.location
-        if not -_LAT_MAX_E7 <= loc.latitude_e7 <= _LAT_MAX_E7:
-            issues.append(f"latitude_e7 {loc.latitude_e7} outside +/-90 degrees")
-        if not -_LON_MAX_E7 <= loc.longitude_e7 <= _LON_MAX_E7:
-            issues.append(f"longitude_e7 {loc.longitude_e7} outside +/-180 degrees")
-    if msg.av is not None:
-        zones = msg.av.zones
-        if len(zones) > _U8:
-            issues.append(f"{len(zones)} zones exceed the u8 zone count")
-        previous_end = None
-        for i, zone in enumerate(zones):
-            if not 0 <= zone.start_m <= _U32 or not 0 <= zone.end_m <= _U32:
-                issues.append(f"zone {i}: chainage outside u32")
-                continue
-            if zone.start_m >= zone.end_m:
-                issues.append(f"zone {i}: start_m {zone.start_m} >= end_m {zone.end_m}")
-            if previous_end is not None and zone.start_m < previous_end:
-                issues.append(f"zone {i}: overlaps or precedes the previous zone")
-            previous_end = zone.end_m
-            try:
-                levels_to_bitmask(zone.allowed_sae_levels)
-            except ValueError as exc:
-                issues.append(f"zone {i}: {exc}")
-            if (1 in zone.allowed_sae_levels) != (2 in zone.allowed_sae_levels) or (
-                3 in zone.allowed_sae_levels
-            ) != (4 in zone.allowed_sae_levels):
-                issues.append(f"zone {i}: unpaired SAE levels {sorted(zone.allowed_sae_levels)}")
-            for name, cpct in (("asd", zone.asd_score_cpct), ("aud", zone.aud_score_cpct)):
-                if not 0 <= cpct <= _CPCT_MAX:
-                    issues.append(f"zone {i}: {name}_score_cpct {cpct} outside 0..10000")
-    return issues
+    return [problem for _, _, problem in _problems(msg)]
 
 
 def build_ivim(
@@ -232,7 +245,9 @@ def build_ivim(
     Adjacent segments with identical (allowed levels, assisted class,
     automated class) coalesce into one zone; zone scores are the minimum
     over the coalesced segments (floored to cpct), so a zone never
-    overstates any segment it covers.
+    overstates any segment it covers. The last zone ends at the corridor's
+    end, inside its last segment when the length is not a whole number of
+    segments.
     """
     segments = assessment.segments
     if not segments:
@@ -256,6 +271,7 @@ def build_ivim(
             )
         )
         first = end
+    zones[-1] = replace(zones[-1], end_m=min(zones[-1].end_m, round(assessment.length_km * 1000)))
 
     msg = IvimMessage(
         header=IvimHeader(station_id=station_id, protocol_version=protocol_version),
@@ -268,9 +284,8 @@ def build_ivim(
         location=location,
         av=AutomatedVehicleContainer(zones=tuple(zones)),
     )
-    issues = validate_message(msg)
-    if issues:
-        raise ValidationError(f"built message is invalid: {issues[0]}")
+    for _, _, problem in _problems(msg):
+        raise ValidationError(f"built message is invalid: {problem}")
     return msg
 
 
@@ -302,7 +317,7 @@ def encode(msg: IvimMessage) -> bytes:
     if msg.location is not None:
         parts.append(_LOCATION.pack(msg.location.latitude_e7, msg.location.longitude_e7))
     if msg.av is not None:
-        parts.append(struct.pack(">B", len(msg.av.zones)))
+        parts.append(_COUNT.pack(len(msg.av.zones)))
         for zone in msg.av.zones:
             parts.append(
                 _ZONE.pack(
@@ -336,68 +351,37 @@ def decode(data: bytes) -> IvimMessage:
     magic, protocol_version, message_type, station_id, flags = take(_HEADER, "header")
     if magic != MAGIC:
         raise DecodeError(f"bad magic {magic!r}", offset=0)
-    if message_type != MESSAGE_TYPE_IVIM:
-        raise DecodeError(f"unknown message type 0x{message_type:02x}", offset=5)
     if flags & ~(_FLAG_LOCATION | _FLAG_AV):
         raise DecodeError(f"unknown option flag bits in 0x{flags:02x}", offset=10)
 
     ivi_identification, timestamp_ms, validity_duration_s, status_code = take(
         _MANAGEMENT, "management container"
     )
-    status_offset = offset - 1
     try:
         ivi_status = IviStatus(status_code)
     except ValueError:
-        raise DecodeError(f"unknown ivi_status code {status_code}", offset=status_offset) from None
-    if ivi_status in (IviStatus.NEW, IviStatus.UPDATE) and validity_duration_s == 0:
-        raise DecodeError(
-            f"validity_duration_s must be positive for status {ivi_status.label}",
-            offset=status_offset - 4,
-        )
+        raise DecodeError(f"unknown ivi_status code {status_code}", offset=offset - 1) from None
 
     location = None
     if flags & _FLAG_LOCATION:
-        field_offset = offset
         latitude_e7, longitude_e7 = take(_LOCATION, "location container")
-        if not -_LAT_MAX_E7 <= latitude_e7 <= _LAT_MAX_E7:
-            raise DecodeError(f"latitude_e7 {latitude_e7} outside +/-90 degrees", offset=field_offset)
-        if not -_LON_MAX_E7 <= longitude_e7 <= _LON_MAX_E7:
-            raise DecodeError(
-                f"longitude_e7 {longitude_e7} outside +/-180 degrees", offset=field_offset + 4
-            )
         location = GeographicLocationContainer(latitude_e7=latitude_e7, longitude_e7=longitude_e7)
 
     av = None
+    zones_at = offset + _COUNT.size
     if flags & _FLAG_AV:
-        (zone_count,) = take(struct.Struct(">B"), "zone count")
+        (zone_count,) = take(_COUNT, "zone count")
         zones = []
-        previous_end = None
         for i in range(zone_count):
-            zone_offset = offset
-            start_m, end_m, mask, asd_code, aud_code, asd_cpct, aud_cpct = take(
-                _ZONE, f"zone {i}"
-            )
-            if start_m >= end_m:
-                raise DecodeError(f"zone {i}: start_m {start_m} >= end_m {end_m}", offset=zone_offset)
-            if previous_end is not None and start_m < previous_end:
-                raise DecodeError(
-                    f"zone {i}: start_m {start_m} precedes previous zone end {previous_end}",
-                    offset=zone_offset,
-                )
-            previous_end = end_m
+            start_m, end_m, mask, asd_code, aud_code, asd_cpct, aud_cpct = take(_ZONE, f"zone {i}")
+            zone_offset = offset - _ZONE.size
             try:
                 levels = bitmask_to_levels(mask)
             except ValueError as exc:
                 raise DecodeError(f"zone {i}: {exc}", offset=zone_offset + 8) from None
-            if asd_code not in _CLASS_BY_CODE:
-                raise DecodeError(f"zone {i}: unknown class code {asd_code}", offset=zone_offset + 9)
-            if aud_code not in _CLASS_BY_CODE:
-                raise DecodeError(f"zone {i}: unknown class code {aud_code}", offset=zone_offset + 10)
-            for name, cpct, at in (("asd", asd_cpct, 11), ("aud", aud_cpct, 13)):
-                if cpct > _CPCT_MAX:
-                    raise DecodeError(
-                        f"zone {i}: {name}_score_cpct {cpct} exceeds 10000", offset=zone_offset + at
-                    )
+            for code, at in ((asd_code, 9), (aud_code, 10)):
+                if code not in _CLASS_BY_CODE:
+                    raise DecodeError(f"zone {i}: unknown class code {code}", offset=zone_offset + at)
             zones.append(
                 ZoneRecord(
                     start_m=start_m,
@@ -414,7 +398,7 @@ def decode(data: bytes) -> IvimMessage:
     if offset != len(data):
         raise DecodeError(f"{len(data) - offset} trailing bytes", offset=offset)
 
-    return IvimMessage(
+    msg = IvimMessage(
         header=IvimHeader(
             station_id=station_id,
             protocol_version=protocol_version,
@@ -429,6 +413,11 @@ def decode(data: bytes) -> IvimMessage:
         location=location,
         av=av,
     )
+    for zone, field, problem in _problems(msg):
+        if zone is None:
+            raise DecodeError(problem, offset=_FIELD_OFFSETS.get(field, zones_at - _COUNT.size))
+        raise DecodeError(problem, offset=zones_at + zone * _ZONE.size + _ZONE_FIELD_OFFSETS[field])
+    return msg
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +480,9 @@ class _TextReader:
             return None
         return self.items[self.pos][1]
 
-    def expect(self, key: str) -> tuple[int, str, int]:
+    def read(self, key: str, parse=None):
+        """The value of the next field, which must be ``key``, read by
+        ``parse`` or else as an integer."""
         if self.pos >= len(self.items):
             last_line = self.items[-1][0] if self.items else 1
             raise ParseError(f"missing field {key!r}", source=self.source, line=last_line)
@@ -501,24 +492,16 @@ class _TextReader:
                 f"expected field {key!r}, found {actual!r}", source=self.source, line=line, column=1
             )
         self.pos += 1
-        return line, value, column
-
-    def expect_int(self, key: str, low: int, high: int) -> tuple[int, int]:
-        line, value, column = self.expect(key)
         try:
-            number = int(value)
-        except ValueError:
-            raise ParseError(
-                f"{key} must be an integer, got {value!r}", source=self.source, line=line, column=column
-            ) from None
-        if not low <= number <= high:
-            raise ParseError(
-                f"{key} value {number} outside [{low}, {high}]",
-                source=self.source,
-                line=line,
-                column=column,
-            )
-        return line, number
+            return int(value) if parse is None else parse(value)
+        except ValueError as exc:
+            problem = f"{key} must be an integer, got {value!r}" if parse is None else str(exc)
+            raise ParseError(problem, source=self.source, line=line, column=column) from None
+
+    def error_at(self, key: str, problem: str) -> ParseError:
+        """``problem`` at the value of the field ``key``, which has been read."""
+        line, column = next((line, column) for line, k, _, column in self.items if k == key)
+        return ParseError(problem, source=self.source, line=line, column=column)
 
     def done(self) -> None:
         if self.pos != len(self.items):
@@ -526,116 +509,57 @@ class _TextReader:
             raise ParseError(f"unexpected field {key!r}", source=self.source, line=line, column=1)
 
 
+def _parse_levels(text: str) -> frozenset[int]:
+    try:
+        return frozenset() if text == "none" else frozenset(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"bad allowed_sae_levels {text!r}") from None
+
+
 def from_canonical_text(text: str, *, source: str | None = None) -> IvimMessage:
     reader = _TextReader(text, source)
-    _, protocol_version = reader.expect_int("protocol_version", 0, _U8)
-    type_line, message_type = reader.expect_int("message_type", 0, _U8)
-    if message_type != MESSAGE_TYPE_IVIM:
-        raise ParseError(
-            f"message_type {message_type} is not the IVIM tag {MESSAGE_TYPE_IVIM}",
-            source=source,
-            line=type_line,
-        )
-    _, station_id = reader.expect_int("station_id", 0, _U32)
-    _, ivi_identification = reader.expect_int("ivi_identification", 0, _U16)
-    _, timestamp_ms = reader.expect_int("timestamp_ms", 0, _U64)
-    validity_line, validity_duration_s = reader.expect_int("validity_duration_s", 0, _U32)
-    status_line, status_text, status_column = reader.expect("ivi_status")
-    try:
-        ivi_status = IviStatus.parse(status_text)
-    except ValueError as exc:
-        raise ParseError(str(exc), source=source, line=status_line, column=status_column) from None
-    if ivi_status in (IviStatus.NEW, IviStatus.UPDATE) and validity_duration_s == 0:
-        raise ParseError(
-            f"validity_duration_s must be positive for status {ivi_status.label}",
-            source=source,
-            line=validity_line,
-        )
+    header = IvimHeader(
+        protocol_version=reader.read("protocol_version"),
+        message_type=reader.read("message_type"),
+        station_id=reader.read("station_id"),
+    )
+    management = ManagementContainer(
+        ivi_identification=reader.read("ivi_identification"),
+        timestamp_ms=reader.read("timestamp_ms"),
+        validity_duration_s=reader.read("validity_duration_s"),
+        ivi_status=reader.read("ivi_status", IviStatus.parse),
+    )
 
     location = None
     if reader.peek_key() == "latitude_e7":
-        _, latitude_e7 = reader.expect_int("latitude_e7", -_LAT_MAX_E7, _LAT_MAX_E7)
-        _, longitude_e7 = reader.expect_int("longitude_e7", -_LON_MAX_E7, _LON_MAX_E7)
-        location = GeographicLocationContainer(latitude_e7=latitude_e7, longitude_e7=longitude_e7)
+        location = GeographicLocationContainer(
+            latitude_e7=reader.read("latitude_e7"), longitude_e7=reader.read("longitude_e7")
+        )
 
     av = None
     if reader.peek_key() == "zone_count":
-        _, zone_count = reader.expect_int("zone_count", 0, _U8)
-        zones = []
-        previous_end = None
-        for i in range(zone_count):
-            start_line, start_m = reader.expect_int(f"zone.{i}.start_m", 0, _U32)
-            end_line, end_m = reader.expect_int(f"zone.{i}.end_m", 0, _U32)
-            if start_m >= end_m:
-                raise ParseError(
-                    f"zone {i}: start_m {start_m} >= end_m {end_m}", source=source, line=end_line
-                )
-            if previous_end is not None and start_m < previous_end:
-                raise ParseError(
-                    f"zone {i}: start_m {start_m} precedes previous zone end {previous_end}",
-                    source=source,
-                    line=start_line,
-                )
-            previous_end = end_m
-            levels_line, levels_text, levels_column = reader.expect(f"zone.{i}.allowed_sae_levels")
-            try:
-                if levels_text == "none":
-                    levels: frozenset[int] = frozenset()
-                else:
-                    levels = frozenset(int(part) for part in levels_text.split(","))
-                levels_to_bitmask(levels)
-            except ValueError:
-                raise ParseError(
-                    f"bad allowed_sae_levels {levels_text!r}",
-                    source=source,
-                    line=levels_line,
-                    column=levels_column,
-                ) from None
-            if (1 in levels) != (2 in levels) or (3 in levels) != (4 in levels):
-                raise ParseError(
-                    f"zone {i}: unpaired SAE levels {sorted(levels)}",
-                    source=source,
-                    line=levels_line,
-                    column=levels_column,
-                )
-            classes = {}
-            for name in ("asd_class", "aud_class"):
-                class_line, class_text, class_column = reader.expect(f"zone.{i}.{name}")
-                try:
-                    classes[name] = ReadinessClass.parse(class_text)
-                except ValueError as exc:
-                    raise ParseError(
-                        str(exc), source=source, line=class_line, column=class_column
-                    ) from None
-            _, asd_cpct = reader.expect_int(f"zone.{i}.asd_score_cpct", 0, _CPCT_MAX)
-            _, aud_cpct = reader.expect_int(f"zone.{i}.aud_score_cpct", 0, _CPCT_MAX)
-            zones.append(
-                ZoneRecord(
-                    start_m=start_m,
-                    end_m=end_m,
-                    allowed_sae_levels=levels,
-                    asd_class=classes["asd_class"],
-                    aud_class=classes["aud_class"],
-                    asd_score_cpct=asd_cpct,
-                    aud_score_cpct=aud_cpct,
-                )
+        zone_count = reader.read("zone_count")
+        if zone_count < 0:
+            raise reader.error_at("zone_count", f"zone_count {zone_count} is negative")
+        zones = [
+            ZoneRecord(
+                start_m=reader.read(f"zone.{i}.start_m"),
+                end_m=reader.read(f"zone.{i}.end_m"),
+                allowed_sae_levels=reader.read(f"zone.{i}.allowed_sae_levels", _parse_levels),
+                asd_class=reader.read(f"zone.{i}.asd_class", ReadinessClass.parse),
+                aud_class=reader.read(f"zone.{i}.aud_class", ReadinessClass.parse),
+                asd_score_cpct=reader.read(f"zone.{i}.asd_score_cpct"),
+                aud_score_cpct=reader.read(f"zone.{i}.aud_score_cpct"),
             )
+            for i in range(zone_count)
+        ]
         av = AutomatedVehicleContainer(zones=tuple(zones))
     reader.done()
 
-    return IvimMessage(
-        header=IvimHeader(
-            station_id=station_id, protocol_version=protocol_version, message_type=message_type
-        ),
-        management=ManagementContainer(
-            ivi_identification=ivi_identification,
-            timestamp_ms=timestamp_ms,
-            validity_duration_s=validity_duration_s,
-            ivi_status=ivi_status,
-        ),
-        location=location,
-        av=av,
-    )
+    msg = IvimMessage(header=header, management=management, location=location, av=av)
+    for zone, field, problem in _problems(msg):
+        raise reader.error_at(field if zone is None else f"zone.{zone}.{field}", problem)
+    return msg
 
 
 def with_management(msg: IvimMessage, *, timestamp_ms: int, ivi_status: IviStatus) -> IvimMessage:

@@ -32,10 +32,11 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from ._util import DEFAULT_THRESHOLD, GEOM_EPS
+from ._util import DEFAULT_THRESHOLD, GEOM_EPS, expected_segment_count
 from .errors import ParseError, ValidationError
 from .taxonomy import (
     BANDS,
+    LEVEL_CODES,
     LEVEL_SETS,
     V_MAX,
     AutomationLevelGroup,
@@ -43,6 +44,7 @@ from .taxonomy import (
     ReadinessClass,
     WeightTable,
     band_indexes,
+    level_code,
     macro_weight_table,
     readiness_band,
 )
@@ -66,17 +68,11 @@ class ReadinessScore:
 
 
 _ASD, _AUD = AutomationLevelGroup.ASD, AutomationLevelGroup.AUD
-_LEVEL_CODE = {levels: code for code, levels in enumerate(LEVEL_SETS)}
 
 
-def _level_code(levels) -> int:
-    """The index in ``LEVEL_SETS`` of a valid level set; levels always enter in group pairs."""
-    code = _LEVEL_CODE.get(frozenset(levels))
-    if code is None:
-        if (1 in levels) != (2 in levels) or (3 in levels) != (4 in levels):
-            raise ValueError(f"unpaired SAE levels {sorted(levels)}")
-        raise ValueError(f"invalid SAE levels {sorted(levels)}")
-    return code
+def _level_codes(asd_scores, aud_scores, threshold: float, passes) -> list[int]:
+    """Each segment's level-set code: a group's level pair is allowed when ``passes(score, threshold)``."""
+    return [passes(asd, threshold) + 2 * passes(aud, threshold) for asd, aud in zip(asd_scores, aud_scores)]
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,7 @@ class Recommendation:
     scores: Mapping[AutomationLevelGroup, ReadinessScore]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "allowed_sae_levels", LEVEL_SETS[_level_code(self.allowed_sae_levels)])
+        object.__setattr__(self, "allowed_sae_levels", LEVEL_SETS[level_code(self.allowed_sae_levels)])
         object.__setattr__(self, "scores", MappingProxyType(dict(self.scores)))
 
 
@@ -177,11 +173,11 @@ def recommend(
         if group not in scores:
             raise ValidationError(f"missing score for group {group.value}")
     passes = operator.ge if threshold_inclusive else operator.gt
-    asd_passes, aud_passes = passes(scores[_ASD].value, threshold), passes(scores[_AUD].value, threshold)
+    (code,) = _level_codes([scores[_ASD].value], [scores[_AUD].value], threshold, passes)
     indexes = {score.segment_index for score in scores.values()}
     return Recommendation(
         segment_index=indexes.pop() if len(indexes) == 1 else None,
-        allowed_sae_levels=LEVEL_SETS[asd_passes + 2 * aud_passes],
+        allowed_sae_levels=LEVEL_SETS[code],
         scores=scores,
     )
 
@@ -202,7 +198,7 @@ class SegmentAssessment:
         for score in (self.asd_score, self.aud_score):
             if not 0.0 <= score <= 100.0:
                 raise ValueError(f"readiness score {score} outside [0, 100]")
-        object.__setattr__(self, "allowed_sae_levels", LEVEL_SETS[_level_code(self.allowed_sae_levels)])
+        object.__setattr__(self, "allowed_sae_levels", LEVEL_SETS[level_code(self.allowed_sae_levels)])
 
     @property
     def end_m(self) -> float:
@@ -260,7 +256,7 @@ class SegmentColumns(Sequence):
         return cls(
             [seg.asd_score for seg in segments],
             [seg.aud_score for seg in segments],
-            [_LEVEL_CODE[seg.allowed_sae_levels] for seg in segments],
+            [LEVEL_CODES[seg.allowed_sae_levels] for seg in segments],
             segment_length_m,
         )
 
@@ -338,8 +334,7 @@ def score_corridor(
         slot_of = {attr: slot for slot, attr in enumerate(segments.attributes)}
         asd_ratio, aud_ratio = (ratio.over(slot_of) for ratio in ratios)
         asd_scores, aud_scores = list(map(asd_ratio, rows)), list(map(aud_ratio, rows))
-        passes = operator.ge if threshold_inclusive else operator.gt
-        levels = [passes(asd, threshold) + 2 * passes(aud, threshold) for asd, aud in zip(asd_scores, aud_scores)]
+        levels = _level_codes(asd_scores, aud_scores, threshold, operator.ge if threshold_inclusive else operator.gt)
     return CorridorAssessment(
         corridor_id=profile.corridor_id,
         length_km=profile.length_km,
@@ -546,15 +541,14 @@ def _json_int(value, name: str) -> int:
     return int(value)
 
 
-# the level lists the JSON writer gives; integral floats such as [1.0, 2.0] give equal tuples
-_CODE_OF_LIST = {tuple(sorted(levels)): code for code, levels in enumerate(LEVEL_SETS)}
-
-
 def load_score_profile_json(path: str | Path) -> CorridorAssessment:
     """Reconstruct an assessment from its JSON profile.
 
-    Each class must be the band of its score, and each segment must lie at
-    its position on the ``segment_length_m`` grid.
+    Each class must be the band of its score, each level set must be the one
+    its scores give at ``threshold`` (under ``>=`` or ``>``, which the profile
+    does not record), ``segment_length_m`` must be at least 1 m, each segment
+    must lie at its position on the ``segment_length_m`` grid, and there must
+    be as many segments as ``length_km`` gives.
     """
     source = str(path)
     try:
@@ -569,7 +563,7 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
             classes = (_parse_class(item["asd_class"]), _parse_class(item["aud_class"]))
             listed = item["allowed_sae_levels"]
             try:
-                code = _CODE_OF_LIST[tuple(listed)]
+                code = LEVEL_CODES[frozenset(listed)]  # integral floats such as [1.0, 2.0] hit it too
             except (KeyError, TypeError):  # another spelling: its set is checked after the scores
                 code = frozenset([_json_int(level, "SAE level") for level in listed])
             geometry.append((index, float(item["start_m"]), float(item["length_m"])))
@@ -577,7 +571,7 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
                 if not 0.0 <= score <= 100.0:
                     raise ValueError(f"readiness score {score} outside [0, 100]")
             if type(code) is not int:
-                code = _level_code(code)
+                code = level_code(code)
             for name, loaded, score in zip(("asd", "aud"), classes, scores):
                 if loaded is not readiness_band(score):
                     raise ValidationError(
@@ -589,15 +583,32 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
             levels.append(code)
         corridor_id = str(doc["corridor_id"])
         length_km = float(doc["length_km"])
+        if not 0.0 <= length_km * 1000.0 < math.inf:
+            raise ValueError(f"length_km must be at least 0 and finite in metres, got {length_km!r}")
         segment_length_m = float(doc["segment_length_m"])
         threshold = float(doc.get("threshold", DEFAULT_THRESHOLD))
         weight_provenance = str(doc.get("weight_provenance", "unknown"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of 1e400
         raise ParseError(f"bad score profile: {exc}", source=source) from None
+    if not segment_length_m >= 1.0:  # shorter segments can round to zones that end where they start
+        raise ValidationError(f"{source}: segment_length_m must be at least 1 m, got {segment_length_m!r}")
     for position, (index, start_m, length_m) in enumerate(geometry):
         problem = _geometry_error(position, index, start_m, length_m, segment_length_m)
         if problem:
             raise ValidationError(f"{source}: segment {index}: {problem}")
+    inclusive = _level_codes(asd_scores, aud_scores, threshold, operator.ge)
+    if levels != inclusive:  # each other level set must be the one the exclusive test gives
+        exclusive = _level_codes(asd_scores, aud_scores, threshold, operator.gt)
+        for index, (code, ge, gt) in enumerate(zip(levels, inclusive, exclusive)):
+            if code != ge and code != gt:
+                raise ValidationError(
+                    f"{source}: segment {index}: allowed_sae_levels {sorted(LEVEL_SETS[code])} "
+                    f"do not match the scores at threshold {threshold!r}"
+                )
+    expected = expected_segment_count(length_km, segment_length_m)
+    if len(geometry) != expected:
+        message = f"{len(geometry)} segments, expected {expected} for {length_km!r} km at {segment_length_m!r} m"
+        raise ValidationError(f"{source}: {message}")
     return CorridorAssessment(
         corridor_id=corridor_id,
         length_km=length_km,

@@ -69,7 +69,25 @@ BANDS = tuple(ReadinessClass)
 _BAND_EDGES = (33.0, 66.0)
 
 LEVEL_SETS = (frozenset(), frozenset({1, 2}), frozenset({3, 4}), frozenset({1, 2, 3, 4}))
-"""The only valid allowed-level sets, indexed by ``asd_passes + 2 * aud_passes``."""
+"""The only valid allowed-level sets, indexed by their code ``asd_passes + 2 * aud_passes``:
+levels always enter in group pairs."""
+LEVEL_MASKS = (0x0, 0x3, 0xC, 0xF)
+"""The wire bitmask of each level set, by code: bit0 = SAE1 .. bit3 = SAE4."""
+LEVEL_CODES: Mapping[frozenset[int] | int, int] = MappingProxyType(
+    {key: code for code, pair in enumerate(zip(LEVEL_SETS, LEVEL_MASKS)) for key in pair}
+)
+"""The code of each valid level set and of each valid wire bitmask."""
+
+
+def level_code(levels: Iterable[int]) -> int:
+    """The code of a valid level set; a ``ValueError`` names any other set as
+    unpaired, or as invalid when its levels in 1..4 pair but it holds others."""
+    levels = frozenset(levels)
+    code = LEVEL_CODES.get(levels)
+    if code is None:
+        paired = levels & LEVEL_SETS[-1] in LEVEL_CODES
+        raise ValueError(f"{'invalid' if paired else 'unpaired'} SAE levels {sorted(levels)}")
+    return code
 
 
 def readiness_band(score: float) -> ReadinessClass:

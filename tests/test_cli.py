@@ -111,6 +111,17 @@ class TestScoreCommand:
             "  segments with no recommendation: 60",
         ]
 
+    def test_sub_metre_segments_exit_2_without_outputs(self, tmp_path, capsys):
+        corridor_csv = tmp_path / "c.csv"
+        corridor_csv.write_text(
+            '# {"corridor_id": "x", "length_km": 0.0004, "segment_length_m": 0.4}\n'
+            "segment_index,attribute,value\n"
+        )
+        out_csv = tmp_path / "p.csv"
+        assert run("score", corridor_csv, "--out-csv", out_csv, "--out-json", tmp_path / "p.json") == 2
+        assert capsys.readouterr().err == f"error: {corridor_csv}:line 1: segment_length_m must be at least 1 m, got 0.4\n"
+        assert not out_csv.exists()
+
     def test_bad_threshold_exits_2(self, tmp_path):
         assert run("score", CORRIDOR, "--threshold", "0", "--out-csv", tmp_path / "a", "--out-json", tmp_path / "b") == 2
 
@@ -380,8 +391,12 @@ class TestIvimCommands:
             (lambda segs: segs.insert(3, segs.pop(4)), "segment 4: segment_index 4 at position 3"),
             (lambda segs: segs[6].update(length_m=100.5), "segment 6: length_m 100.5 != segment_length_m 100.0"),
             (lambda segs: segs[6].update(start_m=600.001), "segment 6: start_m 600.001 != segment_index * segment_length_m (600.0)"),
+            (
+                lambda segs: segs[7].update(allowed_sae_levels=[]),
+                "segment 7: allowed_sae_levels [] do not match the scores at threshold 66.0",
+            ),
         ],
-        ids=["gapped", "missing", "unordered", "length", "start"],
+        ids=["gapped", "missing", "unordered", "length", "start", "levels"],
     )
     def test_build_rejects_segment_off_the_grid_exits_2(self, tmp_path, capsys, edit, message):
         profile = self.build_profile(tmp_path)

@@ -165,6 +165,24 @@ class TestLoadCorridor:
             path = write_corridor_csv(tmp_path, variant, length_km=0.3, name=name)
             assert load_corridor(path) == sorted_profile
 
+    @pytest.mark.parametrize(
+        "meta, error, message",
+        [
+            ({"segment_length_m": 0.4}, ValidationError, "segment_length_m must be at least 1 m, got 0.4"),
+            ({"segment_length_m": float("nan")}, ValidationError, "segment_length_m must be at least 1 m, got nan"),
+            ({"length_km": float("inf")}, ParseError, "length_km must be at least 0 and finite in metres, got inf"),
+            ({"length_km": 1.8e305}, ParseError, "length_km must be at least 0 and finite in metres, got 1.8e+305"),
+            ({"length_km": -1.0}, ParseError, "length_km must be at least 0 and finite in metres, got -1.0"),
+        ],
+    )
+    def test_metadata_rejects_sub_metre_segments_and_bad_lengths(self, tmp_path, meta, error, message):
+        doc = dict({"corridor_id": "t", "length_km": 0.001, "segment_length_m": 100.0}, **meta)
+        path = tmp_path / "c.csv"
+        path.write_text("# " + json.dumps(doc) + "\nsegment_index,attribute,value\n")
+        with pytest.raises(error) as raised:
+            load_corridor(path)
+        assert str(raised.value) == f"{path}:line 1: {message}"
+
     def test_sidecar_metadata(self, tmp_path):
         data = "segment_index,attribute,value\n" + "\n".join(full_rows(0)) + "\n"
         csv_path = tmp_path / "c.csv"

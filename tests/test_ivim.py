@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_message
 from hri.errors import DecodeError, ParseError, ValidationError
@@ -99,6 +102,12 @@ class TestBuild:
         msg = build_ivim(single, station_id=1, timestamp_ms=0, validity_duration_s=60)
         assert len(msg.av.zones) == 1
         assert (msg.av.zones[0].start_m, msg.av.zones[0].end_m) == (0, 100)
+
+    def test_last_zone_ends_at_the_corridor_end(self, baseline_assessment):
+        # 0.25 km at 100 m is three segments, the last one cut short by the corridor end
+        short = replace(baseline_assessment, length_km=0.25, segments=baseline_assessment.segments[:3])
+        msg = build_ivim(short, station_id=1, timestamp_ms=0, validity_duration_s=60)
+        assert [(zone.start_m, zone.end_m) for zone in msg.av.zones] == [(0, 250)]
 
     def test_zone_scores_are_conservative(self, corridor, weights, maintenance):
         assessment = score_corridor(apply_overlay(corridor, maintenance), weights)
@@ -375,3 +384,146 @@ class TestHelpers:
         text = describe(one_zone_message())
         assert "1 zone(s)" in text
         assert "1,2,3,4" in text
+
+
+CLASSES = (ReadinessClass.UNLIKELY, ReadinessClass.MAY_BE, ReadinessClass.HIGHLY_LIKELY)
+
+
+def uint(bits):
+    return st.integers(0, 2**bits - 1)
+
+
+def mostly(valid, anything):
+    """``valid`` nine times in ten, else ``anything``."""
+    return st.integers(0, 9).flatmap(lambda k: anything if k == 0 else valid)
+
+
+@st.composite
+def wire_fields(draw):
+    """Header, management, location and zone values inside their wire widths,
+    each mostly valid, so that a good share of the messages is accepted."""
+    coordinate = mostly(st.integers(-90 * 10**7, 90 * 10**7), st.integers(-(2**31), 2**31 - 1))
+    location = draw(st.none() | st.tuples(coordinate, coordinate))
+    zones = None
+    if draw(st.booleans()):
+        zones, end = [], 0
+        for _ in range(draw(st.integers(0, 4))):
+            start = min(draw(mostly(st.integers(end, end + 50), uint(32))), 2**32 - 1)
+            end = min(draw(mostly(st.integers(start + 1, start + 5000), uint(32))), 2**32 - 1)
+            mask = draw(mostly(st.sampled_from([0x0, 0x3, 0xC, 0xF]), uint(8)))
+            classes = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+            scores = draw(st.tuples(*[mostly(st.integers(0, 10000), uint(16))] * 2))
+            zones.append((start, end, mask, *classes, *scores))
+    return dict(
+        protocol_version=draw(uint(8)),
+        message_type=draw(mostly(st.just(6), uint(8))),
+        station_id=draw(uint(32)),
+        ivi_identification=draw(uint(16)),
+        timestamp_ms=draw(uint(64)),
+        validity_duration_s=draw(mostly(st.integers(1, 2**32 - 1), st.just(0))),
+        status=draw(st.integers(0, 2)),
+        location=location,
+        zones=zones,
+    )
+
+
+def pack_wire(f) -> bytes:
+    flags = (f["location"] is not None) | (f["zones"] is not None) << 1
+    parts = [
+        struct.pack(">4sBBIB", b"IVIM", f["protocol_version"], f["message_type"], f["station_id"], flags),
+        struct.pack(">HQIB", f["ivi_identification"], f["timestamp_ms"], f["validity_duration_s"], f["status"]),
+    ]
+    if f["location"] is not None:
+        parts.append(struct.pack(">ii", *f["location"]))
+    if f["zones"] is not None:
+        parts.append(struct.pack(">B", len(f["zones"])))
+        parts.extend(struct.pack(">IIBBBHH", *zone) for zone in f["zones"])
+    return b"".join(parts)
+
+
+def mask_levels(mask):
+    return frozenset(level for level in range(1, 9) if mask >> (level - 1) & 1)
+
+
+def render_text(f) -> str:
+    header = ("protocol_version", "message_type", "station_id", "ivi_identification", "timestamp_ms", "validity_duration_s")
+    lines = [f"{key}: {f[key]}" for key in header]
+    lines.append(f"ivi_status: {('new', 'update', 'cancellation')[f['status']]}")
+    if f["location"] is not None:
+        lines += [f"latitude_e7: {f['location'][0]}", f"longitude_e7: {f['location'][1]}"]
+    if f["zones"] is not None:
+        lines.append(f"zone_count: {len(f['zones'])}")
+        for i, (start, end, mask, asd, aud, asd_cpct, aud_cpct) in enumerate(f["zones"]):
+            levels = ",".join(map(str, sorted(mask_levels(mask)))) or "none"
+            values = (start, end, levels, CLASSES[asd].value, CLASSES[aud].value, asd_cpct, aud_cpct)
+            keys = ("start_m", "end_m", "allowed_sae_levels", "asd_class", "aud_class", "asd_score_cpct", "aud_score_cpct")
+            lines += [f"zone.{i}.{key}: {value}" for key, value in zip(keys, values)]
+    return "\n".join(lines) + "\n"
+
+
+def fields_message(f) -> IvimMessage:
+    av = None
+    if f["zones"] is not None:
+        av = AutomatedVehicleContainer(
+            zones=[
+                ZoneRecord(start, end, mask_levels(mask), CLASSES[asd], CLASSES[aud], asd_cpct, aud_cpct)
+                for start, end, mask, asd, aud, asd_cpct, aud_cpct in f["zones"]
+            ]
+        )
+    return IvimMessage(
+        header=IvimHeader(f["station_id"], f["protocol_version"], f["message_type"]),
+        management=ManagementContainer(
+            f["ivi_identification"], f["timestamp_ms"], f["validity_duration_s"], IviStatus(f["status"])
+        ),
+        location=None if f["location"] is None else GeographicLocationContainer(*f["location"]),
+        av=av,
+    )
+
+
+class TestOneChecker:
+    @settings(max_examples=200, deadline=None)
+    @given(wire_fields())
+    def test_validate_decode_and_text_agree(self, fields):
+        msg = fields_message(fields)
+        issues = validate_message(msg)
+        try:
+            decoded = decode(pack_wire(fields))
+        except DecodeError as exc:
+            decoded, decode_error = None, str(exc)
+        try:
+            parsed = from_canonical_text(render_text(fields))
+        except ParseError as exc:
+            parsed, text_error = None, str(exc)
+        assert (decoded is not None) == (parsed is not None) == (not issues)
+        if not issues:
+            assert decoded == msg and parsed == msg
+            return
+        # the first problem is the same, except that decode reads a bad level bitmask before any check
+        assert text_error.endswith(f": {issues[0]}")
+        if all(zone[2] in (0x0, 0x3, 0xC, 0xF) for zone in fields["zones"] or ()):
+            assert decode_error.endswith(f": {issues[0]}")
+
+    @pytest.mark.parametrize(
+        "key, offset, fmt, wire_value, text_value",
+        [
+            ("message_type", 5, ">B", 7, 7),
+            ("validity_duration_s", 21, ">I", 0, 0),
+            ("latitude_e7", 26, ">i", 910000000, 910000000),
+            ("zone.0.end_m", 35 + 4, ">I", 0, 0),
+            ("zone.0.allowed_sae_levels", 35 + 8, ">B", 0x5, "1,3"),
+            ("zone.0.aud_score_cpct", 35 + 13, ">H", 10001, 10001),
+        ],
+    )
+    def test_decode_and_text_point_at_the_same_field(self, key, offset, fmt, wire_value, text_value):
+        msg = replace(one_zone_message(), location=GeographicLocationContainer(latitude_e7=0, longitude_e7=0))
+        wire = bytearray(encode(msg))
+        struct.pack_into(fmt, wire, offset, wire_value)
+        with pytest.raises(DecodeError) as raised:
+            decode(bytes(wire))
+        assert raised.value.offset == offset
+        lines = to_canonical_text(msg).split("\n")
+        line = next(number for number, text in enumerate(lines, start=1) if text.startswith(f"{key}: "))
+        lines[line - 1] = f"{key}: {text_value}"
+        with pytest.raises(ParseError) as raised:
+            from_canonical_text("\n".join(lines))
+        assert raised.value.line == line

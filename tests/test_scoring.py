@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hri.corridor import CorridorProfile, SegmentObservation, apply_overlay
-from hri.errors import ValidationError
+from hri.errors import ParseError, ValidationError
 from hri.scoring import (
     CorridorAssessment,
     ReadinessClass,
@@ -449,6 +449,37 @@ class TestSegmentAssessmentStore:
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(doc))
         assert load_score_profile_json(path) == baseline_assessment
+
+    def test_loader_rechecks_levels_at_the_threshold(self, weights, tmp_path):
+        # an all-1 segment scores exactly 50 in both groups: its levels differ under >= and >
+        profile = corridor_of([{attr: 1 for attr in attribute_ids()}, {attr: 2 for attr in attribute_ids()}])
+        path = tmp_path / "profile.json"
+        for inclusive in (True, False):
+            assessment = score_corridor(profile, weights, threshold=50.0, threshold_inclusive=inclusive)
+            path.write_text(dump_score_profile_json(assessment))
+            assert load_score_profile_json(path) == assessment
+        doc = json.loads(path.read_text())
+        doc["segments"][0]["allowed_sae_levels"] = [1, 2]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as raised:
+            load_score_profile_json(path)
+        assert str(raised.value) == f"{path}: segment 0: allowed_sae_levels [1, 2] do not match the scores at threshold 50.0"
+
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            ({"segment_length_m": 0.4}, ValidationError, "segment_length_m must be at least 1 m, got 0.4"),
+            ({"length_km": float("nan")}, ParseError, "bad score profile: length_km must be at least 0 and finite in metres, got nan"),
+            ({"length_km": 12.0}, ValidationError, "240 segments, expected 120 for 12.0 km at 100.0 m"),
+        ],
+    )
+    def test_loader_checks_the_corridor_geometry(self, baseline_assessment, tmp_path, edit, error, message):
+        doc = dict(json.loads(dump_score_profile_json(baseline_assessment)), **edit)
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error) as raised:
+            load_score_profile_json(path)
+        assert str(raised.value) == f"{path}: {message}"
 
     def test_loader_accepts_a_class_name_in_other_case(self, baseline_assessment, tmp_path):
         doc = json.loads(dump_score_profile_json(baseline_assessment))

@@ -8,7 +8,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 
 # CLI help defaults, kept here so --help imports no domain module; corridor and scoring re-export them.
 DEFAULT_SEGMENT_LENGTH_M = 100.0
@@ -21,6 +21,34 @@ def expected_segment_count(length_km: float, segment_length_m: float) -> int:
     if segment_length_m <= 0:
         raise ValidationError(f"segment length must be positive, got {segment_length_m}")
     return math.ceil(length_km * 1000.0 / segment_length_m - GEOM_EPS)
+
+
+def parse_json(text: str, source: str, *, what: str = "JSON", line: int | None = None):
+    """``json.loads(text)``; malformed or too deeply nested text is a ParseError.
+
+    The error says ``invalid {what}`` and gives the line and column of the
+    fault in ``text``, or only ``line`` when given (``text`` is that line of
+    ``source``). Nesting deeper than the interpreter's recursion limit is
+    reported at the start of the outermost value.
+    """
+    import json  # here, so that importing the CLI does not load json
+
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        fault = exc
+    except RecursionError:
+        fault = json.JSONDecodeError("nesting too deep", text, len(text) - len(text.lstrip(" \t\n\r")))
+    if line is not None:
+        raise ParseError(f"invalid {what}: {fault.msg}", source=source, line=line)
+    raise ParseError(f"invalid {what}: {fault.msg}", source=source, line=fault.lineno, column=fault.colno)
+
+
+def json_int(value, name: str) -> int:
+    """``int(value)``, refusing a number with a fractional part."""
+    if type(value) is float and not value.is_integer():
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)
 
 
 def now_ms() -> int:

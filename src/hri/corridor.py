@@ -19,12 +19,13 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
 from ._util import DEFAULT_SEGMENT_LENGTH_M  # noqa: F401 - public at this path too
-from ._util import GEOM_EPS as _GEOM_EPS, expected_segment_count
+from ._util import GEOM_EPS as _GEOM_EPS, expected_segment_count, json_int, parse_json
 from .errors import ParseError, ValidationError
 from .taxonomy import attribute_ids, is_known_attribute
 
@@ -306,10 +307,7 @@ def operationalize(
 def load_rubric(path: str | Path) -> dict[str, RubricEntry]:
     """Load a rubric JSON file: {attribute: {direction, unit?, breakpoints}}."""
     source = str(path)
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", source=source, line=exc.lineno, column=exc.colno) from None
+    doc = parse_json(Path(path).read_text(encoding="utf-8"), source)
     if not isinstance(doc, dict):
         raise ParseError("rubric document must be a JSON object", source=source)
     rubric: dict[str, RubricEntry] = {}
@@ -340,6 +338,7 @@ def load_rubric(path: str | Path) -> dict[str, RubricEntry]:
 # ---------------------------------------------------------------------------
 
 _CORRIDOR_HEADER = ["segment_index", "attribute", "value"]
+_PLAIN_HEADER = ",".join(_CORRIDOR_HEADER) + "\n"
 _META_KEYS = ("corridor_id", "length_km", "segment_length_m")
 
 
@@ -384,10 +383,8 @@ def load_corridor(
     if first_line.startswith("#"):
         candidate = first_line.lstrip("#").strip()
         if candidate.startswith("{"):
-            try:
-                metadata = _parse_meta(json.loads(candidate), source=source, line=1)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid metadata JSON: {exc.msg}", source=source, line=1) from None
+            doc = parse_json(candidate, source, what="metadata JSON", line=1)
+            metadata = _parse_meta(doc, source=source, line=1)
     if metadata is None:
         if meta is None:
             raise ParseError(
@@ -397,14 +394,82 @@ def load_corridor(
             metadata = _parse_meta(dict(meta), source="<meta>")
         else:
             meta_source = str(meta)
-            try:
-                doc = json.loads(Path(meta).read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise ParseError(
-                    f"invalid JSON: {exc.msg}", source=meta_source, line=exc.lineno, column=exc.colno
-                ) from None
+            doc = parse_json(Path(meta).read_text(encoding="utf-8"), meta_source)
             metadata = _parse_meta(doc, source=meta_source)
 
+    registry = attribute_ids()
+    expected = expected_segment_count(metadata["length_km"], metadata["segment_length_m"])
+    rows = _plain_rows(text, registry, expected)
+    if rows is None:
+        rows = _csv_rows(text, source, registry, expected, metadata["length_km"])
+    return CorridorProfile(
+        corridor_id=metadata["corridor_id"],
+        length_km=metadata["length_km"],
+        segment_length_m=metadata["segment_length_m"],
+        segments=SegmentRows(registry, rows, metadata["segment_length_m"]),
+    )
+
+
+def _plain_rows(text: str, registry: tuple[str, ...], expected: int) -> list[bytes] | None:
+    """The rows of a corridor CSV in the plain form, or None for any other text.
+
+    The plain form is what :func:`dump_corridor` writes: ``#`` lines that csv
+    reads as one record each, the header line, and then one
+    ``index,attribute,value`` line for each of the ``expected * len(registry)``
+    cells, with the index in canonical decimal, a registered attribute and a
+    value of ``0``, ``1`` or ``2``, every cell filled. Such rows hold no
+    quote, CR or NUL, so csv splits them the same way; and as many rows as
+    cells filling every cell give each cell once, so each check of
+    :func:`_csv_rows` holds. Other text goes to :func:`_csv_rows`, which
+    reads it or reports its first fault.
+    """
+    start = 0
+    limit = csv.field_size_limit()
+    while text.startswith("#", start):
+        end = text.find("\n", start)
+        if end < 0:
+            return None
+        comment = text[start:end]
+        if ',"' in comment or "\r" in comment or "\0" in comment or len(comment) > limit:
+            return None  # csv could read a quoted field across lines, a CR, a NUL or an over-long field
+        start = end + 1
+    if not text.startswith(_PLAIN_HEADER, start):
+        return None
+    lines = text[start + len(_PLAIN_HEADER) :].split("\n")
+    if not lines[-1]:
+        lines.pop()  # the final newline
+    width = len(registry)
+    if len(lines) != expected * width:
+        return None
+    # "attribute,value" -> (slot, value): one lookup checks both fields, and that no field follows
+    cell_of = {
+        f"{attr},{digit}": (slot, value) for slot, attr in enumerate(registry) for digit, value in _VALUE_OF.items()
+    }
+    cells = bytearray([MISSING]) * len(lines)
+    base_of: dict[str, int] = {}  # an index text -> its segment's first cell
+    last_key = base = None
+    try:
+        for key, _, rest in map(str.partition, lines, repeat(",")):
+            if key != last_key:
+                base = base_of.get(key)
+                if base is None:
+                    index = int(key)
+                    if not 0 <= index < expected or str(index) != key:
+                        return None
+                    base = base_of[key] = index * width
+                last_key = key
+            slot, value = cell_of[rest]
+            cells[base + slot] = value
+    except (KeyError, ValueError):  # an index, attribute or value of another form, or not 3 fields
+        return None
+    if MISSING in cells:  # a cell given twice, so another is missing
+        return None
+    filled = bytes(cells)
+    return [filled[cell : cell + width] for cell in range(0, len(filled), width)]
+
+
+def _csv_rows(text: str, source: str, registry: tuple[str, ...], expected: int, length_km: float) -> list[bytes]:
+    """The rows of any corridor CSV, read with csv; a ParseError names the first fault."""
     reader = csv.reader(io.StringIO(text))
 
     def error(message: str) -> ParseError:
@@ -419,7 +484,6 @@ def load_corridor(
         if [c.strip() for c in header] != _CORRIDOR_HEADER:
             raise error("expected header 'segment_index,attribute,value'")
 
-        registry = attribute_ids()
         slot_of = {attr: slot for slot, attr in enumerate(registry)}
         blank = bytes([MISSING]) * len(registry)
         per_segment: dict[int, bytearray] = {}  # per segment, its values in registry order
@@ -465,13 +529,12 @@ def load_corridor(
     except csv.Error as exc:  # e.g. a field over csv's size limit
         raise error(f"malformed CSV: {exc}") from None
 
-    expected = expected_segment_count(metadata["length_km"], metadata["segment_length_m"])
     for index in range(expected):
         if index not in per_segment:
             raise ParseError(f"gap: segment {index} missing", source=source)
     if len(per_segment) > expected:
         raise ParseError(
-            f"corridor length {metadata['length_km']} km implies {expected} segments, "
+            f"corridor length {length_km} km implies {expected} segments, "
             f"but segment {min(i for i in per_segment if i >= expected)} is present",
             source=source,
         )
@@ -484,12 +547,7 @@ def load_corridor(
                 f"segment {index} missing attributes: {', '.join(missing)}", source=source
             )
         rows.append(values)
-    return CorridorProfile(
-        corridor_id=metadata["corridor_id"],
-        length_km=metadata["length_km"],
-        segment_length_m=metadata["segment_length_m"],
-        segments=SegmentRows(registry, rows, metadata["segment_length_m"]),
-    )
+    return rows
 
 
 def dump_corridor(profile: CorridorProfile) -> str:
@@ -512,13 +570,12 @@ def dump_corridor(profile: CorridorProfile) -> str:
 def load_overlay(path: str | Path) -> ScenarioOverlay:
     """Load an overlay JSON file: {name, from_km, to_km, ops: [...]}."""
     source = str(path)
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", source=source, line=exc.lineno, column=exc.colno) from None
+    doc = parse_json(Path(path).read_text(encoding="utf-8"), source)
     try:
         ops = tuple(
-            OverlayOp(op=str(op["op"]), attribute=str(op["attribute"]), value=int(op["value"]))
+            OverlayOp(
+                op=str(op["op"]), attribute=str(op["attribute"]), value=json_int(op["value"], "value")
+            )
             for op in doc["ops"]
         )
         return ScenarioOverlay(

@@ -32,7 +32,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from ._util import DEFAULT_THRESHOLD, GEOM_EPS, expected_segment_count
+from ._util import DEFAULT_THRESHOLD, GEOM_EPS, expected_segment_count, json_int, parse_json
 from .errors import ParseError, ValidationError
 from .taxonomy import (
     BANDS,
@@ -534,11 +534,70 @@ def _parse_class(text: str) -> ReadinessClass:
         return ReadinessClass.parse(text)
 
 
-def _json_int(value, name: str) -> int:
-    """``int(value)``, refusing a number with a fractional part."""
-    if type(value) is float and not value.is_integer():
-        raise ValueError(f"{name} {value!r} is not an integer")
-    return int(value)
+_PROFILE_FIELDS = operator.itemgetter(
+    "corridor_id", "length_km", "segment_length_m", "threshold", "weight_provenance", "segments"
+)
+_SEGMENT_FIELDS = operator.itemgetter(
+    "segment_index", "start_m", "length_m", "asd_score", "aud_score", "asd_class", "aud_class", "allowed_sae_levels"
+)
+_LEVEL_LISTS = tuple(sorted(levels) for levels in LEVEL_SETS)
+
+
+def _written_assessment(doc) -> CorridorAssessment | None:
+    """The assessment of a profile document in the form
+    :func:`dump_score_profile_json` writes, or None for any other document.
+
+    The checks run column by column: every field present with the type the
+    writer gives it, the segment indexes ``0..n-1``, the starts exactly on
+    the grid and each length equal to ``segment_length_m``, the scores in
+    [0, 100] and each class the name of its score's band, and the level
+    lists the sorted ones of the levels the scores give at ``threshold``,
+    under ``>=`` for every segment or under ``>`` for every segment. Each
+    check of the per-segment loop in :func:`load_score_profile_json` then
+    holds, and the result is the one that loop gives; other documents go
+    through the loop, which reports their first fault.
+    """
+    try:
+        corridor_id, length_km, segment_length_m, threshold, provenance, items = _PROFILE_FIELDS(doc)
+    except (KeyError, TypeError):
+        return None
+    fields = (corridor_id, length_km, segment_length_m, threshold, provenance, items)
+    if tuple(map(type, fields)) != (str, float, float, float, str, list):
+        return None
+    if not (0.0 <= length_km * 1000.0 < math.inf and segment_length_m >= 1.0):
+        return None
+    n = len(items)
+    if not n or n != expected_segment_count(length_km, segment_length_m):
+        return None
+    try:
+        indexes, starts, lengths, asd, aud, asd_classes, aud_classes, listed = zip(*map(_SEGMENT_FIELDS, items))
+    except (KeyError, TypeError):  # a segment that is not an object, or lacks a field
+        return None
+    scores = asd + aud
+    if (
+        indexes != tuple(range(n))
+        or {*map(type, indexes)} != {int}
+        or starts != tuple(map(segment_length_m.__mul__, range(n)))
+        or lengths.count(segment_length_m) != n
+        or {*map(type, scores)} != {float}
+        or not 0.0 <= min(scores) <= max(scores) <= 100.0
+        or math.isnan(sum(scores))  # min and max can pass over a NaN
+        or asd_classes != tuple(map(_CLASS_NAMES.__getitem__, band_indexes(asd)))
+        or aud_classes != tuple(map(_CLASS_NAMES.__getitem__, band_indexes(aud)))
+    ):
+        return None
+    for passes in (operator.ge, operator.gt):
+        levels = _level_codes(asd, aud, threshold, passes)
+        if listed == tuple(map(_LEVEL_LISTS.__getitem__, levels)):
+            return CorridorAssessment(
+                corridor_id=corridor_id,
+                length_km=length_km,
+                segment_length_m=segment_length_m,
+                threshold=threshold,
+                weight_provenance=provenance,
+                segments=SegmentColumns(asd, aud, levels, segment_length_m),
+            )
+    return None
 
 
 def load_score_profile_json(path: str | Path) -> CorridorAssessment:
@@ -551,21 +610,21 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
     be as many segments as ``length_km`` gives.
     """
     source = str(path)
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", source=source, line=exc.lineno, column=exc.colno) from None
+    doc = parse_json(Path(path).read_text(encoding="utf-8"), source)
+    written = _written_assessment(doc)
+    if written is not None:
+        return written
     try:
         asd_scores, aud_scores, levels, geometry = [], [], [], []
         for item in doc["segments"]:
-            index = _json_int(item["segment_index"], "segment_index")
+            index = json_int(item["segment_index"], "segment_index")
             scores = (float(item["asd_score"]), float(item["aud_score"]))
             classes = (_parse_class(item["asd_class"]), _parse_class(item["aud_class"]))
             listed = item["allowed_sae_levels"]
             try:
                 code = LEVEL_CODES[frozenset(listed)]  # integral floats such as [1.0, 2.0] hit it too
             except (KeyError, TypeError):  # another spelling: its set is checked after the scores
-                code = frozenset([_json_int(level, "SAE level") for level in listed])
+                code = frozenset([json_int(level, "SAE level") for level in listed])
             geometry.append((index, float(item["start_m"]), float(item["length_m"])))
             for score in scores:
                 if not 0.0 <= score <= 100.0:

@@ -296,25 +296,6 @@ def load_survey(
     return responses
 
 
-def dump_survey(responses: Sequence[SurveyResponse]) -> tuple[str, str]:
-    """Render responses as (ratings CSV, respondents CSV) text."""
-    resp_out = io.StringIO()
-    writer = csv.writer(resp_out, lineterminator="\n")
-    writer.writerow(_RESPONDENTS_HEADER)
-    for r in responses:
-        days = [r.cits_day_ratings.get(day, "") for day in DayService]
-        writer.writerow(
-            [r.respondent_id, r.role, r.region.value, r.av_expertise, r.cits_expertise, *days]
-        )
-    ratings_out = io.StringIO()
-    writer = csv.writer(ratings_out, lineterminator="\n")
-    writer.writerow(_RATINGS_HEADER)
-    for r in responses:
-        for (attr, group), rating in r.attribute_ratings.items():
-            writer.writerow([r.respondent_id, attr, group.value, rating])
-    return ratings_out.getvalue(), resp_out.getvalue()
-
-
 def dump_impact_difference(diffs: Mapping[str, float]) -> str:
     """Difference report CSV, rounded to the 2-decimal display convention."""
     out = io.StringIO()

@@ -40,10 +40,6 @@ class AutomationLevelGroup(Enum):
     ASD = "asd"
     AUD = "aud"
 
-    @property
-    def sae_levels(self) -> tuple[int, int]:
-        return (1, 2) if self is AutomationLevelGroup.ASD else (3, 4)
-
     @classmethod
     def parse(cls, text: str) -> "AutomationLevelGroup":
         try:

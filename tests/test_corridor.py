@@ -276,6 +276,16 @@ class TestApplyOverlay:
         assert roadworks.to_km == 17.0
         assert any(op.attribute == "lane-mark-consistency" and op.op == "set" for op in roadworks.ops)
 
+    @pytest.mark.parametrize("value, loaded", [(2.0, 2), (1.9, None), (1e400, None)])
+    def test_overlay_value_must_be_an_integer(self, tmp_path, value, loaded):
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps({"name": "x", "from_km": 0, "to_km": 1, "ops": [{"op": "set", "attribute": "hd-maps", "value": value}]}))
+        if loaded is not None:
+            assert load_overlay(path).ops[0].value == loaded
+        else:
+            with pytest.raises(ParseError, match=f"bad overlay: value {value!r} is not an integer"):
+                load_overlay(path)
+
     def test_bad_overlay_file(self, tmp_path):
         path = tmp_path / "o.json"
         path.write_text(json.dumps({"name": "x", "from_km": 0, "to_km": 1, "ops": [{"op": "zap", "attribute": "hd-maps", "value": 1}]}))

@@ -10,10 +10,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_message
-from hri.corridor import dump_corridor, load_corridor, load_overlay
+import pytest
+
+from hri.corridor import dump_corridor, load_corridor, load_overlay, load_rubric
 from hri.errors import DecodeError, ParseError, ValidationError
 from hri.fixtures import baseline_corridor
 from hri.ivim import decode, encode, from_canonical_text, to_canonical_text
+from hri.scoring import load_score_profile_json
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -119,3 +122,31 @@ def test_load_overlay_raises_only_toolkit_errors(tmp_path, text):
         load_overlay(path)
     except (ParseError, ValidationError):
         pass
+
+
+NESTED = "[" * 100_000  # deeper than the interpreter's recursion limit
+
+
+def load_corridor_with_sidecar(path):
+    corridor_path = path.with_suffix(".csv")
+    corridor_path.write_text("segment_index,attribute,value\n", encoding="utf-8")
+    return load_corridor(corridor_path, path)
+
+
+@pytest.mark.parametrize(
+    "load, text, error",
+    [
+        (load_overlay, "\n  " + NESTED, "line 2, column 3: invalid JSON"),
+        (load_score_profile_json, "\n  " + NESTED, "line 2, column 3: invalid JSON"),
+        (load_rubric, "\n  " + NESTED, "line 2, column 3: invalid JSON"),
+        (load_corridor_with_sidecar, "\n  " + NESTED, "line 2, column 3: invalid JSON"),
+        (load_corridor, '# {"corridor_id": ' + NESTED + "\n", "line 1: invalid metadata JSON"),
+    ],
+    ids=["overlay", "profile", "rubric", "corridor sidecar", "corridor metadata line"],
+)
+def test_deeply_nested_json_is_a_positioned_parse_error(tmp_path, load, text, error):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as raised:
+        load(path)
+    assert str(raised.value) == f"{path}:{error}: nesting too deep"

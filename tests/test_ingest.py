@@ -1,0 +1,298 @@
+"""The fast paths of the corridor CSV and JSON profile readers against their
+general loops.
+
+Each reader takes its fast path only for text in the form its writer gives,
+and otherwise reads the text with its general loop. Every test here loads a
+file and a twin that reads the same but that the fast path must decline, and
+requires the same result or the same error (type, text and line) from both.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hri.corridor import CorridorProfile, SegmentRows, _plain_rows, apply_overlay, dump_corridor, load_corridor
+from hri.errors import ParseError, ValidationError
+from hri.fixtures import BASELINE_CORRIDOR_FILE, fixture_path
+from hri.scoring import _written_assessment, dump_score_profile_json, load_score_profile_json, score_corridor
+from hri.taxonomy import attribute_ids, builtin_weight_table
+
+DIFFERENTIAL = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+ATTRS = attribute_ids()
+HEADER = "segment_index,attribute,value"
+
+
+def outcome(load, path, text: str):
+    """What ``load(path)`` gives once ``text`` is written there: a result, or an error's type and text."""
+    path.write_text(text, encoding="utf-8")
+    try:
+        return load(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# Corridor CSV
+# ---------------------------------------------------------------------------
+
+
+def quoted_twin(text: str) -> str:
+    """``text`` with every field of every line not starting with ``#`` quoted.
+
+    csv reads the same fields and lines from both, but the quoted header is
+    not the plain form, so the twin always goes through the csv loop.
+    """
+    lines = text.split("\n")
+    return "\n".join(
+        line if not line or line.startswith("#") else ",".join(f'"{field}"' for field in line.split(","))
+        for line in lines
+    )
+
+
+@st.composite
+def corridor_files(draw):
+    """A corridor CSV as its writer or the benchmark gives it, rows in order,
+    shuffled or split, with the metadata in the first line or in a mapping;
+    returns the text, the mapping (or None) and the segment count."""
+    length_m = draw(st.sampled_from([100.0, 50.0, 250.0]))
+    n = draw(st.integers(0, 4))
+    values = [[draw(st.sampled_from([0, 1, 2])) for _ in ATTRS] for _ in range(n)]
+    rows = [f"{i},{attr},{value}" for i, row in enumerate(values) for attr, value in zip(ATTRS, row)]
+    order = draw(st.sampled_from(["in order", "shuffled", "split"]))
+    if order == "shuffled":
+        rows = draw(st.permutations(rows))
+    elif order == "split" and rows:  # rotated, so the first and the last segment are split around the others
+        cut = draw(st.integers(0, len(rows) - 1))
+        rows = rows[cut:] + rows[:cut]
+    # a whole number of segments, or a last segment cut short
+    length_km = (n - draw(st.sampled_from([0.0, 0.5]))) * length_m / 1000.0 if n else 0.0
+    meta = {"corridor_id": draw(st.sampled_from(["c", "A4 north", "x,"])), "length_km": length_km, "segment_length_m": length_m}
+    lines = draw(st.sampled_from([[], ["# a comment"], ["# two", "#comments, here"]]))
+    if draw(st.booleans()):
+        lines = ["# " + json.dumps(meta), *lines]
+        meta = None
+    text = "\n".join([*lines, HEADER, *rows]) + draw(st.sampled_from(["\n", ""] if rows else ["\n"]))
+    return text, meta, n
+
+
+# pieces that reach the fast path's token checks: separators, signs, padding,
+# non-canonical numbers, comments and names near the registered ones
+TOKENS = [",", "\n", "#", " ", "\t", "-", "+", "0", "00", "01", "3", "1.0", "-0", "١", "9" * 25, "\x00", "hd-maps", "hd-map", "_"]
+FIELDS = ["0", "1", "2", "3", "4", "5", "01", " 1", "1 ", "+1", "-1", "-0", "1_0", "١", "#1", "", "hd-maps", ATTRS[0]]
+
+
+@st.composite
+def mutated_corridor_files(draw):
+    """A corridor file whose rows have one to three places cut, overwritten
+    or spliced with a piece, a field replaced, or a line repeated; no row
+    holds a quote."""
+    text, meta, n = draw(corridor_files())
+    head, sep, body = text.partition(HEADER + "\n")
+    for _ in range(draw(st.integers(1, 3))):
+        lines = body.split("\n")
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["field", "repeat", "splice"]))
+        if edit == "field":  # keeps the row count, so the fast path reads every row
+            fields = lines[at].split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(FIELDS))
+            lines[at] = ",".join(fields)
+        elif edit == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[at])
+        body = "\n".join(lines)
+        if edit == "splice":
+            at = draw(st.integers(0, len(body)))
+            piece = draw(st.sampled_from(TOKENS) | st.text(st.characters(blacklist_characters='"\r'), max_size=3))
+            body = body[:at] + piece + body[at + draw(st.integers(0, 8)) :]
+    return head + sep + body, meta, n
+
+
+class TestCorridorFastPath:
+    @DIFFERENTIAL
+    @given(corridor_files() | mutated_corridor_files())
+    def test_same_profile_or_error_as_the_csv_loop(self, tmp_path, case):
+        text, meta, n = case
+        twin = quoted_twin(text)
+        assert _plain_rows(twin, ATTRS, n) is None
+        path = tmp_path / "c.csv"
+        assert outcome(lambda p: load_corridor(p, meta), path, text) == outcome(lambda p: load_corridor(p, meta), path, twin)
+
+    @DIFFERENTIAL
+    @given(corridor_files())
+    def test_written_and_benchmark_forms_take_the_fast_path(self, tmp_path, case):
+        text, meta, n = case
+        rows = _plain_rows(text, ATTRS, n)
+        if ',"' in text.split("\n", 1)[0]:  # csv may read a quoted field across lines there
+            assert rows is None
+            return
+        assert rows is not None
+        path = tmp_path / "c.csv"
+        path.write_text(quoted_twin(text), encoding="utf-8")
+        assert rows == list(load_corridor(path, meta).segments.rows)
+        assert all(type(row) is bytes for row in rows)
+
+    def test_bundled_fixture_takes_the_fast_path(self, corridor):
+        text = fixture_path(BASELINE_CORRIDOR_FILE).read_text(encoding="utf-8")
+        assert text.count("\n#") == 2  # the metadata line and two comment lines
+        assert _plain_rows(text, ATTRS, 240) == list(corridor.segments.rows)
+        assert _plain_rows(dump_corridor(corridor), ATTRS, 240) == list(corridor.segments.rows)
+
+    def test_declined_forms(self, corridor):
+        text = dump_corridor(corridor)
+        meta_line, rest = text.split("\n", 1)
+        assert _plain_rows(text, ATTRS, 240) is not None
+        for other in [
+            text.replace("\n17,", "\n 17,"),  # a padded index
+            text.replace("\n17,", "\n017,"),  # a non-canonical index
+            text.replace(",2\n", ",02\n", 1),  # a non-canonical value
+            text.replace(",hd-maps,", ", hd-maps,", 1),  # a padded attribute
+            text.replace("\n17,hd-maps,", "\n16,hd-maps,", 1),  # a cell given twice and one missing
+            text.replace("\n239,", "\n-1,"),  # a negative index, whose cells would be the last segment's
+            text + "\n",  # a blank last line
+            text.rstrip("\n").rsplit("\n", 1)[0] + "\n",  # a missing row
+            meta_line + '\n# a ,"quoted\n# field"\n' + rest,  # a comment csv reads across lines
+            meta_line + "\n# x\0\n" + rest,
+        ]:
+            assert _plain_rows(other, ATTRS, 240) is None, other[:200]
+        assert _plain_rows(text, ATTRS, 241) is None
+        assert _plain_rows(text, ATTRS, 239) is None
+
+
+# ---------------------------------------------------------------------------
+# JSON score profile
+# ---------------------------------------------------------------------------
+
+
+def declined_twin(doc):
+    """``doc`` with each integer ``segment_index`` written as a float and each
+    all-integer level list reversed: the per-segment loop reads both the same
+    way, and the fast path declines them."""
+    twin = json.loads(json.dumps(doc))
+    segments = twin.get("segments") if isinstance(twin, dict) else None
+    for item in segments if isinstance(segments, list) else ():
+        if not isinstance(item, dict):
+            continue
+        index = item.get("segment_index")
+        if type(index) is int and abs(index) < 2**53:
+            item["segment_index"] = float(index)
+        levels = item.get("allowed_sae_levels")
+        if isinstance(levels, list) and all(type(level) is int for level in levels):
+            levels.reverse()
+    return twin
+
+
+@st.composite
+def profile_docs(draw):
+    """A JSON score profile as the writer gives it for a random corridor, scored at a random threshold."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 5))
+    length_m = draw(st.sampled_from([100.0, 50.0]))
+    palettes = draw(st.lists(st.sampled_from([(0, 1, 2), (1, 2), (2,)]), min_size=n, max_size=n))
+    rows = [bytes(rng.choice(palette) for _ in ATTRS) for palette in palettes]
+    profile = CorridorProfile("c", n * length_m / 1000.0, length_m, SegmentRows(ATTRS, rows, length_m))
+    threshold = draw(st.sampled_from([66.0, 50.0, 0.0, 100.0]))
+    assessment = score_corridor(profile, builtin_weight_table(), threshold=threshold, threshold_inclusive=draw(st.booleans()))
+    return json.loads(dump_score_profile_json(assessment))
+
+
+SEGMENT_KEYS = ["segment_index", "start_m", "length_m", "asd_score", "aud_score", "asd_class", "aud_class", "allowed_sae_levels"]
+TOP_KEYS = ["corridor_id", "length_km", "segment_length_m", "threshold", "weight_provenance", "segments"]
+VALUES = [
+    None, True, 0, 1, 2, -1, 1.5, 2.0, 0.0, -0.0, 50, 50.0, 66.0, 100.0, 100.5, 1e400, float("nan"), 10**30,
+    "x", "may-be", "May-Be", "highly-likely", "unlikely", [], [1, 2], [2, 1], [3, 4], [1, 2, 3, 4], [1.0, 2.0],
+    [1, 2, 2], [1], {}, 0.4, 150.0, 2.4,
+]
+
+
+@st.composite
+def mutated_profile_docs(draw):
+    """A written profile with one to three fields set to another value or
+    removed, or a segment removed, repeated or moved."""
+    doc = draw(profile_docs())
+    for _ in range(draw(st.integers(1, 3))):
+        segments = doc["segments"]
+        kind = draw(st.sampled_from(["segment field", "top field", "segments"]))
+        if kind == "segment field" and segments:
+            item = segments[draw(st.integers(0, len(segments) - 1))]
+            key = draw(st.sampled_from(SEGMENT_KEYS))
+            if draw(st.integers(0, 9)) == 0:
+                item.pop(key, None)
+            else:
+                item[key] = draw(st.sampled_from(VALUES))
+        elif kind == "top field":
+            key = draw(st.sampled_from(TOP_KEYS[:-1]))
+            if draw(st.integers(0, 9)) == 0:
+                doc.pop(key, None)
+            else:
+                doc[key] = draw(st.sampled_from(VALUES + ["c", 0.25, 0.1]))
+        elif segments:
+            at = draw(st.integers(0, len(segments) - 1))
+            action = draw(st.sampled_from(["remove", "repeat", "move"]))
+            item = segments.pop(at) if action != "repeat" else dict(segments[at])
+            if action != "remove":
+                segments.insert(draw(st.integers(0, len(segments))), item)
+    return doc
+
+
+def assert_loads_like_its_twin(path, doc):
+    twin = declined_twin(doc)
+    assert _written_assessment(twin) is None
+    fast = outcome(load_score_profile_json, path, json.dumps(doc, indent=2))
+    loop = outcome(load_score_profile_json, path, json.dumps(twin, indent=2))
+    if isinstance(fast, tuple) or isinstance(loop, tuple):
+        assert fast == loop
+    else:  # the profiles they write back show every float bit for bit, a NaN threshold too
+        assert dump_score_profile_json(fast) == dump_score_profile_json(loop)
+
+
+def edited_segment(**fields):
+    """A written three-segment profile, every score 100, with segment 1's ``fields`` replaced."""
+    profile = CorridorProfile("c", 0.3, 100.0, SegmentRows(ATTRS, [bytes([2]) * len(ATTRS)] * 3, 100.0))
+    doc = json.loads(dump_score_profile_json(score_corridor(profile, builtin_weight_table())))
+    doc["segments"][1].update(fields)
+    return doc
+
+
+class TestProfileFastPath:
+    @DIFFERENTIAL
+    @given(profile_docs() | mutated_profile_docs())
+    def test_same_assessment_or_error_as_the_loop(self, tmp_path, doc):
+        assert_loads_like_its_twin(tmp_path / "p.json", doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # the other checks pass a NaN score: its band is the top one, and it passes no threshold
+            edited_segment(asd_score=float("nan"), allowed_sae_levels=[3, 4]),
+            edited_segment(segment_index=2),
+            edited_segment(segment_index=True),
+            edited_segment(start_m=101.0),
+            edited_segment(start_m=100.0 + 1e-9),
+            edited_segment(length_m=99.0),
+            edited_segment(aud_class="may-be"),
+            edited_segment(asd_score=100),
+            edited_segment(allowed_sae_levels=[1.0, 2.0, 3.0, 4.0]),
+        ],
+    )
+    def test_documents_near_the_written_form(self, tmp_path, doc):
+        assert_loads_like_its_twin(tmp_path / "p.json", doc)
+
+    @DIFFERENTIAL
+    @given(profile_docs())
+    def test_written_form_takes_the_fast_path(self, doc):
+        assessment = _written_assessment(doc)
+        assert assessment is not None
+        assert json.loads(dump_score_profile_json(assessment)) == doc
+
+    def test_bundled_fixture_profile_takes_the_fast_path(self, corridor, weights, roadworks, maintenance, tmp_path):
+        for profile in (corridor, apply_overlay(apply_overlay(corridor, roadworks), maintenance)):
+            assessment = score_corridor(profile, weights)
+            text = dump_score_profile_json(assessment)
+            assert _written_assessment(json.loads(text)) == assessment
+            path = tmp_path / "p.json"
+            path.write_text(text, encoding="utf-8")
+            assert load_score_profile_json(path) == assessment

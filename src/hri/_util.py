@@ -44,8 +44,17 @@ def parse_json(text: str, source: str, *, what: str = "JSON", line: int | None =
     raise ParseError(f"invalid {what}: {fault.msg}", source=source, line=fault.lineno, column=fault.colno)
 
 
+def json_float(value, name: str) -> float:
+    """``float(value)`` of a JSON number; a string or a bool, which ``float`` reads too, is a ValueError."""
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"{name} {value!r} is not a number")
+    return float(value)
+
+
 def json_int(value, name: str) -> int:
-    """``int(value)``, refusing a number with a fractional part."""
+    """``int(value)`` of a JSON number, refusing a string, a bool and a number with a fractional part."""
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"{name} {value!r} is not a number")
     if type(value) is float and not value.is_integer():
         raise ValueError(f"{name} {value!r} is not an integer")
     return int(value)
@@ -63,14 +72,17 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp_name, path)
-    except BaseException:
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
         try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp_name, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:  # named after the output, not the temporary file beside it
+        raise OSError(exc.errno, exc.strerror, str(path)) from None

@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._util import DEFAULT_SEGMENT_LENGTH_M  # noqa: F401 - public at this path too
-from ._util import GEOM_EPS as _GEOM_EPS, expected_segment_count, json_int, parse_json
+from ._util import GEOM_EPS as _GEOM_EPS, expected_segment_count, json_float, json_int, parse_json
 from .errors import ParseError, ValidationError
 from .taxonomy import attribute_ids, is_known_attribute
 
@@ -316,7 +316,10 @@ def load_rubric(path: str | Path) -> dict[str, RubricEntry]:
             raise ParseError(f"unknown attribute {attr!r}", source=source)
         try:
             breakpoints = tuple(
-                (None if bp["threshold"] is None else float(bp["threshold"]), int(bp["level"]))
+                (
+                    None if bp["threshold"] is None else json_float(bp["threshold"], "threshold"),
+                    json_int(bp["level"], "level"),
+                )
                 for bp in spec["breakpoints"]
             )
             rubric[attr] = RubricEntry(
@@ -339,6 +342,7 @@ def load_rubric(path: str | Path) -> dict[str, RubricEntry]:
 
 _CORRIDOR_HEADER = ["segment_index", "attribute", "value"]
 _PLAIN_HEADER = ",".join(_CORRIDOR_HEADER) + "\n"
+_CELL_OF_DIGIT = bytes.maketrans(b"012", bytes(_ADEQUACY_VALUES))  # a written value -> its cell byte
 _META_KEYS = ("corridor_id", "length_km", "segment_length_m")
 
 
@@ -352,8 +356,8 @@ def _parse_meta(doc: object, *, source: str | None, line: int | None = None) -> 
     try:
         metadata = {
             "corridor_id": str(doc["corridor_id"]),
-            "length_km": float(doc["length_km"]),
-            "segment_length_m": float(doc["segment_length_m"]),
+            "length_km": json_float(doc["length_km"], "length_km"),
+            "segment_length_m": json_float(doc["segment_length_m"], "segment_length_m"),
         }
     except (TypeError, ValueError):
         raise ParseError("malformed corridor metadata values", source=source, line=line) from None
@@ -379,7 +383,8 @@ def load_corridor(
     text = Path(path).read_text(encoding="utf-8")
 
     metadata: dict | None = None
-    first_line = text.split("\n", 1)[0].strip()
+    newline = text.find("\n")  # not split: that would copy the whole text
+    first_line = (text if newline < 0 else text[:newline]).strip()
     if first_line.startswith("#"):
         candidate = first_line.lstrip("#").strip()
         if candidate.startswith("{"):
@@ -420,8 +425,9 @@ def _plain_rows(text: str, registry: tuple[str, ...], expected: int) -> list[byt
     value of ``0``, ``1`` or ``2``, every cell filled. Such rows hold no
     quote, CR or NUL, so csv splits them the same way; and as many rows as
     cells filling every cell give each cell once, so each check of
-    :func:`_csv_rows` holds. Other text goes to :func:`_csv_rows`, which
-    reads it or reports its first fault.
+    :func:`_csv_rows` holds. A body in the written order is checked as a whole
+    (:func:`_ordered_cells`), one in another order line by line. Other text
+    goes to :func:`_csv_rows`, which reads it or reports its first fault.
     """
     start = 0
     limit = csv.field_size_limit()
@@ -435,7 +441,70 @@ def _plain_rows(text: str, registry: tuple[str, ...], expected: int) -> list[byt
         start = end + 1
     if not text.startswith(_PLAIN_HEADER, start):
         return None
-    lines = text[start + len(_PLAIN_HEADER) :].split("\n")
+    start += len(_PLAIN_HEADER)
+    cells = _ordered_cells(text[start:].encode(), registry, expected)  # the body's text is not kept meanwhile
+    if cells is None:
+        cells = _partitioned_cells(text[start:], registry, expected)
+        if cells is None:
+            return None
+    width = len(registry)
+    filled = bytes(cells)
+    return [filled[cell : cell + width] for cell in range(0, len(filled), width)]
+
+
+def _ordered_cells(body: bytes, registry: tuple[str, ...], expected: int) -> bytearray | None:
+    """The cells of a plain body in the written order, or None for any other body.
+
+    The written order is one ``index,attribute,value`` line per cell by
+    ascending index, each segment's lines in ``registry`` order, the last
+    newline optional. The segments whose indexes have ``d`` digits form one
+    run of equal-length blocks, in which each index digit, each value and
+    every other byte sits at a fixed offset; so each run is checked with a
+    few strided slices, not line by line. The run is rebuilt from the written
+    text of its indexes and attributes, with the values copied from ``body``
+    into their columns, and must equal ``body``'s bytes there; the values
+    must be ``0``, ``1`` or ``2``.
+    """
+    width = len(registry)
+    names = len("".join(registry).encode())
+    runs = []  # (digits, first index, end index, first byte, block length)
+    size = low = 0
+    digits = 1
+    while low < expected:  # the size of the written body, before anything sized by ``expected``
+        high = min(10**digits, expected)
+        block = width * (digits + 4) + names  # "i,attr,v\n" per attribute
+        runs.append((digits, low, high, size, block))
+        size += (high - low) * block
+        low, digits = high, digits + 1
+    if len(body) != size and len(body) != size - 1:  # size - 1: no final newline
+        return None
+    cells = bytearray(expected * width)
+    for digits, low, high, first, block in runs:
+        end = first + (high - low) * block
+        numbers = b"%d" * (high - low) % tuple(range(low, high))
+        columns = [numbers[j::digits] for j in range(digits)]  # the j-th digit of each index
+        lines = [f"{'0' * digits},{attr},0\n".encode() for attr in registry]
+        run = bytearray(b"".join(lines)) * (high - low)
+        at = 0
+        for slot, line in enumerate(lines):
+            for j, column in enumerate(columns):
+                run[at + j :: block] = column
+            at += len(line)
+            values = body[first + at - 2 : end : block]
+            run[at - 2 :: block] = values
+            cells[low * width + slot : high * width : width] = values
+        if end > len(body):  # the last line without its newline
+            del run[-1]
+        if not body.startswith(run, first):
+            return None
+    if cells.translate(None, b"012"):
+        return None
+    return cells.translate(_CELL_OF_DIGIT)
+
+
+def _partitioned_cells(body: str, registry: tuple[str, ...], expected: int) -> bytearray | None:
+    """The cells of a plain body in any order, read line by line, or None for any other body."""
+    lines = body.split("\n")
     if not lines[-1]:
         lines.pop()  # the final newline
     width = len(registry)
@@ -464,8 +533,7 @@ def _plain_rows(text: str, registry: tuple[str, ...], expected: int) -> list[byt
         return None
     if MISSING in cells:  # a cell given twice, so another is missing
         return None
-    filled = bytes(cells)
-    return [filled[cell : cell + width] for cell in range(0, len(filled), width)]
+    return cells
 
 
 def _csv_rows(text: str, source: str, registry: tuple[str, ...], expected: int, length_km: float) -> list[bytes]:
@@ -580,8 +648,8 @@ def load_overlay(path: str | Path) -> ScenarioOverlay:
         )
         return ScenarioOverlay(
             name=str(doc["name"]),
-            from_km=float(doc["from_km"]),
-            to_km=float(doc["to_km"]),
+            from_km=json_float(doc["from_km"], "from_km"),
+            to_km=json_float(doc["to_km"], "to_km"),
             ops=ops,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of 1e400

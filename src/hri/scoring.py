@@ -27,12 +27,13 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from ._util import DEFAULT_THRESHOLD, GEOM_EPS, expected_segment_count, json_int, parse_json
+from ._util import DEFAULT_THRESHOLD, GEOM_EPS, expected_segment_count, json_float, json_int, parse_json
 from .errors import ParseError, ValidationError
 from .taxonomy import (
     BANDS,
@@ -589,6 +590,8 @@ def _written_assessment(doc) -> CorridorAssessment | None:
     for passes in (operator.ge, operator.gt):
         levels = _level_codes(asd, aud, threshold, passes)
         if listed == tuple(map(_LEVEL_LISTS.__getitem__, levels)):
+            if not {*map(type, chain.from_iterable(listed))} <= {int}:  # equal lists may hold a bool or a float
+                return None
             return CorridorAssessment(
                 corridor_id=corridor_id,
                 length_km=length_km,
@@ -618,19 +621,15 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
         asd_scores, aud_scores, levels, geometry = [], [], [], []
         for item in doc["segments"]:
             index = json_int(item["segment_index"], "segment_index")
-            scores = (float(item["asd_score"]), float(item["aud_score"]))
+            scores = (json_float(item["asd_score"], "asd_score"), json_float(item["aud_score"], "aud_score"))
             classes = (_parse_class(item["asd_class"]), _parse_class(item["aud_class"]))
-            listed = item["allowed_sae_levels"]
-            try:
-                code = LEVEL_CODES[frozenset(listed)]  # integral floats such as [1.0, 2.0] hit it too
-            except (KeyError, TypeError):  # another spelling: its set is checked after the scores
-                code = frozenset([json_int(level, "SAE level") for level in listed])
-            geometry.append((index, float(item["start_m"]), float(item["length_m"])))
+            # the set is checked after the scores; a string or a bool in it is refused here
+            code = frozenset([json_int(level, "SAE level") for level in item["allowed_sae_levels"]])
+            geometry.append((index, json_float(item["start_m"], "start_m"), json_float(item["length_m"], "length_m")))
             for score in scores:
                 if not 0.0 <= score <= 100.0:
                     raise ValueError(f"readiness score {score} outside [0, 100]")
-            if type(code) is not int:
-                code = level_code(code)
+            code = level_code(code)
             for name, loaded, score in zip(("asd", "aud"), classes, scores):
                 if loaded is not readiness_band(score):
                     raise ValidationError(
@@ -641,11 +640,11 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
             aud_scores.append(scores[1])
             levels.append(code)
         corridor_id = str(doc["corridor_id"])
-        length_km = float(doc["length_km"])
+        length_km = json_float(doc["length_km"], "length_km")
         if not 0.0 <= length_km * 1000.0 < math.inf:
             raise ValueError(f"length_km must be at least 0 and finite in metres, got {length_km!r}")
-        segment_length_m = float(doc["segment_length_m"])
-        threshold = float(doc.get("threshold", DEFAULT_THRESHOLD))
+        segment_length_m = json_float(doc["segment_length_m"], "segment_length_m")
+        threshold = json_float(doc.get("threshold", DEFAULT_THRESHOLD), "threshold")
         weight_provenance = str(doc.get("weight_provenance", "unknown"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of 1e400
         raise ParseError(f"bad score profile: {exc}", source=source) from None

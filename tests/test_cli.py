@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import signal
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hri.cli import main
+from hri.corridor import load_corridor, load_overlay, load_rubric
 from hri.errors import ParseError, ValidationError
 from hri.fixtures import (
     SURVEY20_RATINGS_FILE,
@@ -16,6 +18,7 @@ from hri.fixtures import (
     fixture_path,
     BASELINE_CORRIDOR_FILE,
     MAINTENANCE_OVERLAY_FILE,
+    RUBRIC_EXAMPLE_FILE,
     ROADWORKS_OVERLAY_FILE,
 )
 from hri.ivim import IviStatus, decode, encode
@@ -508,3 +511,103 @@ class TestSimulateRsuCommand:
         assert proc.returncode == 0
         final = decode(bytes.fromhex(all_lines[-1]))
         assert final.management.ivi_status is IviStatus.CANCELLATION
+
+
+class TestJsonNumbers:
+    """Where a JSON input documents a number, a string or a bool is an input
+    error (exit 1): ``float`` and ``int`` would read ``"1.5"`` and ``true``."""
+
+    @pytest.mark.parametrize(
+        "field, spell, text",
+        [
+            ("segment_index", str, "segment_index '1' is not a number"),
+            ("segment_index", bool, "segment_index True is not a number"),  # true loaded as index 1
+            ("asd_score", str, "asd_score '83.11688311688313' is not a number"),
+            ("aud_score", str, "aud_score '82.29166666666669' is not a number"),
+            ("start_m", str, "start_m '100.0' is not a number"),
+            ("length_m", str, "length_m '100.0' is not a number"),
+            ("allowed_sae_levels", lambda levels: "".join(map(str, levels)), "SAE level '1' is not a number"),  # "1234" loaded as SAE 1-4
+            ("allowed_sae_levels", lambda levels: [True, *levels[1:]], "SAE level True is not a number"),
+            ("length_km", str, "length_km '24.0' is not a number"),
+            ("segment_length_m", str, "segment_length_m '100.0' is not a number"),
+            ("threshold", str, "threshold '66.0' is not a number"),
+        ],
+    )
+    def test_score_profile(self, tmp_path, capsys, field, spell, text):
+        profile = tmp_path / "p.json"
+        assert run("score", CORRIDOR, "--out-csv", tmp_path / "p.csv", "--out-json", profile) == 0
+        doc = json.loads(profile.read_text())
+        item = doc if field in doc else doc["segments"][1]
+        item[field] = spell(item[field])
+        profile.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=re.escape(f"bad score profile: {text}") + "$"):
+            load_score_profile_json(profile)
+        capsys.readouterr()
+        assert run("ivim", "build", profile, "--station-id", 1, "--out", tmp_path / "m.ivim.txt") == 1
+        assert capsys.readouterr().err == f"error: {profile}: bad score profile: {text}\n"
+        assert not (tmp_path / "m.ivim.txt").exists()
+
+    @pytest.mark.parametrize(
+        "edit, text",
+        [
+            ({"from_km": "11.0"}, "from_km '11.0' is not a number"),
+            ({"to_km": "17"}, "to_km '17' is not a number"),
+            ({"to_km": True}, "to_km True is not a number"),
+            ({"value": "2"}, "value '2' is not a number"),
+            ({"value": True}, "value True is not a number"),  # true loaded as 1
+        ],
+    )
+    def test_overlay(self, tmp_path, capsys, edit, text):
+        doc = json.loads(ROADWORKS.read_text())
+        if "value" in edit:
+            doc["ops"][0].update(edit)
+        else:
+            doc.update(edit)
+        overlay = tmp_path / "o.json"
+        overlay.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=re.escape(f"bad overlay: {text}") + "$"):
+            load_overlay(overlay)
+        out_csv = tmp_path / "p.csv"
+        assert run("score", CORRIDOR, "--overlay", overlay, "--out-csv", out_csv, "--out-json", tmp_path / "p.json") == 1
+        assert capsys.readouterr().err == f"error: {overlay}: bad overlay: {text}\n"
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("field, value", [("length_km", "24.0"), ("segment_length_m", "100"), ("length_km", True)])
+    def test_corridor_metadata(self, tmp_path, capsys, field, value):
+        meta = {"corridor_id": "D08-synthetic", "length_km": 24.0, "segment_length_m": 100.0, field: value}
+        lines = CORRIDOR.read_text().split("\n")
+        corridor_csv = tmp_path / "c.csv"
+        corridor_csv.write_text("\n".join(["# " + json.dumps(meta), *lines[1:]]))
+        with pytest.raises(ParseError, match="malformed corridor metadata values"):
+            load_corridor(corridor_csv)
+        out_csv = tmp_path / "p.csv"
+        assert run("score", corridor_csv, "--out-csv", out_csv, "--out-json", tmp_path / "p.json") == 1
+        assert capsys.readouterr().err == f"error: {corridor_csv}:line 1: malformed corridor metadata values\n"
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "edit, text", [({"threshold": "100"}, "threshold '100' is not a number"), ({"level": True}, "level True is not a number")]
+    )
+    def test_rubric(self, tmp_path, edit, text):  # no command reads a rubric: the library only
+        doc = json.loads(fixture_path(RUBRIC_EXAMPLE_FILE).read_text())
+        attr = next(iter(doc))
+        doc[attr]["breakpoints"][1].update(edit)
+        rubric = tmp_path / "r.json"
+        rubric.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=re.escape(f"bad rubric for '{attr}': {text}") + "$"):
+            load_rubric(rubric)
+
+
+@pytest.mark.parametrize(
+    "out, text",
+    [
+        ("absent/p.csv", "[Errno 2] No such file or directory"),  # the temporary file cannot be made
+        ("p.csv", "[Errno 21] Is a directory"),  # it cannot replace the output
+    ],
+)
+def test_failed_output_write_names_the_output(tmp_path, capsys, out, text):
+    (tmp_path / "p.csv").mkdir()
+    out_csv = tmp_path / out
+    assert run("score", CORRIDOR, "--out-csv", out_csv, "--out-json", tmp_path / "p.json") == 3
+    assert capsys.readouterr().err == f"i/o error: {text}: '{out_csv}'\n"
+    assert [path.name for path in tmp_path.rglob("*")] == ["p.csv"]  # the directory in the way, and no temporary file

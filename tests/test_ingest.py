@@ -9,14 +9,27 @@ requires the same result or the same error (type, text and line) from both.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hri.corridor import CorridorProfile, SegmentRows, _plain_rows, apply_overlay, dump_corridor, load_corridor
+from hri.corridor import (
+    CorridorProfile,
+    SegmentRows,
+    _ordered_cells,
+    _partitioned_cells,
+    _plain_rows,
+    apply_overlay,
+    dump_corridor,
+    load_corridor,
+)
 from hri.errors import ParseError, ValidationError
 from hri.fixtures import BASELINE_CORRIDOR_FILE, fixture_path
 from hri.scoring import _written_assessment, dump_score_profile_json, load_score_profile_json, score_corridor
@@ -160,6 +173,119 @@ class TestCorridorFastPath:
             assert _plain_rows(other, ATTRS, 240) is None, other[:200]
         assert _plain_rows(text, ATTRS, 241) is None
         assert _plain_rows(text, ATTRS, 239) is None
+
+
+def written_body(n: int, seed: int = 0) -> str:
+    """The body (the lines after the header) that :func:`dump_corridor` writes for ``n`` random segments."""
+    rng = random.Random(seed)
+    rows = [bytes(rng.choice((0, 1, 2)) for _ in ATTRS) for _ in range(n)]
+    text = dump_corridor(CorridorProfile("c", n / 10, 100.0, SegmentRows(ATTRS, rows, 100.0)))
+    return text.partition(HEADER + "\n")[2]
+
+
+def bench_inputs():
+    """``bench/inputs.py``, the benchmark's input generator, loaded from its file
+    under its own name (its dataclasses look their module up in ``sys.modules``)."""
+    spec = importlib.util.spec_from_file_location("hri_bench_inputs", Path(__file__).parent.parent / "bench" / "inputs.py")
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module
+
+
+@st.composite
+def spliced_bodies(draw):
+    """A written body of up to 120 segments (indexes of one to three digits)
+    with one to three edits: a value overwritten with one byte, valid or not,
+    or a place overwritten, cut or spliced with one to three bytes; returns
+    the body and the segment count."""
+    n = draw(st.integers(0, 120))
+    body = written_body(n, draw(st.integers(0, 9)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(body)))
+        piece = draw(st.text(st.sampled_from("0123456789,\n-ab #"), min_size=1, max_size=3))
+        cut = draw(st.sampled_from([0, len(piece), draw(st.integers(0, 3))]))  # spliced, overwritten or cut
+        newline = body.find("\n", at)
+        if newline > 0 and draw(st.booleans()):
+            at, piece, cut = newline - 1, draw(st.sampled_from("0123 ,\n")), 1
+        body = body[:at] + piece + body[at + cut :]
+    return body, n
+
+
+class TestOrderedKernel:
+    """:func:`_ordered_cells`, which checks a body in the written order as a
+    whole, against :func:`_partitioned_cells`, the loop that reads a body in
+    any order line by line."""
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001])
+    def test_equals_the_loop_on_written_bodies(self, n):
+        body = written_body(n, seed=n)
+        for text in (body, body[:-1]) if body else (body,):  # with and without the final newline
+            cells = _ordered_cells(text.encode(), ATTRS, n)
+            assert cells is not None
+            assert cells == _partitioned_cells(text, ATTRS, n)
+        for other in (n - 1, n + 1):
+            if other >= 0:
+                assert _ordered_cells(body.encode(), ATTRS, other) is None
+
+    def test_written_and_benchmark_files_take_it(self, corridor):
+        texts = [(fixture_path(BASELINE_CORRIDOR_FILE).read_text(encoding="utf-8"), 240), (dump_corridor(corridor), 240)]
+        texts += [(spec.csv_text(), spec.segments) for spec in bench_inputs().network(1)]
+        for text, n in texts:
+            body = text.partition(HEADER + "\n")[2]
+            cells = _ordered_cells(body.encode(), ATTRS, n)
+            assert cells is not None and cells == _partitioned_cells(body, ATTRS, n)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (",2\n", ",3\n"),  # a value out of range
+            (",1\n", ",\x01\n"),  # the byte of a cell, not its digit
+            ("\n17,hd-maps,", "\n71,hd-maps,"),  # an index out of order
+            ("hd-maps", "hd-mapz"),
+            (",hd-maps", ";hd-maps"),
+            ("1\n", "1 "),
+        ],
+    )
+    def test_edits_of_the_same_length_decline_it(self, old, new):
+        body = written_body(120, seed=3)
+        assert old in body
+        edited = body.replace(old, new, 1).encode()
+        assert _ordered_cells(edited, ATTRS, 120) is None
+
+    @pytest.mark.parametrize("order", ["shuffled", "split"])
+    def test_other_orders_decline_it_but_read_as_before(self, order):
+        lines = written_body(120, seed=1).split("\n")[:-1]
+        if order == "shuffled":
+            random.Random(2).shuffle(lines)
+        else:  # segments 60-119, then 0-59
+            lines = lines[60 * len(ATTRS) :] + lines[: 60 * len(ATTRS)]
+        body = "\n".join(lines) + "\n"
+        assert _ordered_cells(body.encode(), ATTRS, 120) is None
+        ordered = _plain_rows(HEADER + "\n" + written_body(120, seed=1), ATTRS, 120)
+        assert _plain_rows(HEADER + "\n" + body, ATTRS, 120) == ordered
+
+    @DIFFERENTIAL
+    @given(spliced_bodies())
+    def test_spliced_bodies_are_declined_or_read_as_the_loop_reads_them(self, case):
+        body, n = case
+        cells = _ordered_cells(body.encode(), ATTRS, n)
+        if cells is not None:
+            assert cells == _partitioned_cells(body, ATTRS, n)
+
+    def test_a_huge_length_declines_before_allocating(self, tmp_path):
+        body = written_body(3).encode()
+        tracemalloc.start()
+        try:
+            assert _ordered_cells(body, ATTRS, 10**13) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        path = tmp_path / "c.csv"
+        meta = {"corridor_id": "c", "length_km": 1e12, "segment_length_m": 100.0}
+        path.write_text("# " + json.dumps(meta) + "\n" + HEADER + "\n" + body.decode(), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"^.*c\.csv: gap: segment 3 missing$"):
+            load_corridor(path)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 import time
+from collections.abc import Sequence
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -67,22 +68,35 @@ def now_ms() -> int:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write whole-file-or-nothing: no partial output survives a failure."""
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_all([(path, text)])
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    path = Path(path)
+    atomic_write_all([(path, data)])
+
+
+def atomic_write_all(outputs: Sequence[tuple[str | Path, str | bytes]]) -> None:
+    """Write each ``(path, data)`` output, text as UTF-8, with every temporary file written before
+    any output is replaced: a failed write leaves no new output and no temporary file behind."""
+    pending = []  # (temporary file, output) written and not yet moved into place
+    path = None
     try:
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
-        try:
+        for path, data in outputs:
+            path = Path(path)
+            fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+            pending.append((tmp_name, path))
             with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
+                handle.write(data.encode("utf-8") if isinstance(data, str) else data)
+        while pending:
+            tmp_name, path = pending[0]
             os.replace(tmp_name, path)
-        except BaseException:
+            del pending[0]
+    except BaseException as exc:
+        for tmp_name, _ in pending:
             try:
                 os.unlink(tmp_name)
             except OSError:
                 pass
-            raise
-    except OSError as exc:  # named after the output, not the temporary file beside it
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
+        if isinstance(exc, OSError):  # named after the output, not the temporary file beside it
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise

@@ -21,7 +21,7 @@ import click
 # Each subcommand imports the domain modules it runs, so that a process loads
 # only those: at module level this file needs no more than these two.
 from ._util import DEFAULT_SEGMENT_LENGTH_M, DEFAULT_THRESHOLD
-from ._util import atomic_write_bytes, atomic_write_text, now_ms
+from ._util import atomic_write_all, atomic_write_bytes, atomic_write_text, now_ms
 from .errors import HriError, ValidationError
 
 if TYPE_CHECKING:
@@ -137,8 +137,12 @@ def score(
 
     csv_path = out_csv if out_csv is not None else corridor_csv.with_suffix(".scores.csv")
     json_path = out_json if out_json is not None else corridor_csv.with_suffix(".scores.json")
-    atomic_write_text(csv_path, scoring_mod.dump_score_profile_csv(assessment))
-    atomic_write_text(json_path, scoring_mod.dump_score_profile_json(assessment))
+    atomic_write_all(
+        [
+            (csv_path, scoring_mod.dump_score_profile_csv(assessment)),
+            (json_path, scoring_mod.dump_score_profile_json(assessment)),
+        ]
+    )
     click.echo(f"wrote {csv_path} and {json_path} ({len(assessment.segments)} segments)")
     for line in summary:
         click.echo(line)
@@ -176,9 +180,13 @@ def survey(
     weights_path = out_weights if out_weights is not None else ratings_csv.with_suffix(".weights.csv")
     diff_path = out_diff if out_diff is not None else ratings_csv.with_suffix(".impact-diff.csv")
     days_path = out_days if out_days is not None else ratings_csv.with_suffix(".day-means.csv")
-    atomic_write_text(weights_path, taxonomy_mod.dump_weight_table(table))
-    atomic_write_text(diff_path, survey_mod.dump_impact_difference(diffs))
-    atomic_write_text(days_path, survey_mod.dump_grouped_means(means))
+    atomic_write_all(
+        [
+            (weights_path, taxonomy_mod.dump_weight_table(table)),
+            (diff_path, survey_mod.dump_impact_difference(diffs)),
+            (days_path, survey_mod.dump_grouped_means(means)),
+        ]
+    )
     click.echo(f"wrote {weights_path}, {diff_path}, {days_path} ({len(responses)} responses)")
 
     if pretty:

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -228,11 +229,12 @@ def apply_overlay(profile: CorridorProfile, overlay: ScenarioOverlay) -> Corrido
     slot_of = {attr: slot for slot, attr in enumerate(segments.attributes)}
     ops = [(slot_of.get(op.attribute), op) for op in overlay.ops]
     rows = list(segments.rows)
-    for index, row in enumerate(segments.rows):
-        start_m = index * length
-        if start_m >= before_m or start_m + length <= after_m:
-            continue
-        row = bytearray(row)
+    # starts and ends grow with the index, so the segments that end after after_m and start
+    # before before_m are one run of indexes
+    indexes = range(len(rows))
+    first = bisect_right(indexes, after_m, key=lambda index: index * length + length)
+    for index in range(first, bisect_left(indexes, before_m, key=lambda index: index * length)):
+        row = bytearray(rows[index])
         for slot, op in ops:
             if slot is None or row[slot] == MISSING:
                 raise ValidationError(

@@ -27,7 +27,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import MappingProxyType
@@ -115,10 +115,6 @@ class _WeightedRatio:
             numerator += weight * values[key]
         # summation round-off can push the ratio a few ulp past its exact bounds
         return min(100.0, max(0.0, 100.0 * numerator / self.denominator))
-
-    def over(self, slot_of: Mapping) -> _WeightedRatio:
-        """The same ratio over rows: each key is replaced by its ``slot_of`` position."""
-        return _WeightedRatio([(slot_of[key], weight) for key, weight in self.pairs], self.label)
 
 
 def _group_ratio(weights: WeightTable, group: AutomationLevelGroup) -> _WeightedRatio:
@@ -313,6 +309,16 @@ class CorridorAssessment:
             raise ValidationError(f"segment 0: {problem}")
 
 
+def _term_tables(ratio: _WeightedRatio, slot_of: Mapping) -> tuple[list, operator.itemgetter | None, float]:
+    """Per pair, the terms ``(w * 0, w * 1, w * 2)`` a value adds to the ratio's numerator; a getter
+    of a row's values in pair order, or None when that is the row's order; and the denominator."""
+    if ratio.denominator <= 0.0:
+        raise ValidationError(f"{ratio.label} is not positive")
+    slots = [slot_of[key] for key, _ in ratio.pairs]
+    getter = None if slots == list(range(len(slots))) else operator.itemgetter(*slots)
+    return [(weight * 0, weight * 1, weight * 2) for _, weight in ratio.pairs], getter, ratio.denominator
+
+
 def score_corridor(
     profile: CorridorProfile,
     weights: WeightTable,
@@ -333,8 +339,21 @@ def score_corridor(
                 for ratio in ratios:
                     _ratio_of(segment.values, ratio)
         slot_of = {attr: slot for slot, attr in enumerate(segments.attributes)}
-        asd_ratio, aud_ratio = (ratio.over(slot_of) for ratio in ratios)
-        asd_scores, aud_scores = list(map(asd_ratio, rows)), list(map(aud_ratio, rows))
+        (asd_terms, asd_get, asd_denominator), (aud_terms, aud_get, aud_denominator) = (
+            _term_tables(ratio, slot_of) for ratio in ratios
+        )
+        asd_of, aud_of = {}, {}
+        for row in dict.fromkeys(rows):  # each distinct row once, both sums as _WeightedRatio adds them
+            asd = aud = 0.0
+            for terms, value in zip(asd_terms, row if asd_get is None else asd_get(row)):
+                asd += terms[value]
+            for terms, value in zip(aud_terms, row if aud_get is None else aud_get(row)):
+                aud += terms[value]
+            asd, aud = 100.0 * asd / asd_denominator, 100.0 * aud / aud_denominator
+            # min(100.0, max(0.0, r)) without the calls: NaN and -0.0 give 0.0 here too
+            asd, aud = asd if asd > 0.0 else 0.0, aud if aud > 0.0 else 0.0
+            asd_of[row], aud_of[row] = asd if asd < 100.0 else 100.0, aud if aud < 100.0 else 100.0
+        asd_scores, aud_scores = list(map(asd_of.__getitem__, rows)), list(map(aud_of.__getitem__, rows))
         levels = _level_codes(asd_scores, aud_scores, threshold, operator.ge if threshold_inclusive else operator.gt)
     return CorridorAssessment(
         corridor_id=profile.corridor_id,
@@ -434,18 +453,9 @@ _LEVELS_CSV = tuple(f'"{",".join(map(str, sorted(levels)))}"' if levels else "" 
 _CLASS_NAMES = [band.value for band in BANDS]
 
 
-def _profile_rows(segments: SegmentColumns):
-    """Per segment: index, start_m, both scores, both class names and the level-set code."""
-    length = segments.segment_length_m
-    return zip(
-        range(len(segments)),
-        [index * length for index in range(len(segments))],
-        segments.asd_scores,
-        segments.aud_scores,
-        map(_CLASS_NAMES.__getitem__, band_indexes(segments.asd_scores)),
-        map(_CLASS_NAMES.__getitem__, band_indexes(segments.aud_scores)),
-        segments.levels,
-    )
+def _class_names(scores) -> map:
+    """The name of each score's band."""
+    return map(_CLASS_NAMES.__getitem__, band_indexes(scores))
 
 
 def dump_score_profile_csv(assessment: CorridorAssessment) -> str:
@@ -454,9 +464,18 @@ def dump_score_profile_csv(assessment: CorridorAssessment) -> str:
     The text is what ``csv.writer`` writes for these rows: only the level
     lists, which hold commas, are quoted.
     """
+    segments = assessment.segments
+    length = segments.segment_length_m
     rows = [
-        _CSV_ROW % (index, start_m / 1000.0, asd, aud, asd_class, aud_class, _LEVELS_CSV[code])
-        for index, start_m, asd, aud, asd_class, aud_class, code in _profile_rows(assessment.segments)
+        _CSV_ROW % (index, index * length / 1000.0, asd, aud, asd_class, aud_class, _LEVELS_CSV[code])
+        for index, asd, aud, asd_class, aud_class, code in zip(
+            range(len(segments)),
+            segments.asd_scores,
+            segments.aud_scores,
+            _class_names(segments.asd_scores),
+            _class_names(segments.aud_scores),
+            segments.levels,
+        )
     ]
     return _PROFILE_HEADER + "".join(rows)
 
@@ -470,9 +489,16 @@ def _json_number(value: float) -> str:
     return json.dumps(value)
 
 
+def _json_numbers(column) -> map:
+    """``_json_number`` of each value, with ``float.__repr__`` straight when all are finite floats."""
+    if {*map(type, column)} <= {float} and math.isfinite(sum(column)):
+        return map(float.__repr__, column)
+    return map(_json_number, column)
+
+
 _SEGMENT_JSON = (
     "    {\n"
-    '      "segment_index": %d,\n'
+    '      "segment_index": %s,\n'
     '      "start_m": %s,\n'
     '      "length_m": %s,\n'
     '      "asd_score": %s,\n'
@@ -493,24 +519,27 @@ def dump_score_profile_json(assessment: CorridorAssessment) -> str:
 
     The text is byte-identical to ``json.dumps(doc, indent=2) + "\n"`` for
     the document of the README's "File formats" section, written directly
-    because ``json`` skips its C encoder whenever ``indent`` is set.
+    because ``json`` skips its C encoder whenever ``indent`` is set. Each
+    segment is the template's constant pieces joined with one value from
+    each column.
     """
-    length_json = _json_number(assessment.segments.segment_length_m)
-    items = [
-        _SEGMENT_JSON
-        % (
-            index,
-            _json_number(start_m),
-            length_json,
-            _json_number(asd),
-            _json_number(aud),
-            asd_class,
-            aud_class,
-            _LEVELS_JSON[code],
-        )
-        for index, start_m, asd, aud, asd_class, aud_class, code in _profile_rows(assessment.segments)
-    ]
-    segments_json = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    segments = assessment.segments
+    n, length = len(segments), segments.segment_length_m
+    columns = (
+        map(str, range(n)),
+        _json_numbers([index * length for index in range(n)]),
+        # length_m: the same text in every segment, written into the constant pieces below
+        _json_numbers(segments.asd_scores),
+        _json_numbers(segments.aud_scores),
+        _class_names(segments.asd_scores),
+        _class_names(segments.aud_scores),
+        map(_LEVELS_JSON.__getitem__, segments.levels),
+    )
+    first, *pieces = (_SEGMENT_JSON % ("%s", "%s", _json_number(length), *["%s"] * 5)).split("%s")
+    parts = [repeat(first)]
+    for column, piece in zip(columns, pieces):
+        parts += (column, repeat(piece))
+    segments_json = "[\n" + ",\n".join(map("".join, zip(*parts))) + "\n  ]" if n else "[]"
     return (
         "{\n"
         f'  "corridor_id": {encode_basestring_ascii(assessment.corridor_id)},\n'
@@ -583,8 +612,8 @@ def _written_assessment(doc) -> CorridorAssessment | None:
         or {*map(type, scores)} != {float}
         or not 0.0 <= min(scores) <= max(scores) <= 100.0
         or math.isnan(sum(scores))  # min and max can pass over a NaN
-        or asd_classes != tuple(map(_CLASS_NAMES.__getitem__, band_indexes(asd)))
-        or aud_classes != tuple(map(_CLASS_NAMES.__getitem__, band_indexes(aud)))
+        or asd_classes != tuple(_class_names(asd))
+        or aud_classes != tuple(_class_names(aud))
     ):
         return None
     for passes in (operator.ge, operator.gt):

@@ -611,3 +611,21 @@ def test_failed_output_write_names_the_output(tmp_path, capsys, out, text):
     assert run("score", CORRIDOR, "--out-csv", out_csv, "--out-json", tmp_path / "p.json") == 3
     assert capsys.readouterr().err == f"i/o error: {text}: '{out_csv}'\n"
     assert [path.name for path in tmp_path.rglob("*")] == ["p.csv"]  # the directory in the way, and no temporary file
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("score", CORRIDOR, "--out-csv", "p.csv", "--out-json", "absent/p.json"),
+        (
+            "survey", fixture_path(SURVEY20_RATINGS_FILE), fixture_path(SURVEY20_RESPONDENTS_FILE),
+            "--out-weights", "w.csv", "--out-diff", "d.csv", "--out-days", "absent/days.csv",
+        ),
+    ],
+    ids=["score", "survey"],
+)
+def test_failed_last_output_leaves_no_output(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 3
+    assert capsys.readouterr().err == f"i/o error: [Errno 2] No such file or directory: '{argv[-1]}'\n"
+    assert list(tmp_path.iterdir()) == []  # no output written before the last, and no temporary file

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hri.corridor import (
@@ -22,6 +23,7 @@ from hri.corridor import (
     load_rubric,
     operationalize,
 )
+from hri._util import GEOM_EPS
 from hri.errors import ParseError, ValidationError
 from hri.fixtures import RUBRIC_EXAMPLE_FILE, fixture_path
 from hri.scoring import score_corridor, score_segment
@@ -44,6 +46,24 @@ def tiny_profile(n_segments=4, fill=2, length_m=100.0):
         segment_length_m=length_m,
         segments=segments,
     )
+
+
+def full_scan_overlay(profile, overlay):
+    """``apply_overlay`` as a test of every segment's start and end, with its expressions."""
+    length = profile.segment_length_m
+    after_m = overlay.from_km * 1000.0 + GEOM_EPS
+    before_m = overlay.to_km * 1000.0 - GEOM_EPS
+    slot_of = {attr: slot for slot, attr in enumerate(profile.segments.attributes)}
+    rows = list(profile.segments.rows)
+    for index, row in enumerate(rows):
+        start_m = index * length
+        if start_m >= before_m or start_m + length <= after_m:
+            continue
+        row = bytearray(row)
+        for op in overlay.ops:
+            row[slot_of[op.attribute]] = op.apply(row[slot_of[op.attribute]])
+        rows[index] = bytes(row)
+    return CorridorProfile(profile.corridor_id, profile.length_km, length, SegmentRows(profile.segments.attributes, rows, length))
 
 
 def write_corridor_csv(tmp_path, rows, *, length_km=0.2, name="c.csv"):
@@ -285,6 +305,30 @@ class TestApplyOverlay:
         else:
             with pytest.raises(ParseError, match=f"bad overlay: value {value!r} is not an integer"):
                 load_overlay(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_touches_the_segments_a_full_scan_touches(self, data):
+        length_m = data.draw(st.sampled_from([100.0, 33.3, 1.0, 7.7, 250.0]))
+        profile = tiny_profile(data.draw(st.integers(1, 40)), fill=2, length_m=length_m)
+        n = len(profile.segments)
+
+        def edge_km(low):  # a segment edge, a hair to either side of it, or a point inside a segment
+            k = data.draw(st.integers(0, n))
+            metres = k * length_m + data.draw(
+                st.sampled_from([0.0, GEOM_EPS, -GEOM_EPS, 2 * GEOM_EPS, -2 * GEOM_EPS, 0.5 * GEOM_EPS, 0.3 * length_m])
+            )
+            km = metres / 1000.0
+            steps = data.draw(st.integers(-2, 2))  # a few ulps off
+            for _ in range(abs(steps)):
+                km = math.nextafter(km, math.copysign(math.inf, steps))
+            return max(low, km)
+
+        from_km = edge_km(0.0)
+        to_km = edge_km(from_km)
+        assume(from_km < to_km <= profile.length_km + GEOM_EPS)
+        overlay = ScenarioOverlay("x", from_km, to_km, (OverlayOp("set", "lighting", 0),))
+        assert apply_overlay(profile, overlay).segments.rows == full_scan_overlay(profile, overlay).segments.rows
 
     def test_bad_overlay_file(self, tmp_path):
         path = tmp_path / "o.json"

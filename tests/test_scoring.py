@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from types import MappingProxyType
 
 import pytest
@@ -264,6 +265,27 @@ class TestRecommend:
         )
 
 
+@st.composite
+def registry_cases(draw):
+    """A corridor over the registry's attributes, or over one of them, whose
+    rows come from a pool of at most four, so rows repeat; and a weight table
+    (zero and subnormal weights included) listing the attributes for both
+    groups in one shuffled order or for each group in its own, with the
+    corridor's rows in one of those orders or in another."""
+    attrs = list(attribute_ids())
+    if draw(st.booleans()):
+        attrs = [draw(st.sampled_from(attrs))]
+    weight = st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308]), st.floats(0.0, 5.0))
+    asd_order = draw(st.permutations(attrs))
+    aud_order = asd_order if draw(st.booleans()) else draw(st.permutations(attrs))
+    weights = {(group, attr): draw(weight) for group, order in ((ASD, asd_order), (AUD, aud_order)) for attr in order}
+    row_order = draw(st.sampled_from([asd_order, aud_order, draw(st.permutations(attrs))]))
+    value_rows = st.lists(st.sampled_from([0, 1, 2]), min_size=len(attrs), max_size=len(attrs))
+    pool = draw(st.lists(value_rows, min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=12))
+    return WeightTable(weights), corridor_of([dict(zip(row_order, row)) for row in rows])
+
+
 class TestScoreCorridor:
     def test_baseline_fixture_fully_ready(self, baseline_assessment):
         for seg in baseline_assessment.segments:
@@ -311,6 +333,31 @@ class TestScoreCorridor:
                 assert assessed.scores[group].value == reference_score(table, group, seg.values)
                 assert assessed.classes[group] is classify(want[group])
             assert assessed.recommendation == recommend(want, threshold, threshold_inclusive=inclusive)
+
+    @settings(max_examples=300, deadline=None)
+    @given(registry_cases())
+    def test_matches_score_segment_bit_for_bit(self, case):
+        table, profile = case
+        try:
+            expected = [[score_segment(seg, table, group).value for group in (ASD, AUD)] for seg in profile.segments]
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                score_corridor(profile, table)
+            assert str(raised.value) == str(exc)
+            return
+        segments = score_corridor(profile, table).segments
+        scored = [[asd, aud] for asd, aud in zip(segments.asd_scores, segments.aud_scores)]
+        assert [list(map(repr, pair)) for pair in scored] == [list(map(repr, pair)) for pair in expected]
+
+    @pytest.mark.parametrize("zero", [ASD, AUD])
+    def test_zero_weight_sum_message(self, zero):
+        attrs = list(attribute_ids())
+        table = WeightTable({(group, attr): 0.0 if group is zero else 1.0 for group in (ASD, AUD) for attr in attrs})
+        profile = corridor_of([{attr: 2 for attr in attrs}] * 3)
+        with pytest.raises(ValidationError) as raised:
+            score_corridor(profile, table)
+        assert str(raised.value) == f"weight sum for group {zero.value} is not positive"
+        assert score_corridor(corridor_of([]), table).segments == ()  # no segment, no ratio to take
 
     def test_attribute_mismatch_message(self, weights):
         values = {attr: 2 for attr in attribute_ids() if attr != "hd-maps"}
@@ -580,6 +627,34 @@ class TestJsonProfileLayout:
         table = WeightTable(weights.weights, provenance='survey "2024" \\ Zürich')
         profile = corridor_of([{attr: 1 for attr in attribute_ids()}], corridor_id='A4 "north" \\ Brücke 路')
         self.check(score_corridor(profile, table), tmp_path)
+
+    def columns_assessment(self, asd, aud, corridor_id="c", segment_length_m=100.0):
+        n = len(asd)
+        levels = [(a >= 66.0) + 2 * (u >= 66.0) for a, u in zip(asd, aud)]
+        return CorridorAssessment(
+            corridor_id, n * segment_length_m / 1000.0, segment_length_m, 66.0, "builtin",
+            SegmentColumns(asd, aud, levels, segment_length_m),
+        )
+
+    def test_integer_scores_and_the_bounds(self, tmp_path):
+        self.check(self.columns_assessment([0, 100, 0.0, 100.0, 66], [100.0, 0.0, 50, 65.99999999999999, 33.0]), tmp_path)
+
+    def test_bool_scores(self):
+        assessment = self.columns_assessment([True, 2.5, False], [False, 1, True])
+        assert dump_score_profile_json(assessment) == reference_profile_json(assessment)
+
+    def test_non_finite_scores_as_json_writes_them(self):  # no loader takes these: the text alone
+        text = dump_score_profile_json(self.columns_assessment([math.nan, 50.0], [math.inf, 1e308]))
+        assert [line.strip() for line in text.splitlines() if "_score" in line] == [
+            '"asd_score": NaN,', '"aud_score": Infinity,', '"asd_score": 50.0,', '"aud_score": 1e+308,'
+        ]
+
+    def test_non_ascii_corridor_id(self, weights, tmp_path):
+        profile = corridor_of([{attr: 2 for attr in attribute_ids()}], corridor_id="Autobahn Ö \U0001f697 \u00e9\u200b")
+        self.check(score_corridor(profile, weights), tmp_path)
+
+    def test_non_integral_segment_length(self, tmp_path):
+        self.check(self.columns_assessment([12.5, 80.0, 66.0, 100.0], [0.0, 99.9, 70.1, 33.3], segment_length_m=33.3), tmp_path)
 
     def test_non_integral_length_and_int_threshold(self, weights, tmp_path):
         profile = corridor_of([{attr: (i + j) % 3 for j, attr in enumerate(attribute_ids())} for i in range(3)], length_km=0.25)

@@ -20,7 +20,6 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -35,6 +34,7 @@ _ADEQUACY_SET = frozenset(_ADEQUACY_VALUES)
 _VALUE_OF = {str(value): value for value in _ADEQUACY_VALUES}
 MISSING = 0xFF
 """The row byte of an attribute that a segment has no value for."""
+_ROW_BYTES = bytes([*_ADEQUACY_VALUES, MISSING])
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,7 @@ class SegmentRows(Sequence):
     """A corridor's segments as rows: ``rows[i]`` holds segment ``i``'s
     adequacy values in ``attributes`` order, one byte each (``MISSING`` where
     the segment has no value). Segment ``i`` starts at ``i * segment_length_m``.
+    A row byte other than 0, 1, 2 and ``MISSING`` is a ``ValueError``.
 
     ``len`` reads the row count; indexing builds a :class:`SegmentObservation`.
     """
@@ -87,6 +88,9 @@ class SegmentRows(Sequence):
         self.attributes = tuple(attributes)
         self.rows = tuple(rows)
         self.segment_length_m = segment_length_m
+        bad = b"".join(self.rows).translate(None, _ROW_BYTES)
+        if bad:
+            raise ValueError(f"row byte {bad[0]} is not an adequacy value 0, 1 or 2, or MISSING")
 
     @classmethod
     def of(cls, segments: tuple[SegmentObservation, ...], segment_length_m: float) -> SegmentRows:
@@ -418,18 +422,15 @@ def load_corridor(
 
 
 def _plain_rows(text: str, registry: tuple[str, ...], expected: int) -> list[bytes] | None:
-    """The rows of a corridor CSV in the plain form, or None for any other text.
+    """The rows of a corridor CSV in the written form, or None for any other text.
 
-    The plain form is what :func:`dump_corridor` writes: ``#`` lines that csv
-    reads as one record each, the header line, and then one
-    ``index,attribute,value`` line for each of the ``expected * len(registry)``
-    cells, with the index in canonical decimal, a registered attribute and a
-    value of ``0``, ``1`` or ``2``, every cell filled. Such rows hold no
-    quote, CR or NUL, so csv splits them the same way; and as many rows as
-    cells filling every cell give each cell once, so each check of
-    :func:`_csv_rows` holds. A body in the written order is checked as a whole
-    (:func:`_ordered_cells`), one in another order line by line. Other text
-    goes to :func:`_csv_rows`, which reads it or reports its first fault.
+    The written form is what :func:`dump_corridor` writes: ``#`` lines that
+    csv reads as one record each, the header line, and then a body in the
+    written order that :func:`_ordered_cells` checks as a whole. Such rows
+    hold no quote, CR or NUL, so csv splits them the same way, and each
+    check of :func:`_csv_rows` holds. Other text, a body in another order
+    among it, goes to :func:`_csv_rows`, which reads it or reports its first
+    fault.
     """
     start = 0
     limit = csv.field_size_limit()
@@ -446,9 +447,7 @@ def _plain_rows(text: str, registry: tuple[str, ...], expected: int) -> list[byt
     start += len(_PLAIN_HEADER)
     cells = _ordered_cells(text[start:].encode(), registry, expected)  # the body's text is not kept meanwhile
     if cells is None:
-        cells = _partitioned_cells(text[start:], registry, expected)
-        if cells is None:
-            return None
+        return None
     width = len(registry)
     filled = bytes(cells)
     return [filled[cell : cell + width] for cell in range(0, len(filled), width)]
@@ -502,40 +501,6 @@ def _ordered_cells(body: bytes, registry: tuple[str, ...], expected: int) -> byt
     if cells.translate(None, b"012"):
         return None
     return cells.translate(_CELL_OF_DIGIT)
-
-
-def _partitioned_cells(body: str, registry: tuple[str, ...], expected: int) -> bytearray | None:
-    """The cells of a plain body in any order, read line by line, or None for any other body."""
-    lines = body.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the final newline
-    width = len(registry)
-    if len(lines) != expected * width:
-        return None
-    # "attribute,value" -> (slot, value): one lookup checks both fields, and that no field follows
-    cell_of = {
-        f"{attr},{digit}": (slot, value) for slot, attr in enumerate(registry) for digit, value in _VALUE_OF.items()
-    }
-    cells = bytearray([MISSING]) * len(lines)
-    base_of: dict[str, int] = {}  # an index text -> its segment's first cell
-    last_key = base = None
-    try:
-        for key, _, rest in map(str.partition, lines, repeat(",")):
-            if key != last_key:
-                base = base_of.get(key)
-                if base is None:
-                    index = int(key)
-                    if not 0 <= index < expected or str(index) != key:
-                        return None
-                    base = base_of[key] = index * width
-                last_key = key
-            slot, value = cell_of[rest]
-            cells[base + slot] = value
-    except (KeyError, ValueError):  # an index, attribute or value of another form, or not 3 fields
-        return None
-    if MISSING in cells:  # a cell given twice, so another is missing
-        return None
-    return cells
 
 
 def _csv_rows(text: str, source: str, registry: tuple[str, ...], expected: int, length_km: float) -> list[bytes]:

@@ -564,110 +564,43 @@ def _parse_class(text: str) -> ReadinessClass:
         return ReadinessClass.parse(text)
 
 
-_PROFILE_FIELDS = operator.itemgetter(
-    "corridor_id", "length_km", "segment_length_m", "threshold", "weight_provenance", "segments"
-)
+# a segment lacking several of these fields is reported as lacking the first
 _SEGMENT_FIELDS = operator.itemgetter(
-    "segment_index", "start_m", "length_m", "asd_score", "aud_score", "asd_class", "aud_class", "allowed_sae_levels"
+    "segment_index", "asd_score", "aud_score", "asd_class", "aud_class", "allowed_sae_levels", "start_m", "length_m"
 )
 _LEVEL_LISTS = tuple(sorted(levels) for levels in LEVEL_SETS)
 
 
-def _written_assessment(doc) -> CorridorAssessment | None:
-    """The assessment of a profile document in the form
-    :func:`dump_score_profile_json` writes, or None for any other document.
-
-    The checks run column by column: every field present with the type the
-    writer gives it, the segment indexes ``0..n-1``, the starts exactly on
-    the grid and each length equal to ``segment_length_m``, the scores in
-    [0, 100] and each class the name of its score's band, and the level
-    lists the sorted ones of the levels the scores give at ``threshold``,
-    under ``>=`` for every segment or under ``>`` for every segment. Each
-    check of the per-segment loop in :func:`load_score_profile_json` then
-    holds, and the result is the one that loop gives; other documents go
-    through the loop, which reports their first fault.
-    """
-    try:
-        corridor_id, length_km, segment_length_m, threshold, provenance, items = _PROFILE_FIELDS(doc)
-    except (KeyError, TypeError):
-        return None
-    fields = (corridor_id, length_km, segment_length_m, threshold, provenance, items)
-    if tuple(map(type, fields)) != (str, float, float, float, str, list):
-        return None
-    if not (0.0 <= length_km * 1000.0 < math.inf and segment_length_m >= 1.0):
-        return None
-    n = len(items)
-    if not n or n != expected_segment_count(length_km, segment_length_m):
-        return None
-    try:
-        indexes, starts, lengths, asd, aud, asd_classes, aud_classes, listed = zip(*map(_SEGMENT_FIELDS, items))
-    except (KeyError, TypeError):  # a segment that is not an object, or lacks a field
-        return None
-    scores = asd + aud
-    if (
-        indexes != tuple(range(n))
-        or {*map(type, indexes)} != {int}
-        or starts != tuple(map(segment_length_m.__mul__, range(n)))
-        or lengths.count(segment_length_m) != n
-        or {*map(type, scores)} != {float}
-        or not 0.0 <= min(scores) <= max(scores) <= 100.0
-        or math.isnan(sum(scores))  # min and max can pass over a NaN
-        or asd_classes != tuple(_class_names(asd))
-        or aud_classes != tuple(_class_names(aud))
-    ):
-        return None
-    for passes in (operator.ge, operator.gt):
-        levels = _level_codes(asd, aud, threshold, passes)
-        if listed == tuple(map(_LEVEL_LISTS.__getitem__, levels)):
-            if not {*map(type, chain.from_iterable(listed))} <= {int}:  # equal lists may hold a bool or a float
-                return None
-            return CorridorAssessment(
-                corridor_id=corridor_id,
-                length_km=length_km,
-                segment_length_m=segment_length_m,
-                threshold=threshold,
-                weight_provenance=provenance,
-                segments=SegmentColumns(asd, aud, levels, segment_length_m),
-            )
-    return None
+def _typed(column: tuple, kind: type, convert, name: str) -> tuple:
+    """``column`` when each value has the writer's type ``kind``, else ``convert(value, name)`` of each."""
+    return column if {*map(type, column)} <= {kind} else tuple(map(convert, column, repeat(name)))
 
 
 def load_score_profile_json(path: str | Path) -> CorridorAssessment:
     """Reconstruct an assessment from its JSON profile.
 
-    Each class must be the band of its score, each level set must be the one
-    its scores give at ``threshold`` (under ``>=`` or ``>``, which the profile
-    does not record), ``segment_length_m`` must be at least 1 m, each segment
-    must lie at its position on the ``segment_length_m`` grid, and there must
-    be as many segments as ``length_km`` gives.
+    The document is checked column by column, in this order: each field's
+    type, the class names and level lists included (a column not already of
+    the type the writer gives it is converted, so integral floats, class
+    names in other case and level lists in any order load); the scores in
+    [0, 100]; each class the band of its score; ``segment_length_m`` at least
+    1 m; each segment at its position on the ``segment_length_m`` grid; each
+    level set the one its scores give at ``threshold`` (under ``>=`` or
+    ``>``, which the profile does not record); and as many segments as
+    ``length_km`` gives. A check that fails walks its column and reports the
+    first segment at fault, so of several faults the one reported is the
+    first of the first check that fails.
     """
     source = str(path)
     doc = parse_json(Path(path).read_text(encoding="utf-8"), source)
-    written = _written_assessment(doc)
-    if written is not None:
-        return written
     try:
-        asd_scores, aud_scores, levels, geometry = [], [], [], []
-        for item in doc["segments"]:
-            index = json_int(item["segment_index"], "segment_index")
-            scores = (json_float(item["asd_score"], "asd_score"), json_float(item["aud_score"], "aud_score"))
-            classes = (_parse_class(item["asd_class"]), _parse_class(item["aud_class"]))
-            # the set is checked after the scores; a string or a bool in it is refused here
-            code = frozenset([json_int(level, "SAE level") for level in item["allowed_sae_levels"]])
-            geometry.append((index, json_float(item["start_m"], "start_m"), json_float(item["length_m"], "length_m")))
-            for score in scores:
-                if not 0.0 <= score <= 100.0:
-                    raise ValueError(f"readiness score {score} outside [0, 100]")
-            code = level_code(code)
-            for name, loaded, score in zip(("asd", "aud"), classes, scores):
-                if loaded is not readiness_band(score):
-                    raise ValidationError(
-                        f"{source}: segment {index}: {name}_class {loaded.value!r} "
-                        f"does not match {name}_score {score!r} ({readiness_band(score).value})"
-                    )
-            asd_scores.append(scores[0])
-            aud_scores.append(scores[1])
-            levels.append(code)
+        columns = list(zip(*map(_SEGMENT_FIELDS, doc["segments"]))) or [()] * 8
+        indexes, asd, aud, asd_classes, aud_classes, listed, starts, lengths = columns
+        indexes = _typed(indexes, int, json_int, "segment_index")
+        asd, aud, starts, lengths = (
+            _typed(column, float, json_float, name)
+            for column, name in ((asd, "asd_score"), (aud, "aud_score"), (starts, "start_m"), (lengths, "length_m"))
+        )
         corridor_id = str(doc["corridor_id"])
         length_km = json_float(doc["length_km"], "length_km")
         if not 0.0 <= length_km * 1000.0 < math.inf:
@@ -675,17 +608,44 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
         segment_length_m = json_float(doc["segment_length_m"], "segment_length_m")
         threshold = json_float(doc.get("threshold", DEFAULT_THRESHOLD), "threshold")
         weight_provenance = str(doc.get("weight_provenance", "unknown"))
+        # class names other than the bands' are read here, and compared with the bands once the scores are checked
+        named = asd_classes == tuple(_class_names(asd)) and aud_classes == tuple(_class_names(aud))
+        classes = None if named else [list(map(_parse_class, pair)) for pair in zip(asd_classes, aud_classes)]
+        levels = inclusive = _level_codes(asd, aud, threshold, operator.ge)
+        written = tuple(map(_LEVEL_LISTS.__getitem__, inclusive))  # the lists the writer gives under >=
+        if listed != written or not {*map(type, chain.from_iterable(listed))} <= {int}:  # equal lists may hold bools
+            # a string or a bool in a set is refused here, and the sets are checked after the grid
+            levels = [level_code([json_int(level, "SAE level") for level in given]) for given in listed]
+        scores = asd + aud
+        # min and max can pass over a NaN, which the sum shows
+        if not 0.0 <= min(scores, default=0.0) <= max(scores, default=0.0) <= 100.0 or math.isnan(sum(scores)):
+            for score in chain.from_iterable(zip(asd, aud)):
+                if not 0.0 <= score <= 100.0:
+                    raise ValueError(f"readiness score {score} outside [0, 100]")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of 1e400
         raise ParseError(f"bad score profile: {exc}", source=source) from None
+    for index, pair, loaded in zip(indexes, zip(asd, aud), classes or ()):  # no walk when every class is named
+        for name, readiness_class, score in zip(("asd", "aud"), loaded, pair):
+            if readiness_class is not readiness_band(score):
+                raise ValidationError(
+                    f"{source}: segment {index}: {name}_class {readiness_class.value!r} "
+                    f"does not match {name}_score {score!r} ({readiness_band(score).value})"
+                )
     if not segment_length_m >= 1.0:  # shorter segments can round to zones that end where they start
         raise ValidationError(f"{source}: segment_length_m must be at least 1 m, got {segment_length_m!r}")
-    for position, (index, start_m, length_m) in enumerate(geometry):
-        problem = _geometry_error(position, index, start_m, length_m, segment_length_m)
-        if problem:
-            raise ValidationError(f"{source}: segment {index}: {problem}")
-    inclusive = _level_codes(asd_scores, aud_scores, threshold, operator.ge)
-    if levels != inclusive:  # each other level set must be the one the exclusive test gives
-        exclusive = _level_codes(asd_scores, aud_scores, threshold, operator.gt)
+    n = len(indexes)
+    on_grid = (
+        indexes == tuple(range(n))
+        and lengths.count(segment_length_m) == n
+        and starts == tuple(map(segment_length_m.__mul__, range(n)))
+    )
+    if not on_grid:  # the starts may also lie within the tolerance
+        for position, (index, start_m, length_m) in enumerate(zip(indexes, starts, lengths)):
+            problem = _geometry_error(position, index, start_m, length_m, segment_length_m)
+            if problem:
+                raise ValidationError(f"{source}: segment {index}: {problem}")
+    if levels != inclusive:  # each other set must be the one the exclusive test gives
+        exclusive = _level_codes(asd, aud, threshold, operator.gt)
         for index, (code, ge, gt) in enumerate(zip(levels, inclusive, exclusive)):
             if code != ge and code != gt:
                 raise ValidationError(
@@ -693,8 +653,8 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
                     f"do not match the scores at threshold {threshold!r}"
                 )
     expected = expected_segment_count(length_km, segment_length_m)
-    if len(geometry) != expected:
-        message = f"{len(geometry)} segments, expected {expected} for {length_km!r} km at {segment_length_m!r} m"
+    if n != expected:
+        message = f"{n} segments, expected {expected} for {length_km!r} km at {segment_length_m!r} m"
         raise ValidationError(f"{source}: {message}")
     return CorridorAssessment(
         corridor_id=corridor_id,
@@ -702,5 +662,5 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
         segment_length_m=segment_length_m,
         threshold=threshold,
         weight_provenance=weight_provenance,
-        segments=SegmentColumns(asd_scores, aud_scores, levels, segment_length_m),
+        segments=SegmentColumns(asd, aud, levels, segment_length_m),
     )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import signal
 import subprocess
@@ -515,19 +516,27 @@ class TestSimulateRsuCommand:
 
 class TestJsonNumbers:
     """Where a JSON input documents a number, a string or a bool is an input
-    error (exit 1): ``float`` and ``int`` would read ``"1.5"`` and ``true``."""
+    error (exit 1): ``float`` and ``int`` would read ``"1.5"`` and ``true``.
+    So is a fractional index or level, a NaN score, a class that is not a
+    band's name and a segment that is not an object."""
 
     @pytest.mark.parametrize(
         "field, spell, text",
         [
             ("segment_index", str, "segment_index '1' is not a number"),
             ("segment_index", bool, "segment_index True is not a number"),  # true loaded as index 1
+            ("segment_index", lambda index: 2.5, "segment_index 2.5 is not an integer"),
             ("asd_score", str, "asd_score '83.11688311688313' is not a number"),
             ("aud_score", str, "aud_score '82.29166666666669' is not a number"),
+            ("asd_score", lambda score: math.nan, "readiness score nan outside [0, 100]"),
+            ("asd_class", lambda name: 5, "readiness class must be a string, got 5"),
+            ("aud_class", lambda name: "x", "unknown readiness class 'x'"),
             ("start_m", str, "start_m '100.0' is not a number"),
             ("length_m", str, "length_m '100.0' is not a number"),
             ("allowed_sae_levels", lambda levels: "".join(map(str, levels)), "SAE level '1' is not a number"),  # "1234" loaded as SAE 1-4
             ("allowed_sae_levels", lambda levels: [True, *levels[1:]], "SAE level True is not a number"),
+            ("allowed_sae_levels", lambda levels: [1.5, *levels[1:]], "SAE level 1.5 is not an integer"),
+            ("segments", lambda segments: [segments[0], [1, 2]], "list indices must be integers or slices, not str"),
             ("length_km", str, "length_km '24.0' is not a number"),
             ("segment_length_m", str, "segment_length_m '100.0' is not a number"),
             ("threshold", str, "threshold '66.0' is not a number"),

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hri.corridor import (
+    MISSING,
     CorridorProfile,
     OverlayOp,
     RubricEntry,
@@ -500,6 +501,15 @@ class TestSegmentRows:
         ]
         observed = [SegmentObservation(i, i * length_m, length_m, values) for i, values in enumerate(expected)]
         assert profile == CorridorProfile("t", meta["length_km"], length_m, observed)
+
+    @pytest.mark.parametrize("byte", [3, 5, 0xFE])
+    def test_rows_refuse_bytes_outside_the_adequacy_values(self, byte):
+        # 0, 1, 2 and MISSING load; a 5 would otherwise reach score_corridor's term tables as an IndexError
+        assert SegmentRows(attribute_ids(), [bytes([0, 1, 2, MISSING]) * 5 + bytes(3)], 100.0).rows
+        for rows in ([bytes([byte]) * 23], [bytes(23), bytes(22) + bytes([byte])]):
+            with pytest.raises(ValueError) as raised:
+                SegmentRows(attribute_ids(), rows, 100.0)
+            assert str(raised.value) == f"row byte {byte} is not an adequacy value 0, 1 or 2, or MISSING"
 
     def test_custom_attribute_names_keep_their_order(self):
         names = ["zeta", "alpha", "mid"]

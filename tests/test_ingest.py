@@ -1,10 +1,14 @@
-"""The fast paths of the corridor CSV and JSON profile readers against their
-general loops.
+"""The corridor CSV's two readers against each other, and the JSON profile's
+column checker against twins of its documents.
 
-Each reader takes its fast path only for text in the form its writer gives,
-and otherwise reads the text with its general loop. Every test here loads a
-file and a twin that reads the same but that the fast path must decline, and
-requires the same result or the same error (type, text and line) from both.
+The corridor CSV's byte-slice kernel (``_ordered_cells``) reads only a body
+in the written order, and the csv loop (``_csv_rows``) reads every other
+text; a corridor test loads a file and a quoted twin that only the csv loop
+reads, or compares the kernel's cells with the csv loop's rows. The JSON
+profile has one checker, which converts a column only when it is not of the
+writer's type; a profile test loads a document and a twin with float indexes
+and reversed level lists, which that checker must convert. Both must give
+the same result or the same error (type, text and line).
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from hypothesis import strategies as st
 from hri.corridor import (
     CorridorProfile,
     SegmentRows,
+    _csv_rows,
     _ordered_cells,
-    _partitioned_cells,
     _plain_rows,
     apply_overlay,
     dump_corridor,
@@ -32,7 +36,7 @@ from hri.corridor import (
 )
 from hri.errors import ParseError, ValidationError
 from hri.fixtures import BASELINE_CORRIDOR_FILE, fixture_path
-from hri.scoring import _written_assessment, dump_score_profile_json, load_score_profile_json, score_corridor
+from hri.scoring import dump_score_profile_json, load_score_profile_json, score_corridor
 from hri.taxonomy import attribute_ids, builtin_weight_table
 
 DIFFERENTIAL = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -93,6 +97,12 @@ def corridor_files(draw):
     return text, meta, n
 
 
+def written_order(line: str) -> tuple[int, int]:
+    """Where :func:`dump_corridor` writes the row ``line``: by index, then in registry order."""
+    index, attr, _ = line.split(",")
+    return int(index), ATTRS.index(attr)
+
+
 # pieces that reach the fast path's token checks: separators, signs, padding,
 # non-canonical numbers, comments and names near the registered ones
 TOKENS = [",", "\n", "#", " ", "\t", "-", "+", "0", "00", "01", "3", "1.0", "-0", "١", "9" * 25, "\x00", "hd-maps", "hd-map", "_"]
@@ -142,8 +152,17 @@ class TestCorridorFastPath:
         if ',"' in text.split("\n", 1)[0]:  # csv may read a quoted field across lines there
             assert rows is None
             return
-        assert rows is not None
         path = tmp_path / "c.csv"
+        head, sep, body = text.partition(HEADER + "\n")
+        lines = body.splitlines()
+        written = sorted(lines, key=written_order)
+        if lines != written:  # shuffled or split: the csv loop reads it as the kernel reads the written order
+            assert rows is None
+            in_order = head + sep + "\n".join(written) + "\n"
+            assert _plain_rows(in_order, ATTRS, n) is not None
+            assert outcome(lambda p: load_corridor(p, meta), path, text) == outcome(lambda p: load_corridor(p, meta), path, in_order)
+            return
+        assert rows is not None
         path.write_text(quoted_twin(text), encoding="utf-8")
         assert rows == list(load_corridor(path, meta).segments.rows)
         assert all(type(row) is bytes for row in rows)
@@ -211,10 +230,15 @@ def spliced_bodies(draw):
     return body, n
 
 
+def csv_cells(body: str, n: int) -> bytes:
+    """The cells that :func:`_csv_rows`, the csv loop, reads from ``body`` under the header."""
+    return b"".join(_csv_rows(HEADER + "\n" + body, "body", ATTRS, n, n / 10))
+
+
 class TestOrderedKernel:
     """:func:`_ordered_cells`, which checks a body in the written order as a
-    whole, against :func:`_partitioned_cells`, the loop that reads a body in
-    any order line by line."""
+    whole, against :func:`_csv_rows`, the csv loop that reads any corridor
+    CSV."""
 
     @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001])
     def test_equals_the_loop_on_written_bodies(self, n):
@@ -222,7 +246,7 @@ class TestOrderedKernel:
         for text in (body, body[:-1]) if body else (body,):  # with and without the final newline
             cells = _ordered_cells(text.encode(), ATTRS, n)
             assert cells is not None
-            assert cells == _partitioned_cells(text, ATTRS, n)
+            assert cells == csv_cells(text, n)
         for other in (n - 1, n + 1):
             if other >= 0:
                 assert _ordered_cells(body.encode(), ATTRS, other) is None
@@ -233,7 +257,7 @@ class TestOrderedKernel:
         for text, n in texts:
             body = text.partition(HEADER + "\n")[2]
             cells = _ordered_cells(body.encode(), ATTRS, n)
-            assert cells is not None and cells == _partitioned_cells(body, ATTRS, n)
+            assert cells is not None and cells == csv_cells(body, n)
 
     @pytest.mark.parametrize(
         "old, new",
@@ -253,7 +277,7 @@ class TestOrderedKernel:
         assert _ordered_cells(edited, ATTRS, 120) is None
 
     @pytest.mark.parametrize("order", ["shuffled", "split"])
-    def test_other_orders_decline_it_but_read_as_before(self, order):
+    def test_other_orders_decline_it_but_read_as_before(self, order, tmp_path):
         lines = written_body(120, seed=1).split("\n")[:-1]
         if order == "shuffled":
             random.Random(2).shuffle(lines)
@@ -261,8 +285,12 @@ class TestOrderedKernel:
             lines = lines[60 * len(ATTRS) :] + lines[: 60 * len(ATTRS)]
         body = "\n".join(lines) + "\n"
         assert _ordered_cells(body.encode(), ATTRS, 120) is None
-        ordered = _plain_rows(HEADER + "\n" + written_body(120, seed=1), ATTRS, 120)
-        assert _plain_rows(HEADER + "\n" + body, ATTRS, 120) == ordered
+        assert _plain_rows(HEADER + "\n" + body, ATTRS, 120) is None
+        meta = "# " + json.dumps({"corridor_id": "c", "length_km": 12.0, "segment_length_m": 100.0}) + "\n"
+        ordered, other = tmp_path / "ordered.csv", tmp_path / "other.csv"
+        ordered.write_text(meta + HEADER + "\n" + written_body(120, seed=1), encoding="utf-8")
+        other.write_text(meta + HEADER + "\n" + body, encoding="utf-8")
+        assert load_corridor(other) == load_corridor(ordered)
 
     @DIFFERENTIAL
     @given(spliced_bodies())
@@ -270,7 +298,7 @@ class TestOrderedKernel:
         body, n = case
         cells = _ordered_cells(body.encode(), ATTRS, n)
         if cells is not None:
-            assert cells == _partitioned_cells(body, ATTRS, n)
+            assert cells == csv_cells(body, n)
 
     def test_a_huge_length_declines_before_allocating(self, tmp_path):
         body = written_body(3).encode()
@@ -293,10 +321,10 @@ class TestOrderedKernel:
 # ---------------------------------------------------------------------------
 
 
-def declined_twin(doc):
+def converted_twin(doc):
     """``doc`` with each integer ``segment_index`` written as a float and each
-    all-integer level list reversed: the per-segment loop reads both the same
-    way, and the fast path declines them."""
+    all-integer level list reversed: the checker reads both the same way, but
+    converts the twin's index column and its level lists."""
     twin = json.loads(json.dumps(doc))
     segments = twin.get("segments") if isinstance(twin, dict) else None
     for item in segments if isinstance(segments, list) else ():
@@ -365,14 +393,12 @@ def mutated_profile_docs(draw):
 
 
 def assert_loads_like_its_twin(path, doc):
-    twin = declined_twin(doc)
-    assert _written_assessment(twin) is None
-    fast = outcome(load_score_profile_json, path, json.dumps(doc, indent=2))
-    loop = outcome(load_score_profile_json, path, json.dumps(twin, indent=2))
-    if isinstance(fast, tuple) or isinstance(loop, tuple):
-        assert fast == loop
+    loaded = outcome(load_score_profile_json, path, json.dumps(doc, indent=2))
+    converted = outcome(load_score_profile_json, path, json.dumps(converted_twin(doc), indent=2))
+    if isinstance(loaded, tuple) or isinstance(converted, tuple):
+        assert loaded == converted
     else:  # the profiles they write back show every float bit for bit, a NaN threshold too
-        assert dump_score_profile_json(fast) == dump_score_profile_json(loop)
+        assert dump_score_profile_json(loaded) == dump_score_profile_json(converted)
 
 
 def edited_segment(**fields):
@@ -384,6 +410,9 @@ def edited_segment(**fields):
 
 
 class TestProfileFastPath:
+    """The column checker of :func:`load_score_profile_json` on written
+    documents, on documents near the written form and on their converted twins."""
+
     @DIFFERENTIAL
     @given(profile_docs() | mutated_profile_docs())
     def test_same_assessment_or_error_as_the_loop(self, tmp_path, doc):
@@ -409,16 +438,15 @@ class TestProfileFastPath:
 
     @DIFFERENTIAL
     @given(profile_docs())
-    def test_written_form_takes_the_fast_path(self, doc):
-        assessment = _written_assessment(doc)
-        assert assessment is not None
-        assert json.loads(dump_score_profile_json(assessment)) == doc
+    def test_written_form_takes_the_fast_path(self, tmp_path, doc):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        assert dump_score_profile_json(load_score_profile_json(path)) == path.read_text(encoding="utf-8")
 
     def test_bundled_fixture_profile_takes_the_fast_path(self, corridor, weights, roadworks, maintenance, tmp_path):
         for profile in (corridor, apply_overlay(apply_overlay(corridor, roadworks), maintenance)):
             assessment = score_corridor(profile, weights)
             text = dump_score_profile_json(assessment)
-            assert _written_assessment(json.loads(text)) == assessment
             path = tmp_path / "p.json"
             path.write_text(text, encoding="utf-8")
             assert load_score_profile_json(path) == assessment

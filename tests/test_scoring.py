@@ -497,6 +497,18 @@ class TestSegmentAssessmentStore:
         path.write_text(json.dumps(doc))
         assert load_score_profile_json(path) == baseline_assessment
 
+    @pytest.mark.parametrize("segment, field, value", [(0, "start_m", False), (1, "length_m", True)])
+    def test_loader_refuses_a_bool_equal_to_the_grid(self, tmp_path, segment, field, value):
+        # false == 0.0 is the first start, and true == 1.0 a length on a 1 m grid: still not numbers
+        columns = SegmentColumns([50.0, 50.0], [50.0, 50.0], [0, 0], 1.0)
+        doc = json.loads(dump_score_profile_json(CorridorAssessment("c", 0.002, 1.0, 66.0, "x", columns)))
+        doc["segments"][segment][field] = value
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as raised:
+            load_score_profile_json(path)
+        assert str(raised.value) == f"{path}: bad score profile: {field} {value} is not a number"
+
     def test_loader_rechecks_levels_at_the_threshold(self, weights, tmp_path):
         # an all-1 segment scores exactly 50 in both groups: its levels differ under >= and >
         profile = corridor_of([{attr: 1 for attr in attribute_ids()}, {attr: 2 for attr in attribute_ids()}])
@@ -518,6 +530,7 @@ class TestSegmentAssessmentStore:
             ({"segment_length_m": 0.4}, ValidationError, "segment_length_m must be at least 1 m, got 0.4"),
             ({"length_km": float("nan")}, ParseError, "bad score profile: length_km must be at least 0 and finite in metres, got nan"),
             ({"length_km": 12.0}, ValidationError, "240 segments, expected 120 for 12.0 km at 100.0 m"),
+            ({"segments": [5]}, ParseError, "bad score profile: 'int' object is not subscriptable"),  # not an object
         ],
     )
     def test_loader_checks_the_corridor_geometry(self, baseline_assessment, tmp_path, edit, error, message):

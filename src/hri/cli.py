@@ -12,11 +12,11 @@ are written atomically, so failed runs leave no partial outputs.
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
-
-import click
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 # Each subcommand imports the domain modules it runs, so that a process loads
 # only those: at module level this file needs no more than these two.
@@ -52,79 +52,32 @@ def _parse_hostport(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-@click.group()
-def cli() -> None:
-    """Highway readiness scoring and infrastructure-to-vehicle messaging."""
-
-
 # ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
 
 
-@cli.command()
-@click.argument("corridor_csv", type=click.Path(path_type=Path))
-@click.option("--meta", type=click.Path(path_type=Path), help="Corridor metadata JSON sidecar.")
-@click.option("--corridor-id", help="Metadata fallback when the CSV has no metadata line.")
-@click.option("--length-km", type=float, help="Metadata fallback corridor length.")
-@click.option(
-    "--segment-length",
-    type=float,
-    default=DEFAULT_SEGMENT_LENGTH_M,
-    show_default=True,
-    help="Metadata fallback segment length, metres.",
-)
-@click.option(
-    "--weights",
-    default="builtin",
-    envvar="HRI_WEIGHTS",
-    show_default=True,
-    help="'builtin' or a weight-table CSV path.",
-)
-@click.option("--threshold", type=float, default=DEFAULT_THRESHOLD, show_default=True)
-@click.option(
-    "--overlay",
-    "overlays",
-    multiple=True,
-    type=click.Path(path_type=Path),
-    help="Scenario overlay JSON; repeatable, applied in order.",
-)
-@click.option("--out-csv", type=click.Path(path_type=Path), help="Score profile CSV path.")
-@click.option("--out-json", type=click.Path(path_type=Path), help="Score profile JSON path.")
-@click.option("--pretty", is_flag=True, help="Also print a human summary.")
-def score(
-    corridor_csv: Path,
-    meta: Path | None,
-    corridor_id: str | None,
-    length_km: float | None,
-    segment_length: float,
-    weights: str,
-    threshold: float,
-    overlays: tuple[Path, ...],
-    out_csv: Path | None,
-    out_json: Path | None,
-    pretty: bool,
-) -> None:
+def score(args: argparse.Namespace) -> None:
     """Score a corridor and write CSV + JSON readiness profiles."""
     from . import corridor as corridor_mod
     from . import scoring as scoring_mod
 
-    _check_threshold(threshold)
-    table = _load_weights(weights)
-    meta_arg: Path | dict | None = meta
-    if meta_arg is None and corridor_id is not None and length_km is not None:
-        meta_arg = {
-            "corridor_id": corridor_id,
-            "length_km": length_km,
-            "segment_length_m": segment_length,
+    _check_threshold(args.threshold)
+    table = _load_weights(args.weights)
+    meta: Path | dict | None = args.meta
+    if meta is None and args.corridor_id is not None and args.length_km is not None:
+        meta = {
+            "corridor_id": args.corridor_id,
+            "length_km": args.length_km,
+            "segment_length_m": args.segment_length,
         }
-    profile = corridor_mod.load_corridor(corridor_csv, meta=meta_arg)
-    for overlay_path in overlays:
+    profile = corridor_mod.load_corridor(args.corridor_csv, meta=meta)
+    for overlay_path in args.overlay or ():
         profile = corridor_mod.apply_overlay(profile, corridor_mod.load_overlay(overlay_path))
-    assessment = scoring_mod.score_corridor(profile, table, threshold=threshold)
+    assessment = scoring_mod.score_corridor(profile, table, threshold=args.threshold)
 
     summary = []
-    if pretty:  # built before anything is written
+    if args.pretty:  # built before anything is written
         segments = assessment.segments
         summary.append(f"corridor {assessment.corridor_id}: {assessment.length_km} km")
         for name, values in (("asd", segments.asd_scores), ("aud", segments.aud_scores)):
@@ -135,17 +88,18 @@ def score(
             )
         summary.append(f"  segments with no recommendation: {segments.levels.count(0)}")
 
-    csv_path = out_csv if out_csv is not None else corridor_csv.with_suffix(".scores.csv")
-    json_path = out_json if out_json is not None else corridor_csv.with_suffix(".scores.json")
+    corridor_csv = args.corridor_csv
+    csv_path = args.out_csv if args.out_csv is not None else corridor_csv.with_suffix(".scores.csv")
+    json_path = args.out_json if args.out_json is not None else corridor_csv.with_suffix(".scores.json")
     atomic_write_all(
         [
             (csv_path, scoring_mod.dump_score_profile_csv(assessment)),
             (json_path, scoring_mod.dump_score_profile_json(assessment)),
         ]
     )
-    click.echo(f"wrote {csv_path} and {json_path} ({len(assessment.segments)} segments)")
+    print(f"wrote {csv_path} and {json_path} ({len(assessment.segments)} segments)")
     for line in summary:
-        click.echo(line)
+        print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -153,33 +107,20 @@ def score(
 # ---------------------------------------------------------------------------
 
 
-@cli.command()
-@click.argument("ratings_csv", type=click.Path(path_type=Path))
-@click.argument("respondents_csv", type=click.Path(path_type=Path))
-@click.option("--out-weights", type=click.Path(path_type=Path))
-@click.option("--out-diff", type=click.Path(path_type=Path))
-@click.option("--out-days", type=click.Path(path_type=Path))
-@click.option("--pretty", is_flag=True)
-def survey(
-    ratings_csv: Path,
-    respondents_csv: Path,
-    out_weights: Path | None,
-    out_diff: Path | None,
-    out_days: Path | None,
-    pretty: bool,
-) -> None:
+def survey(args: argparse.Namespace) -> None:
     """Aggregate survey responses into a weight table and summary reports."""
     from . import survey as survey_mod
     from . import taxonomy as taxonomy_mod
 
-    responses = survey_mod.load_survey(ratings_csv, respondents_csv)
+    ratings_csv = args.ratings_csv
+    responses = survey_mod.load_survey(ratings_csv, args.respondents_csv)
     table = survey_mod.aggregate_mean_impact(responses)
     diffs = survey_mod.impact_difference(table)
     means = survey_mod.grouped_mean(responses)
 
-    weights_path = out_weights if out_weights is not None else ratings_csv.with_suffix(".weights.csv")
-    diff_path = out_diff if out_diff is not None else ratings_csv.with_suffix(".impact-diff.csv")
-    days_path = out_days if out_days is not None else ratings_csv.with_suffix(".day-means.csv")
+    weights_path = args.out_weights if args.out_weights is not None else ratings_csv.with_suffix(".weights.csv")
+    diff_path = args.out_diff if args.out_diff is not None else ratings_csv.with_suffix(".impact-diff.csv")
+    days_path = args.out_days if args.out_days is not None else ratings_csv.with_suffix(".day-means.csv")
     atomic_write_all(
         [
             (weights_path, taxonomy_mod.dump_weight_table(table)),
@@ -187,14 +128,14 @@ def survey(
             (days_path, survey_mod.dump_grouped_means(means)),
         ]
     )
-    click.echo(f"wrote {weights_path}, {diff_path}, {days_path} ({len(responses)} responses)")
+    print(f"wrote {weights_path}, {diff_path}, {days_path} ({len(responses)} responses)")
 
-    if pretty:
+    if args.pretty:
         asd = taxonomy_mod.AutomationLevelGroup.ASD
         aud = taxonomy_mod.AutomationLevelGroup.AUD
-        click.echo(f"{'attribute':<28} {'asd':>6} {'aud':>6} {'diff':>6}")
+        print(f"{'attribute':<28} {'asd':>6} {'aud':>6} {'diff':>6}")
         for attr in table.attribute_ids_present():
-            click.echo(
+            print(
                 f"{attr:<28} {table.lookup(asd, attr):>6.2f} "
                 f"{table.lookup(aud, attr):>6.2f} {diffs[attr]:>6.2f}"
             )
@@ -204,36 +145,14 @@ def survey(
 # sensitivity
 # ---------------------------------------------------------------------------
 
-@cli.command()
-@click.option(
-    "--degraded-level",
-    type=click.IntRange(0, 2),
-    default=1,
-    show_default=True,
-    help="Adequacy assigned to degraded physical categories.",
-)
-@click.option(
-    "--degraded",
-    "overrides",
-    multiple=True,
-    help="Per-category override, e.g. road-markings-signage=0; repeatable.",
-)
-@click.option("--out", type=click.Path(path_type=Path), help="Report path (default: stdout).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("--pretty", is_flag=True)
-def sensitivity(
-    degraded_level: int,
-    overrides: tuple[str, ...],
-    out: Path | None,
-    fmt: str,
-    pretty: bool,
-) -> None:
+
+def sensitivity(args: argparse.Namespace) -> None:
     """Score the three macro-category scenarios for both groups."""
     from . import scoring as scoring_mod
     from .taxonomy import AutomationLevelGroup, MacroCategory
 
-    degraded = dict.fromkeys(scoring_mod.DEFAULT_DEGRADED_LEVELS, degraded_level)
-    for override in overrides:
+    degraded = dict.fromkeys(scoring_mod.DEFAULT_DEGRADED_LEVELS, args.degraded_level)
+    for override in args.degraded or ():
         name, _, level_text = override.partition("=")
         try:
             category = MacroCategory(name.strip())
@@ -265,7 +184,7 @@ def sensitivity(
                 }
             )
 
-    if fmt == "json":
+    if args.format == "json":
         import json
 
         text = json.dumps(rows, indent=2) + "\n"
@@ -282,18 +201,16 @@ def sensitivity(
             )
         text = buffer.getvalue()
 
-    if out is not None:
-        atomic_write_text(out, text)
-        click.echo(f"wrote {out}")
+    if args.out is not None:
+        atomic_write_text(args.out, text)
+        print(f"wrote {args.out}")
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
-    if pretty:
-        click.echo(f"{'scenario':<18} {'group':<5} {'score':>7}  class")
+    if args.pretty:
+        print(f"{'scenario':<18} {'group':<5} {'score':>7}  class")
         for row in rows:
-            click.echo(
-                f"{row['scenario']:<18} {row['group']:<5} {row['score']:>7.2f}  {row['readiness_class']}"
-            )
+            print(f"{row['scenario']:<18} {row['group']:<5} {row['score']:>7.2f}  {row['readiness_class']}")
 
 
 # ---------------------------------------------------------------------------
@@ -301,34 +218,12 @@ def sensitivity(
 # ---------------------------------------------------------------------------
 
 
-@cli.group()
-def ivim() -> None:
-    """Build, encode, decode and inspect infrastructure-to-vehicle messages."""
-
-
-@ivim.command("build")
-@click.argument("profile_json", type=click.Path(path_type=Path))
-@click.option("--station-id", type=int, required=True)
-@click.option("--timestamp", type=int, help="Management timestamp ms (default: wall clock).")
-@click.option("--validity", type=int, default=600, show_default=True)
-@click.option("--ivi-id", type=int, default=1, show_default=True)
-@click.option("--ref-lat", type=float, help="Reference latitude, decimal degrees.")
-@click.option("--ref-lon", type=float, help="Reference longitude, decimal degrees.")
-@click.option("--out", type=click.Path(path_type=Path), help="Canonical text output path.")
-def ivim_build(
-    profile_json: Path,
-    station_id: int,
-    timestamp: int | None,
-    validity: int,
-    ivi_id: int,
-    ref_lat: float | None,
-    ref_lon: float | None,
-    out: Path | None,
-) -> None:
+def ivim_build(args: argparse.Namespace) -> None:
     """Build a canonical-text message from a score profile JSON."""
     from . import ivim as ivim_mod
     from .scoring import load_score_profile_json
 
+    ref_lat, ref_lon = args.ref_lat, args.ref_lon
     if (ref_lat is None) != (ref_lon is None):
         raise ValidationError("--ref-lat and --ref-lon must be given together")
     location = None
@@ -337,67 +232,60 @@ def ivim_build(
             latitude_e7=int(round(ref_lat * 1e7)),
             longitude_e7=int(round(ref_lon * 1e7)),
         )
-    assessment = load_score_profile_json(profile_json)
+    assessment = load_score_profile_json(args.profile_json)
     message = ivim_mod.build_ivim(
         assessment,
-        station_id=station_id,
-        timestamp_ms=timestamp if timestamp is not None else now_ms(),
-        validity_duration_s=validity,
-        ivi_identification=ivi_id,
+        station_id=args.station_id,
+        timestamp_ms=args.timestamp if args.timestamp is not None else now_ms(),
+        validity_duration_s=args.validity,
+        ivi_identification=args.ivi_id,
         location=location,
     )
     text = ivim_mod.to_canonical_text(message)
-    out_path = out if out is not None else profile_json.with_suffix(".ivim.txt")
+    out_path = args.out if args.out is not None else args.profile_json.with_suffix(".ivim.txt")
     atomic_write_text(out_path, text)
     zone_count = len(message.av.zones) if message.av is not None else 0
-    click.echo(f"wrote {out_path} ({zone_count} zones)")
+    print(f"wrote {out_path} ({zone_count} zones)")
 
 
-@ivim.command("encode")
-@click.argument("text_in", type=click.Path(path_type=Path))
-@click.option("--out", type=click.Path(path_type=Path), help="Binary output path.")
-def ivim_encode(text_in: Path, out: Path | None) -> None:
+def ivim_encode(args: argparse.Namespace) -> None:
     """Encode a canonical-text message into the binary wire form."""
     from . import ivim as ivim_mod
 
+    text_in = args.text_in
     message = ivim_mod.from_canonical_text(
         text_in.read_text(encoding="utf-8"), source=str(text_in)
     )
     payload = ivim_mod.encode(message)
-    if out is not None:
-        out_path = out
+    if args.out is not None:
+        out_path = args.out
     elif text_in.name.endswith(".ivim.txt"):
         out_path = text_in.with_name(text_in.name[: -len(".txt")])
     else:
         out_path = text_in.with_suffix(".ivim")
     atomic_write_bytes(out_path, payload)
-    click.echo(f"wrote {out_path} ({len(payload)} bytes)")
+    print(f"wrote {out_path} ({len(payload)} bytes)")
 
 
-@ivim.command("decode")
-@click.argument("bin_in", type=click.Path(path_type=Path))
-@click.option("--out", type=click.Path(path_type=Path), help="Text output path (default: stdout).")
-def ivim_decode(bin_in: Path, out: Path | None) -> None:
+def ivim_decode(args: argparse.Namespace) -> None:
     """Decode a binary message back into canonical text."""
     from . import ivim as ivim_mod
 
-    message = ivim_mod.decode(bin_in.read_bytes())
+    message = ivim_mod.decode(args.bin_in.read_bytes())
     text = ivim_mod.to_canonical_text(message)
-    if out is not None:
-        atomic_write_text(out, text)
-        click.echo(f"wrote {out}")
+    if args.out is not None:
+        atomic_write_text(args.out, text)
+        print(f"wrote {args.out}")
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
-@ivim.command("inspect")
-@click.argument("bin_in", type=click.Path(path_type=Path))
-def ivim_inspect(bin_in: Path) -> None:
+def ivim_inspect(args: argparse.Namespace) -> None:
     """Print a human summary of a binary message."""
     from . import ivim as ivim_mod
 
-    message = ivim_mod.decode(bin_in.read_bytes())
-    click.echo(ivim_mod.describe(message), nl=False)
+    message = ivim_mod.decode(args.bin_in.read_bytes())
+    sys.stdout.write(ivim_mod.describe(message))
 
 
 # ---------------------------------------------------------------------------
@@ -405,33 +293,7 @@ def ivim_inspect(bin_in: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-@cli.command("simulate-rsu")
-@click.option("--message", "message_path", type=click.Path(path_type=Path),
-              help="Message file, binary or canonical text.")
-@click.option("--profile", "profile_path", type=click.Path(path_type=Path),
-              help="Score profile JSON to build the message from.")
-@click.option("--station-id", type=int, default=1, show_default=True)
-@click.option("--ivi-id", type=int, default=1, show_default=True)
-@click.option("--validity", type=int, default=600, show_default=True)
-@click.option("--period", type=float, default=1.0, show_default=True, help="Seconds between emissions.")
-@click.option("--count", type=int, help="Stop after N emissions (default: run until interrupted).")
-@click.option("--target", help="UDP destination host:port.")
-@click.option("--bind", "bind_addr", help="Local UDP source host:port.")
-@click.option("--dry-run", is_flag=True, help="Print hex datagrams to stdout instead of sending.")
-@click.option("--timestamp", type=int, help="Base timestamp ms for reproducible emission stamps.")
-def simulate_rsu(
-    message_path: Path | None,
-    profile_path: Path | None,
-    station_id: int,
-    ivi_id: int,
-    validity: int,
-    period: float,
-    count: int | None,
-    target: str | None,
-    bind_addr: str | None,
-    dry_run: bool,
-    timestamp: int | None,
-) -> None:
+def simulate_rsu(args: argparse.Namespace) -> None:
     """Broadcast a message periodically, ending with a cancellation."""
     import logging
     import signal
@@ -442,35 +304,35 @@ def simulate_rsu(
     from .scoring import load_score_profile_json
 
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(name)s: %(message)s")
-    if (message_path is None) == (profile_path is None):
+    if (args.message is None) == (args.profile is None):
         raise ValidationError("exactly one of --message or --profile is required")
-    if not dry_run and target is None:
+    if not args.dry_run and args.target is None:
         raise ValidationError("either --target or --dry-run is required")
 
-    if message_path is not None:
-        raw = message_path.read_bytes()
+    if args.message is not None:
+        raw = args.message.read_bytes()
         if raw.startswith(ivim_mod.MAGIC):
             base_message = ivim_mod.decode(raw)
         else:
             base_message = ivim_mod.from_canonical_text(
-                raw.decode("utf-8"), source=str(message_path)
+                raw.decode("utf-8"), source=str(args.message)
             )
     else:
-        assessment = load_score_profile_json(profile_path)
+        assessment = load_score_profile_json(args.profile)
         base_message = ivim_mod.build_ivim(
             assessment,
-            station_id=station_id,
-            timestamp_ms=timestamp if timestamp is not None else now_ms(),
-            validity_duration_s=validity,
-            ivi_identification=ivi_id,
+            station_id=args.station_id,
+            timestamp_ms=args.timestamp if args.timestamp is not None else now_ms(),
+            validity_duration_s=args.validity,
+            ivi_identification=args.ivi_id,
         )
 
     config = rsu_mod.BroadcastConfig(
-        period_s=period,
-        count=count,
-        target=_parse_hostport(target) if target is not None else None,
-        bind=_parse_hostport(bind_addr) if bind_addr is not None else None,
-        base_timestamp_ms=timestamp,
+        period_s=args.period,
+        count=args.count,
+        target=_parse_hostport(args.target) if args.target is not None else None,
+        bind=_parse_hostport(args.bind) if args.bind is not None else None,
+        base_timestamp_ms=args.timestamp,
     )
 
     stop = threading.Event()
@@ -487,36 +349,156 @@ def simulate_rsu(
             base_message,
             config,
             stop=stop,
-            out=sys.stdout if dry_run else None,
+            out=sys.stdout if args.dry_run else None,
         )
     finally:
         for signum, handler in previous_handlers.items():
             signal.signal(signum, handler)
-    click.echo(f"sent {emissions} emission(s) plus cancellation", err=True)
+    print(f"sent {emissions} emission(s) plus cancellation", file=sys.stderr)
+
+
+# ---------------------------------------------------------------------------
+# parser and entry point
+# ---------------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1 like other input errors: exit 2 means a validation error."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
+class _Formatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Help that shows the default of each option that has one."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        if action.default is None or action.default is False:
+            return action.help
+        return super()._get_help_string(action)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point with the documented exit-code mapping."""
+    # no abbreviated options and no -h: the options are exactly those listed
+    settings = {"allow_abbrev": False, "add_help": False, "formatter_class": _Formatter}
+
+    def with_help(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        parser.add_argument("--help", action="help", help="Show this message and exit.")
+        return parser
+
+    def command(commands, name: str, run, doc: str | None = None) -> argparse.ArgumentParser:
+        """The parser of subcommand ``name``, which calls ``run(args)``; ``doc`` defaults to its docstring."""
+        doc = doc or run.__doc__
+        parser = with_help(commands.add_parser(name, help=doc, description=doc, **settings))
+        parser.set_defaults(run=run)
+        return parser
+
+    doc = "Highway readiness scoring and infrastructure-to-vehicle messaging."
+    parser = with_help(_Parser(prog="hri", description=doc, **settings))
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    p = command(commands, "score", score)
+    p.add_argument("corridor_csv", type=Path)
+    p.add_argument("--meta", type=Path, help="Corridor metadata JSON sidecar.")
+    p.add_argument("--corridor-id", help="Metadata fallback when the CSV has no metadata line.")
+    p.add_argument("--length-km", type=float, help="Metadata fallback corridor length.")
+    p.add_argument(
+        "--segment-length", type=float, default=DEFAULT_SEGMENT_LENGTH_M,
+        help="Metadata fallback segment length, metres.",
+    )
+    p.add_argument(
+        "--weights", default=os.environ.get("HRI_WEIGHTS") or "builtin",
+        help="'builtin' or a weight-table CSV path; HRI_WEIGHTS sets the default.",
+    )
+    p.add_argument(
+        "--threshold", type=float, default=DEFAULT_THRESHOLD,
+        help="Score from which a group's SAE levels are recommended.",
+    )
+    p.add_argument(
+        "--overlay", action="append", type=Path, help="Scenario overlay JSON; repeatable, applied in order."
+    )
+    p.add_argument("--out-csv", type=Path, help="Score profile CSV path.")
+    p.add_argument("--out-json", type=Path, help="Score profile JSON path.")
+    p.add_argument("--pretty", action="store_true", help="Also print a human summary.")
+
+    p = command(commands, "survey", survey)
+    p.add_argument("ratings_csv", type=Path)
+    p.add_argument("respondents_csv", type=Path)
+    p.add_argument("--out-weights", type=Path)
+    p.add_argument("--out-diff", type=Path)
+    p.add_argument("--out-days", type=Path)
+    p.add_argument("--pretty", action="store_true")
+
+    p = command(commands, "sensitivity", sensitivity)
+    p.add_argument(
+        "--degraded-level", type=int, choices=range(3), default=1,
+        help="Adequacy assigned to degraded physical categories.",
+    )
+    p.add_argument(
+        "--degraded", action="append", help="Per-category override, e.g. road-markings-signage=0; repeatable."
+    )
+    p.add_argument("--out", type=Path, help="Report path (default: stdout).")
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help="Report format.")
+    p.add_argument("--pretty", action="store_true")
+
+    doc = "Build, encode, decode and inspect infrastructure-to-vehicle messages."
+    ivim = command(commands, "ivim", None, doc).add_subparsers(metavar="COMMAND", required=True)
+    p = command(ivim, "build", ivim_build)
+    p.add_argument("profile_json", type=Path)
+    p.add_argument("--station-id", type=int, required=True, help="Sending station identifier.")
+    p.add_argument("--timestamp", type=int, help="Management timestamp ms (default: wall clock).")
+    p.add_argument("--validity", type=int, default=600, help="Validity duration, seconds.")
+    p.add_argument("--ivi-id", type=int, default=1, help="IVI identification number.")
+    p.add_argument("--ref-lat", type=float, help="Reference latitude, decimal degrees.")
+    p.add_argument("--ref-lon", type=float, help="Reference longitude, decimal degrees.")
+    p.add_argument("--out", type=Path, help="Canonical text output path.")
+    p = command(ivim, "encode", ivim_encode)
+    p.add_argument("text_in", type=Path)
+    p.add_argument("--out", type=Path, help="Binary output path.")
+    p = command(ivim, "decode", ivim_decode)
+    p.add_argument("bin_in", type=Path)
+    p.add_argument("--out", type=Path, help="Text output path (default: stdout).")
+    command(ivim, "inspect", ivim_inspect).add_argument("bin_in", type=Path)
+
+    p = command(commands, "simulate-rsu", simulate_rsu)
+    p.add_argument("--message", type=Path, help="Message file, binary or canonical text.")
+    p.add_argument("--profile", type=Path, help="Score profile JSON to build the message from.")
+    p.add_argument("--station-id", type=int, default=1, help="Sending station identifier.")
+    p.add_argument("--ivi-id", type=int, default=1, help="IVI identification number.")
+    p.add_argument("--validity", type=int, default=600, help="Validity duration, seconds.")
+    p.add_argument("--period", type=float, default=1.0, help="Seconds between emissions.")
+    p.add_argument("--count", type=int, help="Stop after N emissions (default: run until interrupted).")
+    p.add_argument("--target", help="UDP destination host:port.")
+    p.add_argument("--bind", help="Local UDP source host:port.")
+    p.add_argument("--dry-run", action="store_true", help="Print hex datagrams to stdout instead of sending.")
+    p.add_argument("--timestamp", type=int, help="Base timestamp ms for reproducible emission stamps.")
+
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.exceptions.Abort:
-        click.echo("aborted", err=True)
-        return 1
-    except click.ClickException as exc:  # usage errors included
-        exc.show()
+        try:
+            args = parser.parse_args(argv)
+            args.run(args)
+            code = 0
+        except SystemExit as exc:  # from the parser: --help (0) or a usage error (1)
+            code = exc.code
+        sys.stdout.flush()  # inside the try, so that a reader that has gone is seen below
+        return code
+    except KeyboardInterrupt:
+        print("\naborted", file=sys.stderr)
         return 1
     except ValidationError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader of stdout has gone, as under `| head`: exit 1 quietly
+        sys.stdout = None  # so that the interpreter does not flush it again on exit
+        return 1
     except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
+        print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except HriError as exc:  # ParseError, DecodeError
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

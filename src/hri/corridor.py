@@ -49,9 +49,9 @@ class SegmentObservation:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError(f"segment index must be non-negative, got {self.index}")
-        if self.length_m <= 0:
+        if not self.length_m > 0:  # NaN included
             raise ValueError(f"segment length must be positive, got {self.length_m}")
-        if abs(self.start_m - self.index * self.length_m) > _GEOM_EPS:
+        if not abs(self.start_m - self.index * self.length_m) <= _GEOM_EPS:
             raise ValueError(
                 f"segment {self.index}: start_m {self.start_m} != index * length_m"
             )

@@ -221,7 +221,7 @@ def _geometry_error(position: int, index, start_m, length_m, segment_length_m) -
         return f"segment_index {index!r} at position {position}"
     if length_m != segment_length_m:
         return f"length_m {length_m!r} != segment_length_m {segment_length_m!r}"
-    if abs(start_m - index * segment_length_m) > GEOM_EPS:
+    if not abs(start_m - index * segment_length_m) <= GEOM_EPS:  # a NaN start is off the grid
         return f"start_m {start_m!r} != segment_index * segment_length_m ({index * segment_length_m!r})"
     return None
 
@@ -594,7 +594,10 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
     source = str(path)
     doc = parse_json(Path(path).read_text(encoding="utf-8"), source)
     try:
-        columns = list(zip(*map(_SEGMENT_FIELDS, doc["segments"]))) or [()] * 8
+        segments = doc["segments"]
+        if not isinstance(segments, list):
+            raise TypeError("segments must be a list")
+        columns = list(zip(*map(_SEGMENT_FIELDS, segments))) or [()] * 8
         indexes, asd, aud, asd_classes, aud_classes, listed, starts, lengths = columns
         indexes = _typed(indexes, int, json_int, "segment_index")
         asd, aud, starts, lengths = (

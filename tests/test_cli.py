@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import signal
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import hri
 from hri.cli import main
 from hri.corridor import load_corridor, load_overlay, load_rubric
 from hri.errors import ParseError, ValidationError
@@ -26,6 +28,7 @@ from hri.ivim import IviStatus, decode, encode
 from hri.scoring import load_score_profile_json
 from hri.taxonomy import builtin_weight_table, parse_weight_table
 
+from test_imports import CLI_MODULES, loaded_after
 from test_ivim import one_zone_message
 
 CORRIDOR = fixture_path(BASELINE_CORRIDOR_FILE)
@@ -399,8 +402,9 @@ class TestIvimCommands:
                 lambda segs: segs[7].update(allowed_sae_levels=[]),
                 "segment 7: allowed_sae_levels [] do not match the scores at threshold 66.0",
             ),
+            (lambda segs: segs[6].update(start_m=math.nan), "segment 6: start_m nan != segment_index * segment_length_m (600.0)"),
         ],
-        ids=["gapped", "missing", "unordered", "length", "start", "levels"],
+        ids=["gapped", "missing", "unordered", "length", "start", "levels", "nan-start"],
     )
     def test_build_rejects_segment_off_the_grid_exits_2(self, tmp_path, capsys, edit, message):
         profile = self.build_profile(tmp_path)
@@ -537,6 +541,7 @@ class TestJsonNumbers:
             ("allowed_sae_levels", lambda levels: [True, *levels[1:]], "SAE level True is not a number"),
             ("allowed_sae_levels", lambda levels: [1.5, *levels[1:]], "SAE level 1.5 is not an integer"),
             ("segments", lambda segments: [segments[0], [1, 2]], "list indices must be integers or slices, not str"),
+            ("segments", lambda segments: {"x": 1}, "segments must be a list"),  # its keys were read as segments
             ("length_km", str, "length_km '24.0' is not a number"),
             ("segment_length_m", str, "segment_length_m '100.0' is not a number"),
             ("threshold", str, "threshold '66.0' is not a number"),
@@ -638,3 +643,70 @@ def test_failed_last_output_leaves_no_output(tmp_path, capsys, monkeypatch, argv
     assert run(*argv) == 3
     assert capsys.readouterr().err == f"i/o error: [Errno 2] No such file or directory: '{argv[-1]}'\n"
     assert list(tmp_path.iterdir()) == []  # no output written before the last, and no temporary file
+
+
+class TestUsage:
+    """Usage errors exit 1 with the usage and ``error:`` on stderr; ``--help`` exits 0."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["ivim"],
+            ["nope"],
+            ["score"],
+            ["score", "x", "--bogus"],
+            ["score", "x", "--pre"],  # no abbreviation of --pretty
+            ["ivim", "build", "p.json"],
+            ["ivim", "build", "p.json", "--station-id", "x"],
+            ["sensitivity", "--degraded-level", "3"],
+            ["sensitivity", "--format", "xml"],
+        ],
+    )
+    def test_usage_error_exits_1(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: hri") and "\nerror: " in captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command",
+        [[], ["score"], ["survey"], ["sensitivity"], ["ivim"], ["ivim", "build"], ["ivim", "encode"],
+         ["ivim", "decode"], ["ivim", "inspect"], ["simulate-rsu"]],
+    )
+    def test_help_exits_0(self, capsys, command):
+        assert main([*command, "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(" ".join(["usage: hri", *command])) and captured.err == ""
+
+    def test_empty_weights_variable_means_builtin(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HRI_WEIGHTS", "")
+        out_json = tmp_path / "p.json"
+        assert run("score", CORRIDOR, "--out-csv", tmp_path / "p.csv", "--out-json", out_json) == 0
+        assert json.loads(out_json.read_text())["weight_provenance"] == "builtin-fig2"
+
+    def test_negative_reference_longitude(self, tmp_path):
+        profile = TestIvimCommands().build_profile(tmp_path)
+        out = tmp_path / "m.ivim.txt"
+        argv = ["ivim", "build", profile, "--station-id", 7, "--ref-lat", 37.7, "--ref-lon", "-122.4", "--out", out]
+        assert run(*argv) == 0
+        assert "longitude_e7: -1224000000" in out.read_text()
+
+    @pytest.mark.parametrize("argv", [["sensitivity"], ["score", "--help"]])
+    def test_closed_stdout_exits_1_quietly(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader has gone before the command writes, as under `| head`
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(hri.__file__).parent.parent), env.get("PYTHONPATH")]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hri.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_import_loads_no_click(self):
+        code = "import hri.cli, sys\nassert not [m for m in sys.modules if m.partition('.')[0] == 'click']"
+        assert loaded_after(code) == CLI_MODULES

@@ -425,6 +425,14 @@ class TestSegmentObservation:
         with pytest.raises(ValueError, match="start_m"):
             SegmentObservation(index=2, start_m=150.0, length_m=100.0, values={})
 
+    @pytest.mark.parametrize(
+        "start_m, length_m, message",
+        [(math.nan, 100.0, "start_m nan != index"), (0.0, math.nan, "segment length must be positive, got nan")],
+    )
+    def test_rejects_nan_geometry(self, start_m, length_m, message):
+        with pytest.raises(ValueError, match=message):
+            SegmentObservation(index=0, start_m=start_m, length_m=length_m, values={})
+
     def test_profile_rejects_gap(self):
         good = tiny_profile()
         with pytest.raises(ValidationError, match="position 1"):

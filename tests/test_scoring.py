@@ -531,6 +531,9 @@ class TestSegmentAssessmentStore:
             ({"length_km": float("nan")}, ParseError, "bad score profile: length_km must be at least 0 and finite in metres, got nan"),
             ({"length_km": 12.0}, ValidationError, "240 segments, expected 120 for 12.0 km at 100.0 m"),
             ({"segments": [5]}, ParseError, "bad score profile: 'int' object is not subscriptable"),  # not an object
+            # an empty object or string loaded as no segments
+            ({"segments": {}, "length_km": 0}, ParseError, "bad score profile: segments must be a list"),
+            ({"segments": "", "length_km": 0}, ParseError, "bad score profile: segments must be a list"),
         ],
     )
     def test_loader_checks_the_corridor_geometry(self, baseline_assessment, tmp_path, edit, error, message):
@@ -565,6 +568,8 @@ class TestSegmentColumns:
             (1, 0.0, 100.0, "segment 1: segment_index 1 at position 0"),
             (0, 0.0, 50.0, "segment 0: length_m 50.0 != segment_length_m 100.0"),
             (0, 0.5, 100.0, "segment 0: start_m 0.5 != segment_index * segment_length_m (0.0)"),
+            (0, math.nan, 100.0, "segment 0: start_m nan != segment_index * segment_length_m (0.0)"),
+            (0, 0.0, math.nan, "segment 0: length_m nan != segment_length_m 100.0"),
         ],
     )
     def test_segments_off_the_grid_rejected(self, index, start_m, length_m, message):

@@ -201,8 +201,9 @@ class TestBinaryCodec:
     def test_unknown_flag_bits(self):
         payload = bytearray(encode(minimal_message()))
         payload[10] = 0x04
-        with pytest.raises(DecodeError, match="unknown option flag"):
+        with pytest.raises(DecodeError, match="unknown option flag") as raised:
             decode(bytes(payload))
+        assert raised.value.offset == 10
 
     def test_unknown_status_code(self):
         payload = bytearray(encode(minimal_message()))
@@ -508,9 +509,14 @@ class TestOneChecker:
         [
             ("message_type", 5, ">B", 7, 7),
             ("validity_duration_s", 21, ">I", 0, 0),
+            ("ivi_status", 25, ">B", 3, "bogus"),
             ("latitude_e7", 26, ">i", 910000000, 910000000),
+            ("longitude_e7", 30, ">i", -1800000001, -1800000001),
             ("zone.0.end_m", 35 + 4, ">I", 0, 0),
             ("zone.0.allowed_sae_levels", 35 + 8, ">B", 0x5, "1,3"),
+            ("zone.0.asd_class", 35 + 9, ">B", 3, "x"),
+            ("zone.0.aud_class", 35 + 10, ">B", 3, "x"),
+            ("zone.0.asd_score_cpct", 35 + 11, ">H", 10001, 10001),
             ("zone.0.aud_score_cpct", 35 + 13, ">H", 10001, 10001),
         ],
     )

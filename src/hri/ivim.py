@@ -8,21 +8,13 @@ from "not covered".
 
 Wire format (original, deterministic; NOT an ETSI ASN.1/UPER encoding —
 field names follow the standardized container structure, but the byte
-layout is this toolkit's own). Big-endian throughout, no padding:
-
-    magic 'IVIM' (4 bytes)
-    protocol_version   u8
-    message_type       u8   (always 0x06)
-    station_id         u32
-    option_flags       u8   (bit0 = location present, bit1 = AV present)
-    ivi_identification u16
-    timestamp_ms       u64
-    validity_duration_s u32
-    ivi_status         u8   (0 = new, 1 = update, 2 = cancellation)
-    [latitude_e7 i32, longitude_e7 i32]
-    [zone_count u8, then per zone:
-        start_m u32, end_m u32, levels_bitmask u8 (bit0 = SAE1 .. bit3 = SAE4),
-        asd_class u8, aud_class u8, asd_score_cpct u16, aud_score_cpct u16]
+layout is this toolkit's own). Big-endian throughout, no padding. The layout
+tables below declare each container's fields once, in wire order; README
+"Wire format" gives their byte offsets. The header opens with the magic
+'IVIM' and ends with the option flags (bit0 = location present, bit1 = AV
+present), the message type is always 0x06, ivi_status codes are 0 = new,
+1 = update, 2 = cancellation, a zone's level bitmask has bit0 = SAE1 ..
+bit3 = SAE4, and a class code is the class's index in ``taxonomy.BANDS``.
 
 Scores travel as fixed-point hundredths of a percent (cpct), floored so a
 zone never claims more readiness than any of its coalesced segments.
@@ -37,8 +29,9 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import groupby
-from typing import TYPE_CHECKING
+from itertools import accumulate, groupby
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import DecodeError, ParseError, ValidationError
 from .taxonomy import BANDS, LEVEL_CODES, LEVEL_MASKS, LEVEL_SETS, ReadinessClass, band_indexes, level_code
@@ -54,48 +47,7 @@ _FLAG_LOCATION = 0x01
 _FLAG_AV = 0x02
 
 _U8 = 0xFF
-_U16 = 0xFFFF
-_U32 = 0xFFFF_FFFF
-_U64 = 0xFFFF_FFFF_FFFF_FFFF
-
-_LAT_MAX_E7 = 90 * 10**7
-_LON_MAX_E7 = 180 * 10**7
 _CPCT_MAX = 100 * 100  # 100.00 %
-
-_HEADER = struct.Struct(">4sBBIB")
-_MANAGEMENT = struct.Struct(">HQIB")
-_LOCATION = struct.Struct(">ii")
-_COUNT = struct.Struct(">B")
-_ZONE = struct.Struct(">IIBBBHH")
-
-# The checked integer fields of each container and their bounds: the wire
-# width, a coordinate range, or 100.00 % for a zone score.
-_HEADER_RANGES = (("protocol_version", 0, _U8), ("station_id", 0, _U32))
-_MANAGEMENT_RANGES = (("ivi_identification", 0, _U16), ("timestamp_ms", 0, _U64), ("validity_duration_s", 0, _U32))
-_LOCATION_RANGES = (("latitude_e7", -_LAT_MAX_E7, _LAT_MAX_E7), ("longitude_e7", -_LON_MAX_E7, _LON_MAX_E7))
-_CHAINAGE_RANGES = (("start_m", 0, _U32), ("end_m", 0, _U32))
-_SCORE_RANGES = (("asd_score_cpct", 0, _CPCT_MAX), ("aud_score_cpct", 0, _CPCT_MAX))
-
-# The byte offset of each checked field: in the message (the zone count, the
-# one field missing, sits just before the zones), and in a zone record.
-_FIELD_OFFSETS = {
-    "protocol_version": 4,
-    "message_type": 5,
-    "station_id": 6,
-    "ivi_identification": 11,
-    "timestamp_ms": 13,
-    "validity_duration_s": 21,
-    "latitude_e7": 26,
-    "longitude_e7": 30,
-}
-_ZONE_FIELD_OFFSETS = {"start_m": 0, "end_m": 4, "allowed_sae_levels": 8, "asd_score_cpct": 11, "aud_score_cpct": 13}
-
-_CLASS_CODES = {
-    ReadinessClass.UNLIKELY: 0,
-    ReadinessClass.MAY_BE: 1,
-    ReadinessClass.HIGHLY_LIKELY: 2,
-}
-_CLASS_BY_CODE = {code: cls for cls, code in _CLASS_CODES.items()}
 
 
 class IviStatus(Enum):
@@ -180,6 +132,115 @@ def bitmask_to_levels(mask: int) -> frozenset[int]:
     return LEVEL_SETS[code]
 
 
+# the canonical text of each valid level set
+_LEVEL_TEXTS = {levels: ",".join(map(str, sorted(levels))) or "none" for levels in LEVEL_SETS}
+
+
+def _parse_levels(text: str) -> frozenset[int]:
+    try:
+        return frozenset() if text == "none" else frozenset(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"bad allowed_sae_levels {text!r}") from None
+
+
+class _Conversion(NamedTuple):
+    """How a field that is not a plain integer travels; the readers raise a ``ValueError`` naming what they refuse."""
+
+    to_wire: Callable
+    from_wire: Callable
+    to_text: Callable
+    from_text: Callable
+
+
+def _indexed(members: tuple, what: str, to_text: Callable, from_text: Callable) -> _Conversion:
+    """The conversion of a field whose wire code is its index in ``members``."""
+    def member(code: int):
+        if code < len(members):
+            return members[code]
+        raise ValueError(f"unknown {what} code {code}")
+    return _Conversion(members.index, member, to_text, from_text)
+
+
+_CLASS = _indexed(BANDS, "class", attrgetter("value"), ReadinessClass.parse)
+_CONVERSIONS = {
+    "ivi_status": _indexed(tuple(IviStatus), "ivi_status", attrgetter("label"), IviStatus.parse),
+    "allowed_sae_levels": _Conversion(levels_to_bitmask, bitmask_to_levels, _LEVEL_TEXTS.__getitem__, _parse_levels),
+    "asd_class": _CLASS,
+    "aud_class": _CLASS,
+}
+
+
+class _Layout:
+    """One container's wire layout, declared once as ``(name, struct code)`` entries in wire order. An entry adds
+    ``low, high`` when the field's bounds are narrower than its unsigned wire width, or ``None`` when
+    :func:`_problems` checks it another way. ``fields`` are the entries ``record`` holds; the others frame them."""
+
+    def __init__(self, record: type, *entries) -> None:
+        self.struct = struct.Struct(">" + "".join(code for _, code, *_ in entries))
+        names = [name for name, *_ in entries]
+        widths = [struct.calcsize(">" + code) for _, code, *_ in entries]
+        self.offsets = dict(zip(names, accumulate(widths, initial=0)))
+        self.fields = tuple(name for name in names if name in record.__dataclass_fields__)
+        self.get = attrgetter(*self.fields) if self.fields else None
+        self.ranges = tuple(
+            (name, *(bounds or (0, (1 << 8 * width) - 1)))
+            for (name, _, *bounds), width in zip(entries, widths)
+            if name in self.fields and name not in _CONVERSIONS and bounds != [None]
+        )
+        # each field that is not a plain integer, by its index among the fields, and among the struct's values
+        self.converted = [(self.fields.index(name), _CONVERSIONS[name]) for name in names if name in _CONVERSIONS]
+        self.unpacked = [
+            (i, self.offsets[name], _CONVERSIONS[name]) for i, name in enumerate(names) if name in _CONVERSIONS
+        ]
+        self.parsers = [(name, _CONVERSIONS[name].from_text if name in _CONVERSIONS else None) for name in self.fields]
+
+    def pack(self, record) -> bytes:
+        values = list(self.get(record))
+        for i, conversion in self.converted:
+            values[i] = conversion.to_wire(values[i])
+        return self.struct.pack(*values)
+
+    def unpack(self, data: bytes, offset: int, where: str = "") -> list:
+        """The values at ``offset``; a converted field that does not read is a :class:`DecodeError` at its offset."""
+        values = list(self.struct.unpack_from(data, offset))
+        for i, at, conversion in self.unpacked:
+            try:
+                values[i] = conversion.from_wire(values[i])
+            except ValueError as exc:
+                raise DecodeError(f"{where}{exc}", offset=offset + at) from None
+        return values
+
+    def text(self, record, prefix: str = "") -> list[str]:
+        values = list(self.get(record))
+        for i, conversion in self.converted:
+            values[i] = conversion.to_text(values[i])
+        return [f"{prefix}{name}: {value}" for name, value in zip(self.fields, values)]
+
+    def read(self, reader: _TextReader, prefix: str = "") -> list:
+        return [reader.read(prefix + name, parse) for name, parse in self.parsers]
+
+
+# message_type is checked against MESSAGE_TYPE_IVIM; the magic and the option flags frame the header's fields
+_HEADER = _Layout(
+    IvimHeader, ("magic", "4s"), ("protocol_version", "B"), ("message_type", "B", None), ("station_id", "I"),
+    ("option_flags", "B"),
+)
+_MANAGEMENT = _Layout(
+    ManagementContainer, ("ivi_identification", "H"), ("timestamp_ms", "Q"), ("validity_duration_s", "I"),
+    ("ivi_status", "B"),
+)
+_LOCATION = _Layout(
+    GeographicLocationContainer,
+    ("latitude_e7", "i", -90 * 10**7, 90 * 10**7), ("longitude_e7", "i", -180 * 10**7, 180 * 10**7),
+)
+# the zone count opens the automated-vehicle container, whose zones follow it
+_COUNT = _Layout(AutomatedVehicleContainer, ("zone_count", "B"))
+_ZONE = _Layout(
+    ZoneRecord, ("start_m", "I"), ("end_m", "I"), ("allowed_sae_levels", "B"), ("asd_class", "B"), ("aud_class", "B"),
+    ("asd_score_cpct", "H", 0, _CPCT_MAX), ("aud_score_cpct", "H", 0, _CPCT_MAX),
+)
+
+
 def _out_of_range(record, ranges, zone: int | None = None):
     for field, low, high in ranges:
         value = getattr(record, field)
@@ -193,25 +254,27 @@ def _problems(msg: IvimMessage):
     """Each invariant ``msg`` breaks, container by container, as
     ``(zone index or None, field, problem)``; the one checker behind
     :func:`validate_message`, :func:`decode` and :func:`from_canonical_text`."""
-    yield from _out_of_range(msg.header, _HEADER_RANGES)
+    yield from _out_of_range(msg.header, _HEADER.ranges)
     message_type = msg.header.message_type
     if message_type != MESSAGE_TYPE_IVIM:
         yield None, "message_type", f"unknown message type {message_type}, not the IVIM tag {MESSAGE_TYPE_IVIM}"
     m = msg.management
-    yield from _out_of_range(m, _MANAGEMENT_RANGES)
+    yield from _out_of_range(m, _MANAGEMENT.ranges)
     if m.ivi_status in (IviStatus.NEW, IviStatus.UPDATE) and m.validity_duration_s == 0:
         yield None, "validity_duration_s", f"validity_duration_s must be positive for status {m.ivi_status.label}"
     if msg.location is not None:
-        yield from _out_of_range(msg.location, _LOCATION_RANGES)
+        yield from _out_of_range(msg.location, _LOCATION.ranges)
     if msg.av is None:
         return
     zones = msg.av.zones
     if len(zones) > _U8:
         yield None, "zone_count", f"{len(zones)} zones exceed the u8 zone count"
+    # a zone's ranges are its chainage, checked first, and its scores, checked last
+    chainage, scores = _ZONE.ranges[:2], _ZONE.ranges[2:]
     previous_end = None
     for i, zone in enumerate(zones):
         at = f"zone {i}: "
-        yield from _out_of_range(zone, _CHAINAGE_RANGES, i)
+        yield from _out_of_range(zone, chainage, i)
         if zone.start_m >= zone.end_m:
             yield i, "end_m", f"{at}start_m {zone.start_m} >= end_m {zone.end_m}"
         if previous_end is not None and zone.start_m < previous_end:
@@ -221,7 +284,7 @@ def _problems(msg: IvimMessage):
             level_code(zone.allowed_sae_levels)
         except ValueError as exc:
             yield i, "allowed_sae_levels", f"{at}{exc}"
-        yield from _out_of_range(zone, _SCORE_RANGES, i)
+        yield from _out_of_range(zone, scores, i)
 
 
 def validate_message(msg: IvimMessage) -> list[str]:
@@ -299,124 +362,58 @@ def encode(msg: IvimMessage) -> bytes:
         flags |= _FLAG_LOCATION
     if msg.av is not None:
         flags |= _FLAG_AV
-    parts = [
-        _HEADER.pack(
-            MAGIC,
-            msg.header.protocol_version,
-            msg.header.message_type,
-            msg.header.station_id,
-            flags,
-        ),
-        _MANAGEMENT.pack(
-            msg.management.ivi_identification,
-            msg.management.timestamp_ms,
-            msg.management.validity_duration_s,
-            msg.management.ivi_status.value,
-        ),
-    ]
+    parts = [_HEADER.struct.pack(MAGIC, *_HEADER.get(msg.header), flags), _MANAGEMENT.pack(msg.management)]
     if msg.location is not None:
-        parts.append(_LOCATION.pack(msg.location.latitude_e7, msg.location.longitude_e7))
+        parts.append(_LOCATION.pack(msg.location))
     if msg.av is not None:
-        parts.append(_COUNT.pack(len(msg.av.zones)))
-        for zone in msg.av.zones:
-            parts.append(
-                _ZONE.pack(
-                    zone.start_m,
-                    zone.end_m,
-                    levels_to_bitmask(zone.allowed_sae_levels),
-                    _CLASS_CODES[zone.asd_class],
-                    _CLASS_CODES[zone.aud_class],
-                    zone.asd_score_cpct,
-                    zone.aud_score_cpct,
-                )
-            )
+        parts.append(_COUNT.struct.pack(len(msg.av.zones)))
+        parts.extend(map(_ZONE.pack, msg.av.zones))
     return b"".join(parts)
 
 
 def decode(data: bytes) -> IvimMessage:
     """Strict inverse of :func:`encode`; errors carry the byte offset."""
     offset = 0
+    starts = {}  # the byte offset of each container taken; for the zones, of the last one
 
-    def take(structure: struct.Struct, what: str):
+    def take(layout: _Layout, what: str, where: str = "") -> list:
         nonlocal offset
-        if len(data) < offset + structure.size:
-            raise DecodeError(
-                f"truncated: need {structure.size} bytes for {what}, have {len(data) - offset}",
-                offset=offset,
-            )
-        values = structure.unpack_from(data, offset)
-        offset += structure.size
+        if len(data) < offset + layout.struct.size:
+            need = f"need {layout.struct.size} bytes for {what}, have {len(data) - offset}"
+            raise DecodeError(f"truncated: {need}", offset=offset)
+        values = layout.unpack(data, offset, where)
+        starts[layout] = offset
+        offset += layout.struct.size
         return values
 
-    magic, protocol_version, message_type, station_id, flags = take(_HEADER, "header")
+    magic, *header, flags = take(_HEADER, "header")
     if magic != MAGIC:
         raise DecodeError(f"bad magic {magic!r}", offset=0)
     if flags & ~(_FLAG_LOCATION | _FLAG_AV):
-        raise DecodeError(f"unknown option flag bits in 0x{flags:02x}", offset=10)
+        raise DecodeError(f"unknown option flag bits in 0x{flags:02x}", offset=_HEADER.offsets["option_flags"])
 
-    ivi_identification, timestamp_ms, validity_duration_s, status_code = take(
-        _MANAGEMENT, "management container"
-    )
-    try:
-        ivi_status = IviStatus(status_code)
-    except ValueError:
-        raise DecodeError(f"unknown ivi_status code {status_code}", offset=offset - 1) from None
+    management = ManagementContainer(*take(_MANAGEMENT, "management container"))
 
     location = None
     if flags & _FLAG_LOCATION:
-        latitude_e7, longitude_e7 = take(_LOCATION, "location container")
-        location = GeographicLocationContainer(latitude_e7=latitude_e7, longitude_e7=longitude_e7)
+        location = GeographicLocationContainer(*take(_LOCATION, "location container"))
 
     av = None
-    zones_at = offset + _COUNT.size
+    zones_at = offset + _COUNT.struct.size
     if flags & _FLAG_AV:
         (zone_count,) = take(_COUNT, "zone count")
-        zones = []
-        for i in range(zone_count):
-            start_m, end_m, mask, asd_code, aud_code, asd_cpct, aud_cpct = take(_ZONE, f"zone {i}")
-            zone_offset = offset - _ZONE.size
-            try:
-                levels = bitmask_to_levels(mask)
-            except ValueError as exc:
-                raise DecodeError(f"zone {i}: {exc}", offset=zone_offset + 8) from None
-            for code, at in ((asd_code, 9), (aud_code, 10)):
-                if code not in _CLASS_BY_CODE:
-                    raise DecodeError(f"zone {i}: unknown class code {code}", offset=zone_offset + at)
-            zones.append(
-                ZoneRecord(
-                    start_m=start_m,
-                    end_m=end_m,
-                    allowed_sae_levels=levels,
-                    asd_class=_CLASS_BY_CODE[asd_code],
-                    aud_class=_CLASS_BY_CODE[aud_code],
-                    asd_score_cpct=asd_cpct,
-                    aud_score_cpct=aud_cpct,
-                )
-            )
-        av = AutomatedVehicleContainer(zones=tuple(zones))
+        zones = [ZoneRecord(*take(_ZONE, f"zone {i}", f"zone {i}: ")) for i in range(zone_count)]
+        av = AutomatedVehicleContainer(zones)
 
     if offset != len(data):
         raise DecodeError(f"{len(data) - offset} trailing bytes", offset=offset)
 
-    msg = IvimMessage(
-        header=IvimHeader(
-            station_id=station_id,
-            protocol_version=protocol_version,
-            message_type=message_type,
-        ),
-        management=ManagementContainer(
-            ivi_identification=ivi_identification,
-            timestamp_ms=timestamp_ms,
-            validity_duration_s=validity_duration_s,
-            ivi_status=ivi_status,
-        ),
-        location=location,
-        av=av,
-    )
+    msg = IvimMessage(IvimHeader(**dict(zip(_HEADER.fields, header))), management, location, av)
     for zone, field, problem in _problems(msg):
-        if zone is None:
-            raise DecodeError(problem, offset=_FIELD_OFFSETS.get(field, zones_at - _COUNT.size))
-        raise DecodeError(problem, offset=zones_at + zone * _ZONE.size + _ZONE_FIELD_OFFSETS[field])
+        if zone is not None:
+            raise DecodeError(problem, offset=zones_at + zone * _ZONE.struct.size + _ZONE.offsets[field])
+        at = next(start + layout.offsets[field] for layout, start in starts.items() if field in layout.offsets)
+        raise DecodeError(problem, offset=at)
     return msg
 
 
@@ -433,29 +430,13 @@ def to_canonical_text(msg: IvimMessage) -> str:
     issues = validate_message(msg)
     if issues:
         raise ValidationError("; ".join(issues))
-    lines = [
-        f"protocol_version: {msg.header.protocol_version}",
-        f"message_type: {msg.header.message_type}",
-        f"station_id: {msg.header.station_id}",
-        f"ivi_identification: {msg.management.ivi_identification}",
-        f"timestamp_ms: {msg.management.timestamp_ms}",
-        f"validity_duration_s: {msg.management.validity_duration_s}",
-        f"ivi_status: {msg.management.ivi_status.label}",
-    ]
+    lines = _HEADER.text(msg.header) + _MANAGEMENT.text(msg.management)
     if msg.location is not None:
-        lines.append(f"latitude_e7: {msg.location.latitude_e7}")
-        lines.append(f"longitude_e7: {msg.location.longitude_e7}")
+        lines += _LOCATION.text(msg.location)
     if msg.av is not None:
         lines.append(f"zone_count: {len(msg.av.zones)}")
         for i, zone in enumerate(msg.av.zones):
-            levels = ",".join(str(l) for l in sorted(zone.allowed_sae_levels)) or "none"
-            lines.append(f"zone.{i}.start_m: {zone.start_m}")
-            lines.append(f"zone.{i}.end_m: {zone.end_m}")
-            lines.append(f"zone.{i}.allowed_sae_levels: {levels}")
-            lines.append(f"zone.{i}.asd_class: {zone.asd_class.value}")
-            lines.append(f"zone.{i}.aud_class: {zone.aud_class.value}")
-            lines.append(f"zone.{i}.asd_score_cpct: {zone.asd_score_cpct}")
-            lines.append(f"zone.{i}.aud_score_cpct: {zone.aud_score_cpct}")
+            lines += _ZONE.text(zone, f"zone.{i}.")
     return "\n".join(lines) + "\n"
 
 
@@ -509,51 +490,21 @@ class _TextReader:
             raise ParseError(f"unexpected field {key!r}", source=self.source, line=line, column=1)
 
 
-def _parse_levels(text: str) -> frozenset[int]:
-    try:
-        return frozenset() if text == "none" else frozenset(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad allowed_sae_levels {text!r}") from None
-
-
 def from_canonical_text(text: str, *, source: str | None = None) -> IvimMessage:
     reader = _TextReader(text, source)
-    header = IvimHeader(
-        protocol_version=reader.read("protocol_version"),
-        message_type=reader.read("message_type"),
-        station_id=reader.read("station_id"),
-    )
-    management = ManagementContainer(
-        ivi_identification=reader.read("ivi_identification"),
-        timestamp_ms=reader.read("timestamp_ms"),
-        validity_duration_s=reader.read("validity_duration_s"),
-        ivi_status=reader.read("ivi_status", IviStatus.parse),
-    )
+    header = IvimHeader(**dict(zip(_HEADER.fields, _HEADER.read(reader))))
+    management = ManagementContainer(*_MANAGEMENT.read(reader))
 
     location = None
-    if reader.peek_key() == "latitude_e7":
-        location = GeographicLocationContainer(
-            latitude_e7=reader.read("latitude_e7"), longitude_e7=reader.read("longitude_e7")
-        )
+    if reader.peek_key() == _LOCATION.fields[0]:
+        location = GeographicLocationContainer(*_LOCATION.read(reader))
 
     av = None
     if reader.peek_key() == "zone_count":
         zone_count = reader.read("zone_count")
         if zone_count < 0:
             raise reader.error_at("zone_count", f"zone_count {zone_count} is negative")
-        zones = [
-            ZoneRecord(
-                start_m=reader.read(f"zone.{i}.start_m"),
-                end_m=reader.read(f"zone.{i}.end_m"),
-                allowed_sae_levels=reader.read(f"zone.{i}.allowed_sae_levels", _parse_levels),
-                asd_class=reader.read(f"zone.{i}.asd_class", ReadinessClass.parse),
-                aud_class=reader.read(f"zone.{i}.aud_class", ReadinessClass.parse),
-                asd_score_cpct=reader.read(f"zone.{i}.asd_score_cpct"),
-                aud_score_cpct=reader.read(f"zone.{i}.aud_score_cpct"),
-            )
-            for i in range(zone_count)
-        ]
-        av = AutomatedVehicleContainer(zones=tuple(zones))
+        av = AutomatedVehicleContainer([ZoneRecord(*_ZONE.read(reader, f"zone.{i}.")) for i in range(zone_count)])
     reader.done()
 
     msg = IvimMessage(header=header, management=management, location=location, av=av)

@@ -13,6 +13,7 @@ are written atomically, so failed runs leave no partial outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -47,8 +48,10 @@ def _check_threshold(threshold: float) -> None:
 
 def _parse_hostport(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not port.isdecimal():
         raise ValidationError(f"expected host:port, got {text!r}")
+    if int(port) > 65535:
+        raise ValidationError(f"port {int(port)} in {text!r} is above 65535")
     return host, int(port)
 
 
@@ -226,6 +229,9 @@ def ivim_build(args: argparse.Namespace) -> None:
     ref_lat, ref_lon = args.ref_lat, args.ref_lon
     if (ref_lat is None) != (ref_lon is None):
         raise ValidationError("--ref-lat and --ref-lon must be given together")
+    for option, degrees in (("--ref-lat", ref_lat), ("--ref-lon", ref_lon)):
+        if degrees is not None and not math.isfinite(degrees * 1e7):
+            raise ValidationError(f"{option} must be finite in 1e-7 degrees, got {degrees}")
     location = None
     if ref_lat is not None and ref_lon is not None:
         location = ivim_mod.GeographicLocationContainer(

@@ -33,8 +33,10 @@ class BroadcastConfig:
     base_timestamp_ms: int | None = None
 
     def __post_init__(self) -> None:
-        if self.period_s <= 0:
-            raise ValidationError(f"broadcast period must be positive, got {self.period_s}")
+        if not 0 < self.period_s <= threading.TIMEOUT_MAX:  # NaN included; a longer wait overflows
+            raise ValidationError(
+                f"broadcast period must be positive and at most {threading.TIMEOUT_MAX:g} s, got {self.period_s}"
+            )
         if self.count is not None and self.count < 1:
             raise ValidationError(f"broadcast count must be at least 1, got {self.count}")
 

@@ -95,7 +95,7 @@ class _WeightedRatio:
     Both sums run in the pairs' order, starting from 0.0, so a ratio
     resolved once and applied to many value mappings gives bit-for-bit the
     scores of summing afresh each time. ``label`` names the weight sum in the
-    error raised when it is not positive.
+    error raised when it is not positive, or when twice it is not finite.
     """
 
     def __init__(self, pairs, label: str) -> None:
@@ -107,9 +107,14 @@ class _WeightedRatio:
             denominator += weight * V_MAX
         self.denominator = denominator
 
+    def check(self) -> None:
+        """Refuse a denominator that is not positive or not finite: either would give every value the same score."""
+        if not 0.0 < self.denominator < math.inf:
+            problem = "is not positive" if self.denominator <= 0.0 else f"times {V_MAX} is not finite"
+            raise ValidationError(f"{self.label} {problem}")
+
     def __call__(self, values: Mapping) -> float:
-        if self.denominator <= 0.0:
-            raise ValidationError(f"{self.label} is not positive")
+        self.check()
         numerator = 0.0
         for key, weight in self.pairs:
             numerator += weight * values[key]
@@ -312,8 +317,7 @@ class CorridorAssessment:
 def _term_tables(ratio: _WeightedRatio, slot_of: Mapping) -> tuple[list, operator.itemgetter | None, float]:
     """Per pair, the terms ``(w * 0, w * 1, w * 2)`` a value adds to the ratio's numerator; a getter
     of a row's values in pair order, or None when that is the row's order; and the denominator."""
-    if ratio.denominator <= 0.0:
-        raise ValidationError(f"{ratio.label} is not positive")
+    ratio.check()
     slots = [slot_of[key] for key, _ in ratio.pairs]
     getter = None if slots == list(range(len(slots))) else operator.itemgetter(*slots)
     return [(weight * 0, weight * 1, weight * 2) for _, weight in ratio.pairs], getter, ratio.denominator

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -265,8 +266,9 @@ def parse_weight_table(
 ) -> WeightTable:
     """Parse the ``attribute,asd_weight,aud_weight`` CSV form.
 
-    Lines starting with ``#`` are comments. Unknown attributes, duplicates
-    and malformed numbers are rejected with their line number.
+    Lines starting with ``#`` are comments. Unknown attributes, duplicates,
+    malformed numbers and weights that are not finite are rejected with
+    their line number.
     """
     rows = read_csv_rows(text, source)
     if not rows:
@@ -294,6 +296,8 @@ def parse_weight_table(
             aud_w = float(row[2])
         except ValueError:
             raise ParseError(f"malformed weight for {attr!r}", source=source, line=line_num) from None
+        if not (math.isfinite(asd_w) and math.isfinite(aud_w)):
+            raise ParseError(f"weight for {attr!r} is not finite", source=source, line=line_num)
         weights[(AutomationLevelGroup.ASD, attr)] = asd_w
         weights[(AutomationLevelGroup.AUD, attr)] = aud_w
     # Reorder group-major so group_weights() follows file order per group.

@@ -161,6 +161,33 @@ class TestScoreCommand:
         )
         assert json.loads(out_json.read_text())["corridor_id"] == "spur"
 
+    @pytest.mark.parametrize(
+        "asd_weight, code, problem",
+        [
+            ("nan", 1, "weight for 'lighting' is not finite"),
+            ("inf", 1, "weight for 'lighting' is not finite"),
+            ("-inf", 1, "weight for 'lighting' is not finite"),
+            ("1e400", 1, "weight for 'lighting' is not finite"),
+            # finite, but twice the group's weight sum overflows
+            ("1e308", 2, "weight sum for group asd times 2 is not finite"),
+        ],
+    )
+    def test_weights_that_are_not_finite_exit_without_outputs(self, tmp_path, capsys, asd_weight, code, problem):
+        from hri.taxonomy import dump_weight_table
+
+        lines = dump_weight_table(builtin_weight_table()).split("\n")
+        line = next(number for number, text in enumerate(lines, start=1) if text.startswith("lighting,"))
+        lines[line - 1] = f"lighting,{asd_weight},0.95"
+        weights = tmp_path / "w.csv"
+        weights.write_text("\n".join(lines))
+        out_csv, out_json = tmp_path / "p.csv", tmp_path / "p.json"
+        argv = ["score", CORRIDOR, "--weights", weights, "--out-csv", out_csv, "--out-json", out_json, "--pretty"]
+        assert run(*argv) == code
+        err = capsys.readouterr().err
+        where = f"{weights}:line {line}: " if code == 1 else ""
+        assert err == f"error: {where}{problem}\n"
+        assert not out_csv.exists() and not out_json.exists()
+
     def test_custom_weights_via_env(self, tmp_path, monkeypatch):
         from hri.taxonomy import dump_weight_table
 
@@ -366,6 +393,20 @@ class TestIvimCommands:
         assert err.startswith(f"error: {profile}:") and "bad score profile: " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "lat, lon", [("nan", "0"), ("inf", "0"), ("0", "-inf"), ("1e305", "0")]
+    )
+    def test_build_refuses_reference_point_that_is_not_finite_exits_2(self, tmp_path, capsys, lat, lon):
+        profile = self.build_profile(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "m.ivim.txt"
+        argv = ["ivim", "build", profile, "--station-id", 1, f"--ref-lat={lat}", f"--ref-lon={lon}", "--out", out]
+        assert run(*argv) == 2
+        option, degrees = ("--ref-lat", lat) if lat != "0" else ("--ref-lon", lon)
+        err = capsys.readouterr().err
+        assert err == f"error: {option} must be finite in 1e-7 degrees, got {float(degrees)}\n"
+        assert not out.exists()
+
     def test_build_error_names_the_profile_once(self, tmp_path, capsys):
         profile = self.build_profile(tmp_path)
         doc = json.loads(profile.read_text())
@@ -485,6 +526,26 @@ class TestSimulateRsuCommand:
         msg_path = tmp_path / "m.ivim"
         msg_path.write_bytes(encode(one_zone_message()))
         assert run("simulate-rsu", "--message", msg_path) == 2
+
+    @pytest.mark.parametrize(
+        "option, problem",
+        [
+            (["--period", "nan"], "broadcast period must be positive and at most"),
+            (["--period", "inf"], "broadcast period must be positive and at most"),
+            (["--period", "1e300"], "broadcast period must be positive and at most"),
+            (["--target", "127.0.0.1:70000"], "port 70000 in '127.0.0.1:70000' is above 65535"),
+            (["--bind", "127.0.0.1:70000"], "port 70000 in '127.0.0.1:70000' is above 65535"),
+            (["--target", "127.0.0.1:\u00b2"], "expected host:port, got '127.0.0.1:\u00b2'"),
+        ],
+        ids=["period-nan", "period-inf", "period-1e300", "target-port", "bind-port", "target-superscript-two"],
+    )
+    def test_options_out_of_range_exit_2(self, tmp_path, capsys, option, problem):
+        msg_path = tmp_path / "m.ivim"
+        msg_path.write_bytes(encode(one_zone_message()))
+        assert run("simulate-rsu", "--message", msg_path, "--dry-run", "--count", 2, *option) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {problem}") and "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_bad_period_exits_2(self, tmp_path):
         msg_path = tmp_path / "m.ivim"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import math
 import socket
 import threading
 
@@ -110,6 +111,14 @@ class TestBroadcast:
     def test_rejects_bad_period(self):
         with pytest.raises(ValidationError, match="period"):
             BroadcastConfig(period_s=0.0)
+
+    @pytest.mark.parametrize("period_s", [-1.0, math.nan, math.inf, threading.TIMEOUT_MAX * 2])
+    def test_rejects_period_outside_what_a_wait_takes(self, period_s):
+        with pytest.raises(ValidationError, match="broadcast period must be positive and at most"):
+            BroadcastConfig(period_s=period_s)
+
+    def test_accepts_the_longest_wait(self):
+        assert BroadcastConfig(period_s=threading.TIMEOUT_MAX).period_s == threading.TIMEOUT_MAX
 
     def test_rejects_bad_count(self):
         with pytest.raises(ValidationError, match="count"):

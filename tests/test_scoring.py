@@ -359,6 +359,16 @@ class TestScoreCorridor:
         assert str(raised.value) == f"weight sum for group {zero.value} is not positive"
         assert score_corridor(corridor_of([]), table).segments == ()  # no segment, no ratio to take
 
+    @pytest.mark.parametrize("weight", [1e308, math.inf, math.nan])
+    def test_weight_sum_not_finite_when_doubled_message(self, weight):
+        attrs = list(attribute_ids())
+        table = WeightTable({(group, attr): weight if group is AUD else 1.0 for group in (ASD, AUD) for attr in attrs})
+        profile = corridor_of([{attr: 2 for attr in attrs}] * 3)
+        for score in (lambda: score_corridor(profile, table), lambda: score_segment(profile.segments[0], table, AUD)):
+            with pytest.raises(ValidationError) as raised:
+                score()
+            assert str(raised.value) == "weight sum for group aud times 2 is not finite"
+
     def test_attribute_mismatch_message(self, weights):
         values = {attr: 2 for attr in attribute_ids() if attr != "hd-maps"}
         values["potholes"] = 1

@@ -51,7 +51,7 @@ def _parse_hostport(text: str) -> tuple[str, int]:
     if not host or not port.isdecimal():
         raise ValidationError(f"expected host:port, got {text!r}")
     if int(port) > 65535:
-        raise ValidationError(f"port {int(port)} in {text!r} is above 65535")
+        raise ValidationError(f"port {port} in {text!r} is above 65535")
     return host, int(port)
 
 

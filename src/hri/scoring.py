@@ -108,7 +108,7 @@ class _WeightedRatio:
         self.denominator = denominator
 
     def check(self) -> None:
-        """Refuse a denominator that is not positive or not finite: either would give every value the same score."""
+        """Refuse a weight sum that is not positive, or not finite when doubled: neither gives a ratio."""
         if not 0.0 < self.denominator < math.inf:
             problem = "is not positive" if self.denominator <= 0.0 else f"times {V_MAX} is not finite"
             raise ValidationError(f"{self.label} {problem}")

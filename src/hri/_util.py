@@ -6,7 +6,7 @@ import math
 import os
 import tempfile
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -43,6 +43,51 @@ def parse_json(text: str, source: str, *, what: str = "JSON", line: int | None =
     if line is not None:
         raise ParseError(f"invalid {what}: {fault.msg}", source=source, line=line)
     raise ParseError(f"invalid {what}: {fault.msg}", source=source, line=fault.lineno, column=fault.colno)
+
+
+def read_csv_table(text: str, source: str | None, header: Sequence[str], empty: str) -> Iterator[tuple[int, list[str]]]:
+    """The ``(line number, fields)`` of each data row of a headered CSV table.
+
+    Blank rows and rows whose first field starts with ``#`` are skipped. The
+    faults are ParseErrors, raised as the iteration reaches them: first a
+    record csv cannot read (e.g. a field over its size limit) anywhere in the
+    text, at its line; then no row at all (the message ``empty``); then a
+    first row other than ``header`` (cells stripped), at its line; then, row
+    by row, a data row without ``len(header)`` fields, at its line, so that a
+    fault the caller finds in an earlier row is reported first.
+    """
+    import csv  # here, so that importing the CLI does not load csv
+    import io
+
+    reader = csv.reader(io.StringIO(text))
+    rows = []
+    try:
+        for row in reader:
+            if row and not row[0].lstrip().startswith("#"):
+                rows.append((reader.line_num, row))
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise ParseError(f"malformed CSV: {exc}", source=source, line=reader.line_num) from None
+    if not rows:
+        raise ParseError(empty, source=source)
+    header_line, first = rows[0]
+    if [cell.strip() for cell in first] != list(header):
+        raise ParseError(f"expected header {','.join(header)!r}", source=source, line=header_line)
+    for line, row in rows[1:]:
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", source=source, line=line)
+        yield line, row
+
+
+def write_csv_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The CSV text of ``header`` and then ``rows``, as ``csv.writer`` writes them, each line ended by ``\\n``."""
+    import csv
+    import io
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def json_float(value, name: str) -> float:

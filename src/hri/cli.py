@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NoReturn, Sequence
 # Each subcommand imports the domain modules it runs, so that a process loads
 # only those: at module level this file needs no more than these two.
 from ._util import DEFAULT_SEGMENT_LENGTH_M, DEFAULT_THRESHOLD
-from ._util import atomic_write_all, atomic_write_bytes, atomic_write_text, now_ms
+from ._util import atomic_write_all, atomic_write_bytes, atomic_write_text, now_ms, write_csv_table
 from .errors import HriError, ValidationError
 
 if TYPE_CHECKING:
@@ -192,17 +192,10 @@ def sensitivity(args: argparse.Namespace) -> None:
 
         text = json.dumps(rows, indent=2) + "\n"
     else:
-        import csv as csv_lib
-        import io
-
-        buffer = io.StringIO()
-        writer = csv_lib.writer(buffer, lineterminator="\n")
-        writer.writerow(["scenario", "group", "score", "readiness_class"])
-        for row in rows:
-            writer.writerow(
-                [row["scenario"], row["group"], f"{row['score']:.2f}", row["readiness_class"]]
-            )
-        text = buffer.getvalue()
+        text = write_csv_table(
+            ("scenario", "group", "score", "readiness_class"),
+            ((row["scenario"], row["group"], f"{row['score']:.2f}", row["readiness_class"]) for row in rows),
+        )
 
     if args.out is not None:
         atomic_write_text(args.out, text)

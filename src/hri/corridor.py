@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._util import DEFAULT_SEGMENT_LENGTH_M  # noqa: F401 - public at this path too
-from ._util import GEOM_EPS as _GEOM_EPS, expected_segment_count, json_float, json_int, parse_json
+from ._util import GEOM_EPS as _GEOM_EPS, expected_segment_count, json_float, json_int, parse_json, write_csv_table
 from .errors import ParseError, ValidationError
 from .taxonomy import attribute_ids, is_known_attribute
 
@@ -592,14 +592,12 @@ def dump_corridor(profile: CorridorProfile) -> str:
         "length_km": profile.length_km,
         "segment_length_m": profile.segment_length_m,
     }
-    out = io.StringIO()
-    out.write("# " + json.dumps(meta) + "\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_CORRIDOR_HEADER)
-    for segment in profile.segments:
-        for attr, value in segment.values.items():
-            writer.writerow([segment.index, attr, value])
-    return out.getvalue()
+    rows = (
+        (segment.index, attr, value)
+        for segment in profile.segments
+        for attr, value in segment.values.items()
+    )
+    return "# " + json.dumps(meta) + "\n" + write_csv_table(_CORRIDOR_HEADER, rows)
 
 
 def load_overlay(path: str | Path) -> ScenarioOverlay:

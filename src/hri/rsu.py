@@ -37,6 +37,8 @@ class BroadcastConfig:
             raise ValidationError(
                 f"broadcast period must be positive and at most {threading.TIMEOUT_MAX:g} s, got {self.period_s}"
             )
+        if self.period_s < 0.001:  # emission i is stamped base + i * period in whole milliseconds
+            raise ValidationError(f"broadcast period must be at least 0.001 s, got {self.period_s}")
         if self.count is not None and self.count < 1:
             raise ValidationError(f"broadcast count must be at least 1, got {self.count}")
 

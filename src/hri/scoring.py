@@ -231,11 +231,15 @@ def _geometry_error(position: int, index, start_m, length_m, segment_length_m) -
     return None
 
 
+_LEVEL_BYTES = bytes(range(len(LEVEL_SETS)))
+
+
 class SegmentColumns(Sequence):
     """An assessment's segments as parallel columns: ``asd_scores`` and
     ``aud_scores``, and ``levels`` with one byte per segment, the index of its
     allowed-level set in ``LEVEL_SETS``. Segment ``i`` starts at
-    ``i * segment_length_m``.
+    ``i * segment_length_m``. Columns of unequal length, a level byte above 3
+    and a score outside [0, 100], NaN included, are a ``ValueError``.
 
     ``len`` reads the column length; indexing builds a :class:`SegmentAssessment`.
     """
@@ -247,6 +251,17 @@ class SegmentColumns(Sequence):
         self.aud_scores = tuple(aud_scores)
         self.levels = bytes(levels)
         self.segment_length_m = segment_length_m
+        if not len(self.asd_scores) == len(self.aud_scores) == len(self.levels):
+            lengths = len(self.asd_scores), len(self.aud_scores), len(self.levels)
+            raise ValueError("columns of unequal length: asd scores %d, aud scores %d, levels %d" % lengths)
+        bad = self.levels.translate(None, _LEVEL_BYTES)
+        if bad:
+            raise ValueError(f"level byte {bad[0]} is not the code of an allowed-level set 0..3")
+        for scores in (self.asd_scores, self.aud_scores):
+            # min and max can pass over a NaN, which makes the sum NaN
+            if scores and not (0.0 <= min(scores) and max(scores) <= 100.0 and not math.isnan(sum(scores))):
+                score = next(score for score in scores if not 0.0 <= score <= 100.0)
+                raise ValueError(f"readiness score {score} outside [0, 100]")
 
     @classmethod
     def of(cls, segments: tuple[SegmentAssessment, ...], segment_length_m: float) -> SegmentColumns:

@@ -12,14 +12,13 @@ the denominator, never imputed as zero.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+from ._util import read_csv_table, write_csv_table
 from .errors import ParseError, ValidationError
 from .taxonomy import (
     PROVENANCE_CUSTOM,
@@ -27,7 +26,6 @@ from .taxonomy import (
     WeightTable,
     attribute_ids,
     is_known_attribute,
-    read_csv_rows,
 )
 
 
@@ -156,24 +154,8 @@ def grouped_mean(
 # day1,day2,day3 (day cells may be empty when unanswered).
 # ---------------------------------------------------------------------------
 
-_RATINGS_HEADER = ["respondent_id", "attribute", "group", "rating"]
-_RESPONDENTS_HEADER = [
-    "respondent_id",
-    "role",
-    "region",
-    "av_expertise",
-    "cits_expertise",
-    "day1",
-    "day2",
-    "day3",
-]
-
-
-def _read_rows(text: str, source: str | None) -> list[tuple[int, list[str]]]:
-    rows = read_csv_rows(text, source)
-    if not rows:
-        raise ParseError("empty file", source=source)
-    return rows
+_RATINGS_HEADER = ("respondent_id", "attribute", "group", "rating")
+_RESPONDENTS_HEADER = ("respondent_id", "role", "region", "av_expertise", "cits_expertise", "day1", "day2", "day3")
 
 
 def _parse_rating(text: str, *, source: str | None, line: int) -> int:
@@ -196,23 +178,10 @@ def load_survey(
     respondents declared in the sidecar file.
     """
     respondents_src = str(respondents_path)
-    rows = _read_rows(Path(respondents_path).read_text(encoding="utf-8"), respondents_src)
-    header_line, header = rows[0]
-    if [c.strip() for c in header] != _RESPONDENTS_HEADER:
-        raise ParseError(
-            f"expected header {','.join(_RESPONDENTS_HEADER)!r}",
-            source=respondents_src,
-            line=header_line,
-        )
+    text = Path(respondents_path).read_text(encoding="utf-8")
     profiles: dict[str, dict] = {}
     order: list[str] = []
-    for line_num, row in rows[1:]:
-        if len(row) != len(_RESPONDENTS_HEADER):
-            raise ParseError(
-                f"expected {len(_RESPONDENTS_HEADER)} fields, got {len(row)}",
-                source=respondents_src,
-                line=line_num,
-            )
+    for line_num, row in read_csv_table(text, respondents_src, _RESPONDENTS_HEADER, "empty file"):
         rid = row[0].strip()
         if rid in profiles:
             raise ParseError(f"duplicate respondent {rid!r}", source=respondents_src, line=line_num)
@@ -241,22 +210,9 @@ def load_survey(
         order.append(rid)
 
     ratings_src = str(ratings_path)
-    rows = _read_rows(Path(ratings_path).read_text(encoding="utf-8"), ratings_src)
-    header_line, header = rows[0]
-    if [c.strip() for c in header] != _RATINGS_HEADER:
-        raise ParseError(
-            f"expected header {','.join(_RATINGS_HEADER)!r}",
-            source=ratings_src,
-            line=header_line,
-        )
+    text = Path(ratings_path).read_text(encoding="utf-8")
     ratings: dict[str, dict[tuple[str, AutomationLevelGroup], int]] = {rid: {} for rid in order}
-    for line_num, row in rows[1:]:
-        if len(row) != len(_RATINGS_HEADER):
-            raise ParseError(
-                f"expected {len(_RATINGS_HEADER)} fields, got {len(row)}",
-                source=ratings_src,
-                line=line_num,
-            )
+    for line_num, row in read_csv_table(text, ratings_src, _RATINGS_HEADER, "empty file"):
         rid = row[0].strip()
         if rid not in ratings:
             raise ParseError(f"unknown respondent {rid!r}", source=ratings_src, line=line_num)
@@ -298,21 +254,16 @@ def load_survey(
 
 def dump_impact_difference(diffs: Mapping[str, float]) -> str:
     """Difference report CSV, rounded to the 2-decimal display convention."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["attribute", "impact_difference"])
-    for attr, diff in diffs.items():
-        writer.writerow([attr, f"{diff:.2f}"])
-    return out.getvalue()
+    rows = ((attr, f"{diff:.2f}") for attr, diff in diffs.items())
+    return write_csv_table(("attribute", "impact_difference"), rows)
 
 
 def dump_grouped_means(means: Mapping[tuple[Region, DayService], float]) -> str:
     """Region/day mean report CSV, 2-decimal display rounding."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["region", "day_service", "mean_rating"])
-    for region in Region:
-        for day in DayService:
-            if (region, day) in means:
-                writer.writerow([region.value, day.value, f"{means[(region, day)]:.2f}"])
-    return out.getvalue()
+    rows = (
+        (region.value, day.value, f"{means[(region, day)]:.2f}")
+        for region in Region
+        for day in DayService
+        if (region, day) in means
+    )
+    return write_csv_table(("region", "day_service", "mean_rating"), rows)

@@ -12,8 +12,6 @@ reads.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -25,6 +23,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+from ._util import read_csv_table, write_csv_table
 from .errors import ParseError, ValidationError
 
 V_MAX = 2
@@ -244,18 +243,7 @@ def validate_weight_table(
     return issues
 
 
-def read_csv_rows(text: str, source: str | None) -> list[tuple[int, list[str]]]:
-    """The ``(line number, fields)`` of each row that is neither blank nor a
-    ``#`` comment; a malformed record raises ``ParseError`` at its line."""
-    reader = csv.reader(io.StringIO(text))
-    rows = []
-    try:
-        for row in reader:
-            if row and not row[0].lstrip().startswith("#"):
-                rows.append((reader.line_num, row))
-    except csv.Error as exc:  # e.g. a field over csv's size limit
-        raise ParseError(f"malformed CSV: {exc}", source=source, line=reader.line_num) from None
-    return rows
+_WEIGHT_HEADER = ("attribute", "asd_weight", "aud_weight")
 
 
 def parse_weight_table(
@@ -270,27 +258,13 @@ def parse_weight_table(
     malformed numbers and weights that are not finite are rejected with
     their line number.
     """
-    rows = read_csv_rows(text, source)
-    if not rows:
-        raise ParseError("empty weight table", source=source)
-    header_line, header = rows[0]
-    if [c.strip() for c in header] != ["attribute", "asd_weight", "aud_weight"]:
-        raise ParseError(
-            "expected header 'attribute,asd_weight,aud_weight'",
-            source=source,
-            line=header_line,
-        )
-    weights: dict[tuple[AutomationLevelGroup, str], float] = {}
-    seen: set[str] = set()
-    for line_num, row in rows[1:]:
-        if len(row) != 3:
-            raise ParseError(f"expected 3 fields, got {len(row)}", source=source, line=line_num)
+    pairs: dict[str, tuple[float, float]] = {}  # (asd, aud) weights by attribute, in file order
+    for line_num, row in read_csv_table(text, source, _WEIGHT_HEADER, "empty weight table"):
         attr = row[0].strip()
         if not is_known_attribute(attr):
             raise ParseError(f"unknown attribute {attr!r}", source=source, line=line_num)
-        if attr in seen:
+        if attr in pairs:
             raise ParseError(f"duplicate attribute {attr!r}", source=source, line=line_num)
-        seen.add(attr)
         try:
             asd_w = float(row[1])
             aud_w = float(row[2])
@@ -298,22 +272,14 @@ def parse_weight_table(
             raise ParseError(f"malformed weight for {attr!r}", source=source, line=line_num) from None
         if not (math.isfinite(asd_w) and math.isfinite(aud_w)):
             raise ParseError(f"weight for {attr!r} is not finite", source=source, line=line_num)
-        weights[(AutomationLevelGroup.ASD, attr)] = asd_w
-        weights[(AutomationLevelGroup.AUD, attr)] = aud_w
-    # Reorder group-major so group_weights() follows file order per group.
-    ordered = {
-        (group, attr): weights[(group, attr)]
-        for group in AutomationLevelGroup
-        for attr in _attribute_order(weights)
+        pairs[attr] = (asd_w, aud_w)
+    # Group-major, so that group_weights() follows file order per group.
+    weights = {
+        (group, attr): pair[slot]
+        for slot, group in enumerate(AutomationLevelGroup)
+        for attr, pair in pairs.items()
     }
-    return WeightTable(ordered, provenance=provenance)
-
-
-def _attribute_order(weights: Mapping[tuple[AutomationLevelGroup, str], float]) -> tuple[str, ...]:
-    order: dict[str, None] = {}
-    for (_, attr) in weights:
-        order.setdefault(attr)
-    return tuple(order)
+    return WeightTable(weights, provenance=provenance)
 
 
 def load_weight_table(path: str | Path, *, provenance: str = PROVENANCE_CUSTOM) -> WeightTable:
@@ -323,18 +289,9 @@ def load_weight_table(path: str | Path, *, provenance: str = PROVENANCE_CUSTOM) 
 
 def dump_weight_table(table: WeightTable) -> str:
     """Render a table in the CSV interchange form (full float precision)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["attribute", "asd_weight", "aud_weight"])
-    for attr in table.attribute_ids_present():
-        writer.writerow(
-            [
-                attr,
-                table.lookup(AutomationLevelGroup.ASD, attr),
-                table.lookup(AutomationLevelGroup.AUD, attr),
-            ]
-        )
-    return out.getvalue()
+    asd, aud = AutomationLevelGroup.ASD, AutomationLevelGroup.AUD
+    rows = ((attr, table.lookup(asd, attr), table.lookup(aud, attr)) for attr in table.attribute_ids_present())
+    return write_csv_table(_WEIGHT_HEADER, rows)
 
 
 @lru_cache(maxsize=1)

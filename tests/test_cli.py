@@ -533,11 +533,15 @@ class TestSimulateRsuCommand:
             (["--period", "nan"], "broadcast period must be positive and at most"),
             (["--period", "inf"], "broadcast period must be positive and at most"),
             (["--period", "1e300"], "broadcast period must be positive and at most"),
+            (["--period", "0.0004"], "broadcast period must be at least 0.001 s, got 0.0004"),
             (["--target", "127.0.0.1:70000"], "port 70000 in '127.0.0.1:70000' is above 65535"),
             (["--bind", "127.0.0.1:70000"], "port 70000 in '127.0.0.1:70000' is above 65535"),
             (["--target", "127.0.0.1:\u00b2"], "expected host:port, got '127.0.0.1:\u00b2'"),
         ],
-        ids=["period-nan", "period-inf", "period-1e300", "target-port", "bind-port", "target-superscript-two"],
+        ids=[
+            "period-nan", "period-inf", "period-1e300", "period-sub-millisecond",
+            "target-port", "bind-port", "target-superscript-two",
+        ],
     )
     def test_options_out_of_range_exit_2(self, tmp_path, capsys, option, problem):
         msg_path = tmp_path / "m.ivim"

@@ -117,6 +117,19 @@ class TestBroadcast:
         with pytest.raises(ValidationError, match="broadcast period must be positive and at most"):
             BroadcastConfig(period_s=period_s)
 
+    @pytest.mark.parametrize("period_s", [0.0004, 0.000999, 5e-324])
+    def test_rejects_sub_millisecond_period(self, period_s):
+        # emission i is stamped base + i * round(period_s * 1000) ms: under 0.5 ms every stamp would be equal
+        with pytest.raises(ValidationError) as raised:
+            BroadcastConfig(period_s=period_s)
+        assert str(raised.value) == f"broadcast period must be at least 0.001 s, got {period_s}"
+
+    def test_shortest_period_stamps_each_emission_apart(self):
+        out = io.StringIO()
+        run_broadcast(one_zone_message(), BroadcastConfig(period_s=0.001, count=3, base_timestamp_ms=BASE_TS), out=out)
+        stamps = [decode(bytes.fromhex(line)).management.timestamp_ms for line in hex_lines(out)]
+        assert stamps == [BASE_TS, BASE_TS + 1, BASE_TS + 2, BASE_TS + 3]
+
     def test_accepts_the_longest_wait(self):
         assert BroadcastConfig(period_s=threading.TIMEOUT_MAX).period_s == threading.TIMEOUT_MAX
 

@@ -588,6 +588,28 @@ class TestSegmentColumns:
             CorridorAssessment("c", 0.1, 100.0, 66.0, "x", (segment,))
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "asd, aud, levels, message",
+        [
+            ([50.0], [50.0], [7], "level byte 7 is not the code of an allowed-level set 0..3"),
+            ([50.0, 50.0], [50.0, 50.0], [3, 4], "level byte 4 is not the code of an allowed-level set 0..3"),
+            ([150.0], [50.0], [0], "readiness score 150.0 outside [0, 100]"),
+            ([50.0, 50.0], [50.0, -0.5], [0, 0], "readiness score -0.5 outside [0, 100]"),
+            ([50.0, math.nan, 50.0], [50.0] * 3, [0] * 3, "readiness score nan outside [0, 100]"),
+            ([50.0], [101], [0], "readiness score 101 outside [0, 100]"),
+            ([50.0, 50.0], [math.inf, 1e308], [0, 0], "readiness score inf outside [0, 100]"),
+            ([50.0, 50.0], [50.0], [0, 0], "columns of unequal length: asd scores 2, aud scores 1, levels 2"),
+        ],
+        ids=["level-7", "level-4", "score-150", "score-negative", "score-nan", "int-score-101", "non-finite", "lengths"],
+    )
+    def test_columns_refuse_values_no_writer_can_use(self, asd, aud, levels, message):
+        # a level byte of 7 would reach build_ivim and the JSON writer as an IndexError, and a score of 150.0,
+        # NaN or inf would be written into a profile the loader refuses; bools, ints and the bounds load
+        assert len(SegmentColumns([0, True, 100.0, 33.5], [False, 66, 0.0, 100], [0, 1, 2, 3], 100.0)) == 4
+        with pytest.raises(ValueError) as raised:
+            SegmentColumns(asd, aud, levels, 100.0)
+        assert str(raised.value) == message
+
     def test_loader_accepts_integral_numbers_and_start_within_tolerance(self, baseline_assessment, tmp_path):
         doc = json.loads(dump_score_profile_json(baseline_assessment))
         doc["segments"][3].update(segment_index=3.0, length_m=100, start_m=300.0000004)
@@ -670,12 +692,6 @@ class TestJsonProfileLayout:
     def test_bool_scores(self):
         assessment = self.columns_assessment([True, 2.5, False], [False, 1, True])
         assert dump_score_profile_json(assessment) == reference_profile_json(assessment)
-
-    def test_non_finite_scores_as_json_writes_them(self):  # no loader takes these: the text alone
-        text = dump_score_profile_json(self.columns_assessment([math.nan, 50.0], [math.inf, 1e308]))
-        assert [line.strip() for line in text.splitlines() if "_score" in line] == [
-            '"asd_score": NaN,', '"aud_score": Infinity,', '"asd_score": 50.0,', '"aud_score": 1e+308,'
-        ]
 
     def test_non_ascii_corridor_id(self, weights, tmp_path):
         profile = corridor_of([{attr: 2 for attr in attribute_ids()}], corridor_id="Autobahn Ö \U0001f697 \u00e9\u200b")

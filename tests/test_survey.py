@@ -7,11 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hri.errors import ParseError, ValidationError
+from hri.corridor import load_corridor
 from hri.fixtures import (
+    BASELINE_CORRIDOR_FILE,
     SURVEY17_RATINGS_FILE,
     SURVEY17_RESPONDENTS_FILE,
+    SURVEY20_RATINGS_FILE,
+    SURVEY20_RESPONDENTS_FILE,
     build_survey_responses,
     fixture_path,
+    generate_baseline_corridor,
     rating_cell_plan,
 )
 from hri.survey import (
@@ -23,7 +28,7 @@ from hri.survey import (
     impact_difference,
     load_survey,
 )
-from hri.taxonomy import AutomationLevelGroup, WeightTable, attribute_ids
+from hri.taxonomy import AutomationLevelGroup, WeightTable, attribute_ids, parse_weight_table
 
 ASD = AutomationLevelGroup.ASD
 AUD = AutomationLevelGroup.AUD
@@ -278,3 +283,73 @@ class TestSurveyFiles:
                 av_expertise=6,
                 cits_expertise=3,
             )
+
+
+def test_committed_fixtures_match_their_generators():
+    assert load_corridor(fixture_path(BASELINE_CORRIDOR_FILE)) == generate_baseline_corridor()
+    for n, ratings, respondents in (
+        (17, SURVEY17_RATINGS_FILE, SURVEY17_RESPONDENTS_FILE),
+        (20, SURVEY20_RATINGS_FILE, SURVEY20_RESPONDENTS_FILE),
+    ):
+        assert load_survey(fixture_path(ratings), fixture_path(respondents)) == build_survey_responses(n)
+
+
+WEIGHTS_HEADER = "attribute,asd_weight,aud_weight"
+RESPONDENTS_HEADER = "respondent_id,role,region,av_expertise,cits_expertise,day1,day2,day3"
+RATINGS_HEADER = "respondent_id,attribute,group,rating"
+OVERSIZED = "2" * 200_000  # over csv's field size limit
+
+# Per table: its header, a data row, a row with a bad value (and that value's error), and a row one field short.
+TABLES = {
+    "weights": (WEIGHTS_HEADER, "hd-maps,1,1", "lighting,high,1", "malformed weight for 'lighting'", "lane-width,1"),
+    "respondents": (
+        RESPONDENTS_HEADER, "r1,Professor,europe,5,4,1,1,1", "r2,Engineer,usa,five,4,,,", "malformed expertise value",
+        "r3,Engineer,usa,5,4,,",
+    ),
+    "ratings": (RATINGS_HEADER, "r1,hd-maps,aud,2", "r1,lighting,asd,7", "rating 7 outside 0..2", "r1,lane-width,aud"),
+}
+
+
+def table_error(kind: str, text: str, tmp_path) -> ParseError:
+    """The error of reading ``text`` as the ``kind`` table, with the other survey file valid."""
+    respondents, ratings = tmp_path / "respondents.csv", tmp_path / "ratings.csv"
+    respondents.write_text(RESPONDENTS_HEADER + "\nr1,Professor,europe,5,4,1,1,1\n")
+    ratings.write_text(RATINGS_HEADER + "\nr1,hd-maps,aud,2\n")
+    with pytest.raises(ParseError) as raised:
+        if kind == "weights":
+            parse_weight_table(text, source="w.csv")
+        else:
+            (respondents if kind == "respondents" else ratings).write_text(text)
+            load_survey(ratings, respondents)
+    return raised.value
+
+
+class TestCsvTables:
+    """The rules the weight table and both survey files share, each with the text and line it had
+    when every reader checked its own header and field count."""
+
+    @pytest.mark.parametrize("kind", sorted(TABLES))
+    @pytest.mark.parametrize(
+        "fault",
+        ["empty", "comments only", "wrong header", "short row", "bad value then short row", "bad value then csv fault"],
+    )
+    def test_faults_report_their_text_and_line(self, kind, fault, tmp_path):
+        header, good, bad, bad_message, short = TABLES[kind]
+        width = header.count(",") + 1
+        empty = "empty weight table" if kind == "weights" else "empty file"
+        oversized = "malformed CSV: field larger than field limit (131072)"
+        text, line, message = {
+            "empty": ("", None, empty),
+            "comments only": ("# a comment\n\n  # another\n", None, empty),
+            "wrong header": (f"# {kind}\n{header},extra\n{good}\n", 2, f"expected header {header!r}"),
+            "short row": (
+                f"{header}\n{good}\n# a comment\n{short}\n", 4, f"expected {width} fields, got {width - 1}"
+            ),
+            "bad value then short row": (f"{header}\n{good}\n{bad}\n{short}\n", 3, bad_message),
+            # csv reads the whole file before any row is checked: its fault comes first wherever it is
+            "bad value then csv fault": (f"{header}\n{bad}\n{good}\n{good},{OVERSIZED}\n", 4, oversized),
+        }[fault]
+        error = table_error(kind, text, tmp_path)
+        source = "w.csv" if kind == "weights" else str(tmp_path / f"{kind}.csv")
+        expected = ParseError(message, source=source, line=line)
+        assert (error.source, error.line, str(error)) == (source, line, str(expected))

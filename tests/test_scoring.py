@@ -104,13 +104,15 @@ def scoring_cases(draw):
 
 class TestScoreSegment:
     def test_all_two_scores_100(self, weights):
-        observation = obs({attr: 2 for attr in attribute_ids()})
-        assert score_segment(observation, weights, AUD).value == 100.0
+        for two in (2, 2.0):  # an observation takes a value equal to 0, 1 or 2
+            observation = obs({attr: two for attr in attribute_ids()})
+            assert score_segment(observation, weights, AUD).value == 100.0
 
     def test_all_one_scores_50(self, weights):
-        observation = obs({attr: 1 for attr in attribute_ids()})
-        assert score_segment(observation, weights, ASD).value == 50.0
-        assert score_segment(observation, weights, AUD).value == 50.0
+        for one in (1, 1.0, True):
+            observation = obs({attr: one for attr in attribute_ids()})
+            assert score_segment(observation, weights, ASD).value == 50.0
+            assert score_segment(observation, weights, AUD).value == 50.0
 
     def test_all_zero_scores_0(self, weights):
         observation = obs({attr: 0 for attr in attribute_ids()})
@@ -369,6 +371,14 @@ class TestScoreCorridor:
                 score()
             assert str(raised.value) == "weight sum for group aud times 2 is not finite"
 
+    def test_one_attribute_table_matches_score_segment(self):
+        table = table_for(["lighting"], [1.5], [0.7])
+        profile = corridor_of([{"lighting": value} for value in (0, 1, 2, 1)])
+        segments = score_corridor(profile, table).segments
+        expected = [[score_segment(seg, table, group).value for group in (ASD, AUD)] for seg in profile.segments]
+        assert [list(pair) for pair in zip(segments.asd_scores, segments.aud_scores)] == expected
+        assert expected[1] == [50.0, 50.0]
+
     def test_attribute_mismatch_message(self, weights):
         values = {attr: 2 for attr in attribute_ids() if attr != "hd-maps"}
         values["potholes"] = 1
@@ -378,6 +388,9 @@ class TestScoreCorridor:
             "attribute mismatch between observation and weights: "
             "weights missing for ['potholes']; observation missing ['hd-maps']"
         )
+
+
+_PHYSICAL = [category for category in MacroCategory if category is not MacroCategory.PRELOADED_HD_MAPS]
 
 
 class TestMacroSensitivity:
@@ -428,6 +441,16 @@ class TestMacroSensitivity:
         )
         scores = macro_sensitivity(config)
         assert scores[AUD].value == 0.0
+
+    @pytest.mark.parametrize("level", [1.0, True])
+    def test_degraded_level_equal_to_an_int_scores_as_it(self, level):
+        scored = {}
+        for scenario in SensitivityScenario:
+            scores = macro_sensitivity(SensitivityConfig(scenario, dict.fromkeys(_PHYSICAL, level)))
+            expected = macro_sensitivity(SensitivityConfig(scenario, dict.fromkeys(_PHYSICAL, int(level))))
+            scored[scenario] = [scores[group].value for group in (ASD, AUD)]
+            assert scored[scenario] == [expected[group].value for group in (ASD, AUD)]
+        assert scored[SensitivityScenario.DEGRADED_NO_HD] == pytest.approx([37.5, 33.0], abs=1e-9)
 
     def test_rejects_bad_levels(self):
         with pytest.raises(ValueError):
@@ -554,6 +577,17 @@ class TestSegmentAssessmentStore:
             load_score_profile_json(path)
         assert str(raised.value) == f"{path}: {message}"
 
+    def test_loader_reports_the_first_segment_with_a_score_out_of_range(self, baseline_assessment, tmp_path):
+        # segment 1's aud score is at fault before segment 2's asd score, though asd is the first column
+        doc = json.loads(dump_score_profile_json(baseline_assessment))
+        doc["segments"][1]["aud_score"] = 100.5
+        doc["segments"][2]["asd_score"] = -1.0
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as raised:
+            load_score_profile_json(path)
+        assert str(raised.value) == f"{path}: bad score profile: readiness score 100.5 outside [0, 100]"
+
     def test_loader_accepts_a_class_name_in_other_case(self, baseline_assessment, tmp_path):
         doc = json.loads(dump_score_profile_json(baseline_assessment))
         doc["segments"][0]["asd_class"] = " Highly-Likely "
@@ -598,9 +632,13 @@ class TestSegmentColumns:
             ([50.0, math.nan, 50.0], [50.0] * 3, [0] * 3, "readiness score nan outside [0, 100]"),
             ([50.0], [101], [0], "readiness score 101 outside [0, 100]"),
             ([50.0, 50.0], [math.inf, 1e308], [0, 0], "readiness score inf outside [0, 100]"),
+            ([50.0, -1.0], [101.0, 50.0], [0, 0], "readiness score -1.0 outside [0, 100]"),
             ([50.0, 50.0], [50.0], [0, 0], "columns of unequal length: asd scores 2, aud scores 1, levels 2"),
         ],
-        ids=["level-7", "level-4", "score-150", "score-negative", "score-nan", "int-score-101", "non-finite", "lengths"],
+        ids=[
+            "level-7", "level-4", "score-150", "score-negative", "score-nan", "int-score-101", "non-finite",
+            "asd-column-first", "lengths",
+        ],
     )
     def test_columns_refuse_values_no_writer_can_use(self, asd, aud, levels, message):
         # a level byte of 7 would reach build_ivim and the JSON writer as an IndexError, and a score of 150.0,

@@ -54,6 +54,17 @@ if TYPE_CHECKING:
     from .corridor import CorridorProfile, SegmentObservation
 
 
+def _check_scores(*columns) -> None:
+    """Refuse a readiness score outside [0, 100], NaN included: a ValueError names the first one,
+    taking the columns' scores of one segment after another."""
+    for column in columns:
+        # min and max can pass over a NaN, which makes the sum NaN
+        if column and not (0.0 <= min(column) and max(column) <= 100.0 and not math.isnan(sum(column))):
+            for score in chain.from_iterable(zip(*columns)):
+                if not 0.0 <= score <= 100.0:
+                    raise ValueError(f"readiness score {score} outside [0, 100]")
+
+
 @dataclass(frozen=True)
 class ReadinessScore:
     """A readiness percentage for one group; ``segment_index`` is None for
@@ -64,8 +75,7 @@ class ReadinessScore:
     segment_index: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 100.0:
-            raise ValueError(f"readiness score {self.value} outside [0, 100]")
+        _check_scores((self.value,))
 
 
 _ASD, _AUD = AutomationLevelGroup.ASD, AutomationLevelGroup.AUD
@@ -93,7 +103,7 @@ class _WeightedRatio:
     """``100 * sum(w * v) / sum(w * V_MAX)`` over fixed ``(key, weight)`` pairs.
 
     Both sums run in the pairs' order, starting from 0.0, so a ratio
-    resolved once and applied to many value mappings gives bit-for-bit the
+    resolved once and applied to many value rows gives bit-for-bit the
     scores of summing afresh each time. ``label`` names the weight sum in the
     error raised when it is not positive, or when twice it is not finite.
     """
@@ -102,44 +112,48 @@ class _WeightedRatio:
         self.pairs = tuple(pairs)
         self.keys = frozenset(key for key, _ in self.pairs)
         self.label = label
+        # per pair, the terms ``(w * 0, w * 1, w * 2)`` that a value adds to the numerator
+        self.terms = [(weight * 0, weight * 1, weight * 2) for _, weight in self.pairs]
         denominator = 0.0
-        for _, weight in self.pairs:
-            denominator += weight * V_MAX
+        for terms in self.terms:
+            denominator += terms[V_MAX]
         self.denominator = denominator
 
-    def check(self) -> None:
-        """Refuse a weight sum that is not positive, or not finite when doubled: neither gives a ratio."""
+    def scores(self, rows) -> list[float]:
+        """The ratio of each row of values, given in pair order as ints 0, 1 or 2; a weight sum that is not
+        positive, or not finite when doubled, gives no ratio and is refused."""
         if not 0.0 < self.denominator < math.inf:
             problem = "is not positive" if self.denominator <= 0.0 else f"times {V_MAX} is not finite"
             raise ValidationError(f"{self.label} {problem}")
+        scores = []
+        for row in rows:
+            numerator = 0.0
+            for terms, value in zip(self.terms, row):
+                numerator += terms[value]
+            ratio = 100.0 * numerator / self.denominator
+            # round-off can push the ratio a few ulp past its bounds: min/max without the calls (NaN, -0.0 give 0.0)
+            ratio = ratio if ratio > 0.0 else 0.0
+            scores.append(ratio if ratio < 100.0 else 100.0)
+        return scores
 
     def __call__(self, values: Mapping) -> float:
-        self.check()
-        numerator = 0.0
-        for key, weight in self.pairs:
-            numerator += weight * values[key]
-        # summation round-off can push the ratio a few ulp past its exact bounds
-        return min(100.0, max(0.0, 100.0 * numerator / self.denominator))
+        """The ratio of ``values``, once they cover exactly the ratio's keys."""
+        if values.keys() != self.keys:
+            missing = set(values) - self.keys
+            extra = self.keys - set(values)
+            detail = []
+            if missing:
+                detail.append(f"weights missing for {sorted(missing)}")
+            if extra:
+                detail.append(f"observation missing {sorted(extra)}")
+            raise ValidationError(f"attribute mismatch between observation and weights: {'; '.join(detail)}")
+        # int: observations and sensitivity configurations take 2.0 and True, equal to 2 and 1
+        (score,) = self.scores([[int(values[key]) for key, _ in self.pairs]])
+        return score
 
 
 def _group_ratio(weights: WeightTable, group: AutomationLevelGroup) -> _WeightedRatio:
     return _WeightedRatio(weights.group_weights(group).items(), f"weight sum for group {group.value}")
-
-
-def _ratio_of(values: Mapping, ratio: _WeightedRatio) -> float:
-    """``ratio(values)`` once the values cover exactly the ratio's attributes."""
-    if values.keys() != ratio.keys:
-        missing = set(values) - ratio.keys
-        extra = ratio.keys - set(values)
-        detail = []
-        if missing:
-            detail.append(f"weights missing for {sorted(missing)}")
-        if extra:
-            detail.append(f"observation missing {sorted(extra)}")
-        raise ValidationError(
-            f"attribute mismatch between observation and weights: {'; '.join(detail)}"
-        )
-    return ratio(values)
 
 
 def score_segment(
@@ -152,7 +166,7 @@ def score_segment(
     The observation and the weight table must cover the same attribute set;
     a zero weight sum (degenerate custom table) is an error.
     """
-    return ReadinessScore(group, _ratio_of(obs.values, _group_ratio(weights, group)), obs.index)
+    return ReadinessScore(group, _group_ratio(weights, group)(obs.values), obs.index)
 
 
 def classify(score: ReadinessScore | float) -> ReadinessClass:
@@ -197,9 +211,7 @@ class SegmentAssessment:
     allowed_sae_levels: frozenset[int]
 
     def __post_init__(self) -> None:
-        for score in (self.asd_score, self.aud_score):
-            if not 0.0 <= score <= 100.0:
-                raise ValueError(f"readiness score {score} outside [0, 100]")
+        _check_scores((self.asd_score,), (self.aud_score,))
         object.__setattr__(self, "allowed_sae_levels", LEVEL_SETS[level_code(self.allowed_sae_levels)])
 
     @property
@@ -257,11 +269,8 @@ class SegmentColumns(Sequence):
         bad = self.levels.translate(None, _LEVEL_BYTES)
         if bad:
             raise ValueError(f"level byte {bad[0]} is not the code of an allowed-level set 0..3")
-        for scores in (self.asd_scores, self.aud_scores):
-            # min and max can pass over a NaN, which makes the sum NaN
-            if scores and not (0.0 <= min(scores) and max(scores) <= 100.0 and not math.isnan(sum(scores))):
-                score = next(score for score in scores if not 0.0 <= score <= 100.0)
-                raise ValueError(f"readiness score {score} outside [0, 100]")
+        _check_scores(self.asd_scores)  # the asd column first, then the aud column
+        _check_scores(self.aud_scores)
 
     @classmethod
     def of(cls, segments: tuple[SegmentAssessment, ...], segment_length_m: float) -> SegmentColumns:
@@ -329,15 +338,6 @@ class CorridorAssessment:
             raise ValidationError(f"segment 0: {problem}")
 
 
-def _term_tables(ratio: _WeightedRatio, slot_of: Mapping) -> tuple[list, operator.itemgetter | None, float]:
-    """Per pair, the terms ``(w * 0, w * 1, w * 2)`` a value adds to the ratio's numerator; a getter
-    of a row's values in pair order, or None when that is the row's order; and the denominator."""
-    ratio.check()
-    slots = [slot_of[key] for key, _ in ratio.pairs]
-    getter = None if slots == list(range(len(slots))) else operator.itemgetter(*slots)
-    return [(weight * 0, weight * 1, weight * 2) for _, weight in ratio.pairs], getter, ratio.denominator
-
-
 def score_corridor(
     profile: CorridorProfile,
     weights: WeightTable,
@@ -349,38 +349,31 @@ def score_corridor(
     ratios = (_group_ratio(weights, _ASD), _group_ratio(weights, _AUD))
     segments = profile.segments
     rows = segments.rows
-    asd_scores = aud_scores = levels = ()
+    columns, levels = [(), ()], ()  # the asd and aud scores, and the level codes
     if rows:
         # score_segment's attribute check, made once: every segment has the same attributes
         attributes = frozenset(segments.attributes)
         if not segments.complete or any(ratio.keys != attributes for ratio in ratios):
             for segment in segments:  # raises score_segment's error for the first segment it rejects
                 for ratio in ratios:
-                    _ratio_of(segment.values, ratio)
+                    ratio(segment.values)
         slot_of = {attr: slot for slot, attr in enumerate(segments.attributes)}
-        (asd_terms, asd_get, asd_denominator), (aud_terms, aud_get, aud_denominator) = (
-            _term_tables(ratio, slot_of) for ratio in ratios
-        )
-        asd_of, aud_of = {}, {}
-        for row in dict.fromkeys(rows):  # each distinct row once, both sums as _WeightedRatio adds them
-            asd = aud = 0.0
-            for terms, value in zip(asd_terms, row if asd_get is None else asd_get(row)):
-                asd += terms[value]
-            for terms, value in zip(aud_terms, row if aud_get is None else aud_get(row)):
-                aud += terms[value]
-            asd, aud = 100.0 * asd / asd_denominator, 100.0 * aud / aud_denominator
-            # min(100.0, max(0.0, r)) without the calls: NaN and -0.0 give 0.0 here too
-            asd, aud = asd if asd > 0.0 else 0.0, aud if aud > 0.0 else 0.0
-            asd_of[row], aud_of[row] = asd if asd < 100.0 else 100.0, aud if aud < 100.0 else 100.0
-        asd_scores, aud_scores = list(map(asd_of.__getitem__, rows)), list(map(aud_of.__getitem__, rows))
-        levels = _level_codes(asd_scores, aud_scores, threshold, operator.ge if threshold_inclusive else operator.gt)
+        distinct = list(dict.fromkeys(rows))  # each distinct row is scored once per group
+        for group, ratio in enumerate(ratios):
+            slots = [slot_of[key] for key, _ in ratio.pairs]
+            ordered = distinct  # rows already in pair order are scored as they are
+            if slots != list(range(len(slots))):
+                ordered = [[row[slot] for slot in slots] for row in distinct]
+            score_of = dict(zip(distinct, ratio.scores(ordered)))
+            columns[group] = list(map(score_of.__getitem__, rows))
+        levels = _level_codes(*columns, threshold, operator.ge if threshold_inclusive else operator.gt)
     return CorridorAssessment(
         corridor_id=profile.corridor_id,
         length_km=profile.length_km,
         segment_length_m=profile.segment_length_m,
         threshold=threshold,
         weight_provenance=weights.provenance,
-        segments=SegmentColumns(asd_scores, aud_scores, levels, profile.segment_length_m),
+        segments=SegmentColumns(*columns, levels, profile.segment_length_m),
     )
 
 
@@ -571,18 +564,6 @@ def dump_score_profile_json(assessment: CorridorAssessment) -> str:
     )
 
 
-_CLASS_BY_NAME = {readiness_class.value: readiness_class for readiness_class in ReadinessClass}
-
-
-def _parse_class(text: str) -> ReadinessClass:
-    try:
-        return _CLASS_BY_NAME[text]
-    except (KeyError, TypeError):  # not a canonical name: let parse() normalize it or explain
-        if not isinstance(text, str):
-            raise TypeError(f"readiness class must be a string, got {text!r}") from None
-        return ReadinessClass.parse(text)
-
-
 # a segment lacking several of these fields is reported as lacking the first
 _SEGMENT_FIELDS = operator.itemgetter(
     "segment_index", "asd_score", "aud_score", "asd_class", "aud_class", "allowed_sae_levels", "start_m", "length_m"
@@ -632,18 +613,13 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
         weight_provenance = str(doc.get("weight_provenance", "unknown"))
         # class names other than the bands' are read here, and compared with the bands once the scores are checked
         named = asd_classes == tuple(_class_names(asd)) and aud_classes == tuple(_class_names(aud))
-        classes = None if named else [list(map(_parse_class, pair)) for pair in zip(asd_classes, aud_classes)]
+        classes = None if named else [list(map(ReadinessClass.parse, pair)) for pair in zip(asd_classes, aud_classes)]
         levels = inclusive = _level_codes(asd, aud, threshold, operator.ge)
         written = tuple(map(_LEVEL_LISTS.__getitem__, inclusive))  # the lists the writer gives under >=
         if listed != written or not {*map(type, chain.from_iterable(listed))} <= {int}:  # equal lists may hold bools
             # a string or a bool in a set is refused here, and the sets are checked after the grid
             levels = [level_code([json_int(level, "SAE level") for level in given]) for given in listed]
-        scores = asd + aud
-        # min and max can pass over a NaN, which the sum shows
-        if not 0.0 <= min(scores, default=0.0) <= max(scores, default=0.0) <= 100.0 or math.isnan(sum(scores)):
-            for score in chain.from_iterable(zip(asd, aud)):
-                if not 0.0 <= score <= 100.0:
-                    raise ValueError(f"readiness score {score} outside [0, 100]")
+        _check_scores(asd, aud)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of 1e400
         raise ParseError(f"bad score profile: {exc}", source=source) from None
     for index, pair, loaded in zip(indexes, zip(asd, aud), classes or ()):  # no walk when every class is named

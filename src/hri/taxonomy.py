@@ -55,6 +55,8 @@ class ReadinessClass(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "ReadinessClass":
+        if not isinstance(text, str):
+            raise TypeError(f"readiness class must be a string, got {text!r}")
         try:
             return cls(text.strip().lower())
         except ValueError:

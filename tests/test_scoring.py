@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hri.corridor import CorridorProfile, SegmentObservation, apply_overlay
+from hri.corridor import MISSING, CorridorProfile, SegmentObservation, SegmentRows, apply_overlay
 from hri.errors import ParseError, ValidationError
 from hri.scoring import (
     CorridorAssessment,
@@ -371,9 +372,13 @@ class TestScoreCorridor:
                 score()
             assert str(raised.value) == "weight sum for group aud times 2 is not finite"
 
-    def test_one_attribute_table_matches_score_segment(self):
+    @pytest.mark.parametrize("empty_column", [False, True])
+    def test_one_attribute_table_matches_score_segment(self, empty_column):
         table = table_for(["lighting"], [1.5], [0.7])
         profile = corridor_of([{"lighting": value} for value in (0, 1, 2, 1)])
+        if empty_column:  # a column no segment has a value for, before the scored one
+            rows = [bytes([MISSING, value]) for value in (0, 1, 2, 1)]
+            profile = replace(profile, segments=SegmentRows(("lane-width", "lighting"), rows, 100.0))
         segments = score_corridor(profile, table).segments
         expected = [[score_segment(seg, table, group).value for group in (ASD, AUD)] for seg in profile.segments]
         assert [list(pair) for pair in zip(segments.asd_scores, segments.aud_scores)] == expected

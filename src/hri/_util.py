@@ -45,6 +45,22 @@ def parse_json(text: str, source: str, *, what: str = "JSON", line: int | None =
     raise ParseError(f"invalid {what}: {fault.msg}", source=source, line=fault.lineno, column=fault.colno)
 
 
+def read_input(path: str | Path, data: bytes | None = None) -> str:
+    """The text of the file ``path``, or of its bytes ``data`` when they are already read: UTF-8, with
+    ``\r\n`` and ``\r`` read as ``\n``, as ``Path.read_text`` reads it. A byte that is not UTF-8 is a
+    ParseError that names the file and gives the line and column of that byte."""
+    if data is None:
+        data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = read_input(path, data[: exc.start])  # the text before the byte, which is UTF-8
+        line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
+        message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        raise ParseError(message, source=str(path), line=line, column=column) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def read_csv_table(text: str, source: str | None, header: Sequence[str], empty: str) -> Iterator[tuple[int, list[str]]]:
     """The ``(line number, fields)`` of each data row of a headered CSV table.
 
@@ -122,7 +138,12 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 def atomic_write_all(outputs: Sequence[tuple[str | Path, str | bytes]]) -> None:
     """Write each ``(path, data)`` output, text as UTF-8, with every temporary file written before
-    any output is replaced: a failed write leaves no new output and no temporary file behind."""
+    any output is replaced: a failed write leaves no new output and no temporary file behind.
+    Two outputs that resolve to one file are a ValidationError, raised before anything is written."""
+    resolved = [Path(path).resolve() for path, _ in outputs]
+    for position, (path, _) in enumerate(outputs):
+        if resolved[position] in resolved[:position]:
+            raise ValidationError(f"two outputs name one file: {path}")
     pending = []  # (temporary file, output) written and not yet moved into place
     path = None
     try:

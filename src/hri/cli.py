@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NoReturn, Sequence
 # Each subcommand imports the domain modules it runs, so that a process loads
 # only those: at module level this file needs no more than these two.
 from ._util import DEFAULT_SEGMENT_LENGTH_M, DEFAULT_THRESHOLD
-from ._util import atomic_write_all, atomic_write_bytes, atomic_write_text, now_ms, write_csv_table
+from ._util import atomic_write_all, atomic_write_bytes, atomic_write_text, now_ms, read_input, write_csv_table
 from .errors import HriError, ValidationError
 
 if TYPE_CHECKING:
@@ -252,9 +252,7 @@ def ivim_encode(args: argparse.Namespace) -> None:
     from . import ivim as ivim_mod
 
     text_in = args.text_in
-    message = ivim_mod.from_canonical_text(
-        text_in.read_text(encoding="utf-8"), source=str(text_in)
-    )
+    message = ivim_mod.from_canonical_text(read_input(text_in), source=str(text_in))
     payload = ivim_mod.encode(message)
     if args.out is not None:
         out_path = args.out
@@ -313,9 +311,7 @@ def simulate_rsu(args: argparse.Namespace) -> None:
         if raw.startswith(ivim_mod.MAGIC):
             base_message = ivim_mod.decode(raw)
         else:
-            base_message = ivim_mod.from_canonical_text(
-                raw.decode("utf-8"), source=str(args.message)
-            )
+            base_message = ivim_mod.from_canonical_text(read_input(args.message, raw), source=str(args.message))
     else:
         assessment = load_score_profile_json(args.profile)
         base_message = ivim_mod.build_ivim(

@@ -25,7 +25,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._util import DEFAULT_SEGMENT_LENGTH_M  # noqa: F401 - public at this path too
-from ._util import GEOM_EPS as _GEOM_EPS, expected_segment_count, json_float, json_int, parse_json, write_csv_table
+from ._util import GEOM_EPS as _GEOM_EPS, expected_segment_count, json_float, json_int, parse_json, read_input
+from ._util import write_csv_table
 from .errors import ParseError, ValidationError
 from .taxonomy import attribute_ids, is_known_attribute
 
@@ -313,7 +314,7 @@ def operationalize(
 def load_rubric(path: str | Path) -> dict[str, RubricEntry]:
     """Load a rubric JSON file: {attribute: {direction, unit?, breakpoints}}."""
     source = str(path)
-    doc = parse_json(Path(path).read_text(encoding="utf-8"), source)
+    doc = parse_json(read_input(path), source)
     if not isinstance(doc, dict):
         raise ParseError("rubric document must be a JSON object", source=source)
     rubric: dict[str, RubricEntry] = {}
@@ -386,7 +387,7 @@ def load_corridor(
     CSV itself starts with a ``# {...}`` metadata line.
     """
     source = str(path)
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_input(path)
 
     metadata: dict | None = None
     newline = text.find("\n")  # not split: that would copy the whole text
@@ -405,7 +406,7 @@ def load_corridor(
             metadata = _parse_meta(dict(meta), source="<meta>")
         else:
             meta_source = str(meta)
-            doc = parse_json(Path(meta).read_text(encoding="utf-8"), meta_source)
+            doc = parse_json(read_input(meta), meta_source)
             metadata = _parse_meta(doc, source=meta_source)
 
     registry = attribute_ids()
@@ -603,7 +604,7 @@ def dump_corridor(profile: CorridorProfile) -> str:
 def load_overlay(path: str | Path) -> ScenarioOverlay:
     """Load an overlay JSON file: {name, from_km, to_km, ops: [...]}."""
     source = str(path)
-    doc = parse_json(Path(path).read_text(encoding="utf-8"), source)
+    doc = parse_json(read_input(path), source)
     try:
         ops = tuple(
             OverlayOp(

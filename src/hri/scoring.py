@@ -33,7 +33,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from ._util import DEFAULT_THRESHOLD, GEOM_EPS, expected_segment_count, json_float, json_int, parse_json
+from ._util import DEFAULT_THRESHOLD, GEOM_EPS, expected_segment_count, json_float, json_int, parse_json, read_input
 from .errors import ParseError, ValidationError
 from .taxonomy import (
     BANDS,
@@ -592,7 +592,7 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
     first of the first check that fails.
     """
     source = str(path)
-    doc = parse_json(Path(path).read_text(encoding="utf-8"), source)
+    doc = parse_json(read_input(path), source)
     try:
         segments = doc["segments"]
         if not isinstance(segments, list):

@@ -18,7 +18,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from ._util import read_csv_table, write_csv_table
+from ._util import read_csv_table, read_input, write_csv_table
 from .errors import ParseError, ValidationError
 from .taxonomy import (
     PROVENANCE_CUSTOM,
@@ -178,7 +178,7 @@ def load_survey(
     respondents declared in the sidecar file.
     """
     respondents_src = str(respondents_path)
-    text = Path(respondents_path).read_text(encoding="utf-8")
+    text = read_input(respondents_path)
     profiles: dict[str, dict] = {}
     order: list[str] = []
     for line_num, row in read_csv_table(text, respondents_src, _RESPONDENTS_HEADER, "empty file"):
@@ -210,7 +210,7 @@ def load_survey(
         order.append(rid)
 
     ratings_src = str(ratings_path)
-    text = Path(ratings_path).read_text(encoding="utf-8")
+    text = read_input(ratings_path)
     ratings: dict[str, dict[tuple[str, AutomationLevelGroup], int]] = {rid: {} for rid in order}
     for line_num, row in read_csv_table(text, ratings_src, _RATINGS_HEADER, "empty file"):
         rid = row[0].strip()

@@ -23,7 +23,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._util import read_csv_table, write_csv_table
+from ._util import read_csv_table, read_input, write_csv_table
 from .errors import ParseError, ValidationError
 
 V_MAX = 2
@@ -286,7 +286,7 @@ def parse_weight_table(
 
 def load_weight_table(path: str | Path, *, provenance: str = PROVENANCE_CUSTOM) -> WeightTable:
     p = Path(path)
-    return parse_weight_table(p.read_text(encoding="utf-8"), provenance=provenance, source=str(p))
+    return parse_weight_table(read_input(p), provenance=provenance, source=str(p))
 
 
 def dump_weight_table(table: WeightTable) -> str:

@@ -710,6 +710,94 @@ def test_failed_last_output_leaves_no_output(tmp_path, capsys, monkeypatch, argv
     assert list(tmp_path.iterdir()) == []  # no output written before the last, and no temporary file
 
 
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (("score", CORRIDOR, "--out-csv", "same.out", "--out-json", "./same.out"), "same.out"),
+        (
+            (
+                "survey", fixture_path(SURVEY20_RATINGS_FILE), fixture_path(SURVEY20_RESPONDENTS_FILE),
+                "--out-weights", "s.csv", "--out-diff", "s.csv", "--out-days", "days.csv",
+            ),
+            "s.csv",
+        ),
+    ],
+    ids=["score", "survey"],
+)
+def test_outputs_that_name_one_file_exit_2_without_outputs(tmp_path, capsys, monkeypatch, argv, path):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: two outputs name one file: {path}\n"
+    assert list(tmp_path.iterdir()) == []  # no output, and no temporary file
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in any file a command reads is an input error (exit 1) at its line and
+    column, with no output; line ends are read as ``Path.read_text`` reads them."""
+
+    READERS = ["weights", "ratings", "respondents", "corridor", "metadata", "overlay", "profile", "text", "message"]
+
+    def case(self, reader: str, tmp_path: Path) -> tuple[str, list]:
+        """The valid text of the file that ``reader`` names, and a command that reads it from ``tmp_path / "in"``."""
+        from hri.taxonomy import dump_weight_table
+
+        path = tmp_path / "in"
+        profile, text, stamp = tmp_path / "p.json", tmp_path / "m.ivim.txt", ["--timestamp", 1700000000000]
+        build = ["--station-id", 1, *stamp]
+        assert run("score", CORRIDOR, "--out-csv", tmp_path / "p.csv", "--out-json", profile) == 0
+        assert run("ivim", "build", profile, *build, "--out", text) == 0
+        ratings, respondents = fixture_path(SURVEY20_RATINGS_FILE), fixture_path(SURVEY20_RESPONDENTS_FILE)
+        survey_outputs = ["--out-weights", tmp_path / "w", "--out-diff", tmp_path / "d", "--out-days", tmp_path / "y"]
+        outputs = ["--out-csv", tmp_path / "out.csv", "--out-json", tmp_path / "out.json"]
+        meta, rows = CORRIDOR.read_text().split("\n", 1)
+        (tmp_path / "rows.csv").write_text(rows)  # the corridor without its metadata line
+        sidecar = json.dumps(json.loads(meta[2:]), indent=2)
+        cases = {
+            "weights": (dump_weight_table(builtin_weight_table()), ["score", CORRIDOR, "--weights", path, *outputs]),
+            "ratings": (ratings.read_text(), ["survey", path, respondents, *survey_outputs]),
+            "respondents": (respondents.read_text(), ["survey", ratings, path, *survey_outputs]),
+            "corridor": (CORRIDOR.read_text(), ["score", path, *outputs]),
+            "metadata": (sidecar, ["score", tmp_path / "rows.csv", "--meta", path, *outputs]),
+            "overlay": (ROADWORKS.read_text(), ["score", CORRIDOR, "--overlay", path, *outputs]),
+            "profile": (profile.read_text(), ["ivim", "build", path, *build, "--out", tmp_path / "out.txt"]),
+            "text": (text.read_text(), ["ivim", "encode", path, "--out", tmp_path / "out.ivim"]),
+            "message": (text.read_text(), ["simulate-rsu", "--message", path, "--dry-run", "--count", 1, *stamp]),
+        }
+        return cases[reader]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_bad_byte_exits_1_at_its_line_and_column(self, tmp_path, capsys, reader, newline):
+        valid, argv = self.case(reader, tmp_path)
+        first, rest = valid.replace("\n", newline).encode().split(newline.encode(), 1)
+        (tmp_path / "in").write_bytes(first + newline.encode() + rest[:2] + b"\xff" + rest[2:])  # line 2, column 3
+        before = set(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run(*argv) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: {tmp_path / 'in'}:line 2, column 3: byte 0xff is not UTF-8 (invalid start byte)\n"
+        assert out == "" and set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_crlf_reads_as_lf(self, tmp_path, capsys, reader):
+        valid, argv = self.case(reader, tmp_path)
+        results = []
+        for newline in ("\n", "\r\n"):
+            (tmp_path / "in").write_bytes(valid.replace("\n", newline).encode())
+            capsys.readouterr()
+            assert run(*argv) == 0
+            written = sorted(path for path in tmp_path.iterdir() if path.name.startswith(("out", "w", "d", "y")))
+            results.append((capsys.readouterr().out, [path.read_bytes() for path in written]))
+        assert results[0] == results[1]
+
+    def test_rubric(self, tmp_path):  # no command reads a rubric: the library only
+        rubric = tmp_path / "rubric.json"
+        rubric.write_bytes(b'{\n  "lighting\xc3": {}\n}\n')
+        with pytest.raises(ParseError) as raised:
+            load_rubric(rubric)
+        assert str(raised.value) == f"{rubric}:line 2, column 12: byte 0xc3 is not UTF-8 (invalid continuation byte)"
+
+
 class TestUsage:
     """Usage errors exit 1 with the usage and ``error:`` on stderr; ``--help`` exits 0."""
 

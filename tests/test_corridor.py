@@ -453,6 +453,20 @@ class TestSegmentObservation:
                 segments=good.segments[:3],
             )
 
+    def test_profile_rejects_a_view_at_the_wrong_position(self):
+        good = tiny_profile()
+        moved = SegmentObservation(4, 400.0, 100.0, good.segments[3].values)  # at position 3
+        with pytest.raises(ValidationError, match="position 3"):
+            CorridorProfile("bad", good.length_km, good.segment_length_m, (*good.segments[:3], moved))
+
+    @pytest.mark.parametrize("stored", [True, False], ids=["rows", "views"])
+    def test_profile_keeps_its_count_text(self, stored):
+        good = tiny_profile()
+        segments = good.segments if stored else tuple(good.segments)
+        with pytest.raises(ValidationError) as raised:
+            CorridorProfile("bad", 0.25, 100.0, segments)
+        assert str(raised.value) == "corridor 'bad': 4 segments, expected 3 for 0.25 km at 100.0 m"
+
 
 @st.composite
 def overlaid_corridors(draw):

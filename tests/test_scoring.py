@@ -572,6 +572,7 @@ class TestSegmentAssessmentStore:
             # an empty object or string loaded as no segments
             ({"segments": {}, "length_km": 0}, ParseError, "bad score profile: segments must be a list"),
             ({"segments": "", "length_km": 0}, ParseError, "bad score profile: segments must be a list"),
+            ({"length_km": 0.25}, ValidationError, "240 segments, expected 3 for 0.25 km at 100.0 m"),
         ],
     )
     def test_loader_checks_the_corridor_geometry(self, baseline_assessment, tmp_path, edit, error, message):

@@ -24,6 +24,46 @@ def expected_segment_count(length_km: float, segment_length_m: float) -> int:
     return math.ceil(length_km * 1000.0 / segment_length_m - GEOM_EPS)
 
 
+def segment_count_error(count: int, length_km: float, segment_length_m: float) -> str | None:
+    """What makes ``count`` segments the wrong number for ``length_km`` at ``segment_length_m``, or None."""
+    expected = expected_segment_count(length_km, segment_length_m)
+    if count != expected:
+        return f"{count} segments, expected {expected} for {length_km} km at {segment_length_m} m"
+    return None
+
+
+def grid_error(geometry: Iterable[tuple], segment_length_m: float) -> str | None:
+    """What puts the first ``(index, start_m, length_m)`` of ``geometry`` off the grid, or None: segment ``i``
+    has index ``i``, length ``segment_length_m`` exactly and start ``i * segment_length_m`` within GEOM_EPS."""
+    for position, (index, start_m, length_m) in enumerate(geometry):
+        if index != position:
+            return f"segment {index}: segment_index {index!r} at position {position}"
+        if length_m != segment_length_m:
+            return f"segment {index}: length_m {length_m!r} != segment_length_m {segment_length_m!r}"
+        if not abs(start_m - index * segment_length_m) <= GEOM_EPS:  # a NaN start is off the grid
+            grid_start = index * segment_length_m
+            return f"segment {index}: start_m {start_m!r} != segment_index * segment_length_m ({grid_start!r})"
+    return None
+
+
+def hold_to_grid(container, stored: type) -> None:
+    """Hold a frozen corridor container's ``segments`` to its grid: first the count ``length_km`` gives; then
+    views are stored as ``stored.of(views, segment_length_m)``, which checks each, and a ``stored`` instance
+    must have the container's ``segment_length_m``. A fault is a ValidationError."""
+    segments = container.segments
+    if not isinstance(segments, stored):
+        segments = tuple(segments)
+    problem = segment_count_error(len(segments), container.length_km, container.segment_length_m)
+    if problem:
+        raise ValidationError(f"corridor {container.corridor_id!r}: {problem}")
+    if not isinstance(segments, stored):
+        object.__setattr__(container, "segments", stored.of(segments, container.segment_length_m))
+        return
+    problem = grid_error([(0, 0.0, segments.segment_length_m)] if segments else (), container.segment_length_m)
+    if problem:
+        raise ValidationError(problem)
+
+
 def parse_json(text: str, source: str, *, what: str = "JSON", line: int | None = None):
     """``json.loads(text)``; malformed or too deeply nested text is a ParseError.
 

@@ -25,8 +25,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._util import DEFAULT_SEGMENT_LENGTH_M  # noqa: F401 - public at this path too
-from ._util import GEOM_EPS as _GEOM_EPS, expected_segment_count, json_float, json_int, parse_json, read_input
-from ._util import write_csv_table
+from ._util import GEOM_EPS as _GEOM_EPS, expected_segment_count, grid_error, hold_to_grid, json_float, json_int
+from ._util import parse_json, read_input, write_csv_table
 from .errors import ParseError, ValidationError
 from .taxonomy import attribute_ids, is_known_attribute
 
@@ -95,7 +95,11 @@ class SegmentRows(Sequence):
 
     @classmethod
     def of(cls, segments: tuple[SegmentObservation, ...], segment_length_m: float) -> SegmentRows:
-        """Rows of segments whose values may name any attributes, in first-seen order."""
+        """Rows of segments on the grid, in order, whose values may name any attributes, in first-seen order;
+        a segment off the grid is a ValidationError that names it."""
+        problem = grid_error(((seg.index, seg.start_m, seg.length_m) for seg in segments), segment_length_m)
+        if problem:
+            raise ValidationError(problem)
         order = tuple(dict.fromkeys(attr for segment in segments for attr in segment.values))
         slot_of = {attr: slot for slot, attr in enumerate(order)}
         rows = []
@@ -141,8 +145,9 @@ class SegmentRows(Sequence):
 class CorridorProfile:
     """An ordered, contiguous partition of a corridor into segments.
 
-    ``segments`` may be given as a sequence of :class:`SegmentObservation`;
-    it is kept as :class:`SegmentRows`.
+    ``segments`` may be given as a sequence of :class:`SegmentObservation`,
+    each at its position on the ``segment_length_m`` grid; it is kept as
+    :class:`SegmentRows`.
     """
 
     corridor_id: str
@@ -151,29 +156,7 @@ class CorridorProfile:
     segments: SegmentRows
 
     def __post_init__(self) -> None:
-        segments = self.segments if isinstance(self.segments, SegmentRows) else tuple(self.segments)
-        expected = expected_segment_count(self.length_km, self.segment_length_m)
-        if len(segments) != expected:
-            raise ValidationError(
-                f"corridor {self.corridor_id!r}: {len(segments)} segments, "
-                f"expected {expected} for {self.length_km} km at {self.segment_length_m} m"
-            )
-        if isinstance(segments, SegmentRows):
-            geometry = [(0, 0, segments.segment_length_m)] if segments else []
-        else:
-            geometry = [(position, segment.index, segment.length_m) for position, segment in enumerate(segments)]
-        for position, index, length in geometry:
-            if index != position:
-                raise ValidationError(
-                    f"corridor {self.corridor_id!r}: segment at position {position} has index {index}"
-                )
-            if abs(length - self.segment_length_m) > _GEOM_EPS:
-                raise ValidationError(
-                    f"corridor {self.corridor_id!r}: segment {index} length "
-                    f"{length} != {self.segment_length_m}"
-                )
-        if not isinstance(segments, SegmentRows):
-            object.__setattr__(self, "segments", SegmentRows.of(segments, self.segment_length_m))
+        hold_to_grid(self, SegmentRows)
 
     @property
     def length_m(self) -> float:

@@ -33,7 +33,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from ._util import DEFAULT_THRESHOLD, GEOM_EPS, expected_segment_count, json_float, json_int, parse_json, read_input
+from ._util import DEFAULT_THRESHOLD, grid_error, hold_to_grid, json_float, json_int, parse_json, read_input
+from ._util import segment_count_error
 from .errors import ParseError, ValidationError
 from .taxonomy import (
     BANDS,
@@ -232,17 +233,6 @@ class SegmentAssessment:
         return Recommendation(self.segment_index, self.allowed_sae_levels, self.scores)
 
 
-def _geometry_error(position: int, index, start_m, length_m, segment_length_m) -> str | None:
-    """What puts a segment off the corridor's grid, or None."""
-    if index != position:
-        return f"segment_index {index!r} at position {position}"
-    if length_m != segment_length_m:
-        return f"length_m {length_m!r} != segment_length_m {segment_length_m!r}"
-    if not abs(start_m - index * segment_length_m) <= GEOM_EPS:  # a NaN start is off the grid
-        return f"start_m {start_m!r} != segment_index * segment_length_m ({index * segment_length_m!r})"
-    return None
-
-
 _LEVEL_BYTES = bytes(range(len(LEVEL_SETS)))
 
 
@@ -275,10 +265,9 @@ class SegmentColumns(Sequence):
     @classmethod
     def of(cls, segments: tuple[SegmentAssessment, ...], segment_length_m: float) -> SegmentColumns:
         """Columns of segments that lie on the grid, in order; else a ValidationError names the segment."""
-        for position, seg in enumerate(segments):
-            problem = _geometry_error(position, seg.segment_index, seg.start_m, seg.length_m, segment_length_m)
-            if problem:
-                raise ValidationError(f"segment {seg.segment_index}: {problem}")
+        problem = grid_error(((seg.segment_index, seg.start_m, seg.length_m) for seg in segments), segment_length_m)
+        if problem:
+            raise ValidationError(problem)
         return cls(
             [seg.asd_score for seg in segments],
             [seg.aud_score for seg in segments],
@@ -330,12 +319,7 @@ class CorridorAssessment:
     segments: SegmentColumns
 
     def __post_init__(self) -> None:
-        segments = self.segments
-        if not isinstance(segments, SegmentColumns):
-            object.__setattr__(self, "segments", SegmentColumns.of(tuple(segments), self.segment_length_m))
-        elif segments and segments.segment_length_m != self.segment_length_m:
-            problem = _geometry_error(0, 0, 0.0, segments.segment_length_m, self.segment_length_m)
-            raise ValidationError(f"segment 0: {problem}")
+        hold_to_grid(self, SegmentColumns)
 
 
 def score_corridor(
@@ -638,10 +622,9 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
         and starts == tuple(map(segment_length_m.__mul__, range(n)))
     )
     if not on_grid:  # the starts may also lie within the tolerance
-        for position, (index, start_m, length_m) in enumerate(zip(indexes, starts, lengths)):
-            problem = _geometry_error(position, index, start_m, length_m, segment_length_m)
-            if problem:
-                raise ValidationError(f"{source}: segment {index}: {problem}")
+        problem = grid_error(zip(indexes, starts, lengths), segment_length_m)
+        if problem:
+            raise ValidationError(f"{source}: {problem}")
     if levels != inclusive:  # each other set must be the one the exclusive test gives
         exclusive = _level_codes(asd, aud, threshold, operator.gt)
         for index, (code, ge, gt) in enumerate(zip(levels, inclusive, exclusive)):
@@ -650,10 +633,9 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
                     f"{source}: segment {index}: allowed_sae_levels {sorted(LEVEL_SETS[code])} "
                     f"do not match the scores at threshold {threshold!r}"
                 )
-    expected = expected_segment_count(length_km, segment_length_m)
-    if n != expected:
-        message = f"{n} segments, expected {expected} for {length_km!r} km at {segment_length_m!r} m"
-        raise ValidationError(f"{source}: {message}")
+    problem = segment_count_error(n, length_km, segment_length_m)
+    if problem:
+        raise ValidationError(f"{source}: {problem}")
     return CorridorAssessment(
         corridor_id=corridor_id,
         length_km=length_km,

@@ -467,6 +467,27 @@ class TestSegmentObservation:
             CorridorProfile("bad", 0.25, 100.0, segments)
         assert str(raised.value) == "corridor 'bad': 4 segments, expected 3 for 0.25 km at 100.0 m"
 
+    @pytest.mark.parametrize(
+        "segments, message",
+        [
+            # 1e-7 m longer: each view's start is within its own slack, but the length is not the grid's
+            (
+                tuple(SegmentObservation(i, i * 100.0, 100.0000001, {"hd-maps": 2}) for i in range(2)),
+                "segment 0: length_m 100.0000001 != segment_length_m 100.0",
+            ),
+            (SegmentRows(("hd-maps",), [bytes(1)] * 2, 100.0000001), "segment 0: length_m 100.0000001 != segment_length_m 100.0"),
+            (
+                (SegmentObservation(0, 0.0, 100.0, {}), SegmentObservation(2, 200.0, 100.0, {})),
+                "segment 2: segment_index 2 at position 1",
+            ),
+        ],
+        ids=["views", "rows", "position"],
+    )
+    def test_profile_holds_its_segments_to_the_grid(self, segments, message):
+        with pytest.raises(ValidationError) as raised:
+            CorridorProfile("c", 0.2, 100.0, segments)
+        assert str(raised.value) == message
+
 
 @st.composite
 def overlaid_corridors(draw):

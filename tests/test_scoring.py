@@ -612,6 +612,13 @@ class TestSegmentColumns:
         rebuilt = CorridorAssessment("c", 24.0, 100.0, 66.0, "x", tuple(segments))
         assert rebuilt.segments == segments and hash(rebuilt.segments) == hash(segments)
 
+    @pytest.mark.parametrize("length_km, expected", [(0.25, 3), (30.0, 300)])
+    def test_assessment_count_must_match_its_length(self, baseline_assessment, length_km, expected):
+        # a shorter length_km once reached build_ivim, which coalesced the 240 segments into zones up to it
+        with pytest.raises(ValidationError) as raised:
+            replace(baseline_assessment, length_km=length_km)
+        assert str(raised.value) == f"corridor 'D08-synthetic': 240 segments, expected {expected} for {length_km} km at 100.0 m"
+
     @pytest.mark.parametrize(
         "index, start_m, length_m, message",
         [

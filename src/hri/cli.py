@@ -75,8 +75,8 @@ def score(args: argparse.Namespace) -> None:
             "segment_length_m": args.segment_length,
         }
     profile = corridor_mod.load_corridor(args.corridor_csv, meta=meta)
-    for overlay_path in args.overlay or ():
-        profile = corridor_mod.apply_overlay(profile, corridor_mod.load_overlay(overlay_path))
+    overlays = [corridor_mod.load_overlay(overlay_path) for overlay_path in args.overlay or ()]
+    profile = corridor_mod.apply_overlay(profile, *overlays)
     assessment = scoring_mod.score_corridor(profile, table, threshold=args.threshold)
 
     summary = []

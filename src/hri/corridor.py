@@ -95,8 +95,7 @@ class SegmentRows(Sequence):
 
     @classmethod
     def of(cls, segments: tuple[SegmentObservation, ...], segment_length_m: float) -> SegmentRows:
-        """Rows of segments on the grid, in order, whose values may name any attributes, in first-seen order;
-        a segment off the grid is a ValidationError that names it."""
+        """Rows of segments on the grid, else a ValidationError; attributes in the order the values first name them."""
         problem = grid_error(((seg.index, seg.start_m, seg.length_m) for seg in segments), segment_length_m)
         if problem:
             raise ValidationError(problem)
@@ -145,9 +144,8 @@ class SegmentRows(Sequence):
 class CorridorProfile:
     """An ordered, contiguous partition of a corridor into segments.
 
-    ``segments`` may be given as a sequence of :class:`SegmentObservation`,
-    each at its position on the ``segment_length_m`` grid; it is kept as
-    :class:`SegmentRows`.
+    ``segments`` may be given as a sequence of :class:`SegmentObservation`
+    on the grid; it is kept as :class:`SegmentRows`.
     """
 
     corridor_id: str
@@ -198,38 +196,40 @@ class ScenarioOverlay:
             raise ValueError(f"overlay range [{self.from_km}, {self.to_km}) is empty or inverted")
 
 
-def apply_overlay(profile: CorridorProfile, overlay: ScenarioOverlay) -> CorridorProfile:
-    """Return a new profile with the overlay applied to intersecting segments.
+def apply_overlay(profile: CorridorProfile, *overlays: ScenarioOverlay) -> CorridorProfile:
+    """Return a new profile with the overlays applied in order, each to the segments it intersects.
 
     Segment intervals are half-open [start, end), so a km range partitions
     the corridor deterministically. Geometry is never changed; only the rows
-    of intersecting segments are rewritten.
+    of intersecting segments are rewritten, each overlay in turn, into one
+    row list: one call raises what one call per overlay would.
     """
-    if overlay.from_km < -_GEOM_EPS or overlay.to_km > profile.length_km + _GEOM_EPS:
-        raise ValidationError(
-            f"overlay {overlay.name!r} range [{overlay.from_km}, {overlay.to_km}) km "
-            f"outside corridor [0, {profile.length_km}) km"
-        )
     segments = profile.segments
     length = segments.segment_length_m
-    after_m = overlay.from_km * 1000.0 + _GEOM_EPS  # a segment must end after this
-    before_m = overlay.to_km * 1000.0 - _GEOM_EPS  # and start before this
     slot_of = {attr: slot for slot, attr in enumerate(segments.attributes)}
-    ops = [(slot_of.get(op.attribute), op) for op in overlay.ops]
     rows = list(segments.rows)
-    # starts and ends grow with the index, so the segments that end after after_m and start
-    # before before_m are one run of indexes
+    # starts and ends grow with the index, so the segments that end after an overlay's start and start
+    # before its end are one run of indexes
     indexes = range(len(rows))
-    first = bisect_right(indexes, after_m, key=lambda index: index * length + length)
-    for index in range(first, bisect_left(indexes, before_m, key=lambda index: index * length)):
-        row = bytearray(rows[index])
-        for slot, op in ops:
-            if slot is None or row[slot] == MISSING:
-                raise ValidationError(
-                    f"overlay {overlay.name!r}: segment {index} has no value for {op.attribute!r}"
-                )
-            row[slot] = op.apply(row[slot])
-        rows[index] = bytes(row)
+    for overlay in overlays:
+        if overlay.from_km < -_GEOM_EPS or overlay.to_km > profile.length_km + _GEOM_EPS:
+            raise ValidationError(
+                f"overlay {overlay.name!r} range [{overlay.from_km}, {overlay.to_km}) km "
+                f"outside corridor [0, {profile.length_km}) km"
+            )
+        after_m = overlay.from_km * 1000.0 + _GEOM_EPS  # a segment must end after this
+        before_m = overlay.to_km * 1000.0 - _GEOM_EPS  # and start before this
+        ops = [(slot_of.get(op.attribute), op) for op in overlay.ops]
+        first = bisect_right(indexes, after_m, key=lambda index: index * length + length)
+        for index in range(first, bisect_left(indexes, before_m, key=lambda index: index * length)):
+            row = bytearray(rows[index])
+            for slot, op in ops:
+                if slot is None or row[slot] == MISSING:
+                    raise ValidationError(
+                        f"overlay {overlay.name!r}: segment {index} has no value for {op.attribute!r}"
+                    )
+                row[slot] = op.apply(row[slot])
+            rows[index] = bytes(row)
     return replace(profile, segments=SegmentRows(segments.attributes, rows, length))
 
 

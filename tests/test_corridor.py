@@ -331,6 +331,55 @@ class TestApplyOverlay:
         overlay = ScenarioOverlay("x", from_km, to_km, (OverlayOp("set", "lighting", 0),))
         assert apply_overlay(profile, overlay).segments.rows == full_scan_overlay(profile, overlay).segments.rows
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_call_applies_overlays_as_sequential_calls_do(self, data):
+        # three attributes, some cells MISSING, and a fourth attribute the rows do not hold
+        held, absent = attribute_ids()[:3], attribute_ids()[3]
+        n = data.draw(st.integers(1, 8))
+        length_m = data.draw(st.sampled_from([100.0, 33.3, 250.0]))
+        cells = st.sampled_from([0, 1, 2, None] if data.draw(st.booleans()) else [0, 1, 2])
+        segments = []
+        for i in range(n):
+            row = {attr: data.draw(cells) for attr in held}
+            segments.append(SegmentObservation(i, i * length_m, length_m, {a: v for a, v in row.items() if v is not None}))
+        profile = CorridorProfile("c", n * length_m / 1000.0, length_m, segments)
+        # segment edges, a hair to either side of them (empty runs at an edge), points inside segments,
+        # and in a quarter of the cases points outside the corridor
+        shifts = (0.0, -1e-7, 1e-7, 0.4 * length_m)
+        points = {(k * length_m + shift) / 1000.0 for k in range(n + 1) for shift in shifts}
+        if data.draw(st.integers(0, 3)) == 0:
+            points |= {-length_m / 1000.0, (n + 1) * length_m / 1000.0}
+        points = st.sampled_from(sorted(points))
+        attributes = st.sampled_from([*held, absent] if data.draw(st.booleans()) else held)
+        op = st.builds(OverlayOp, st.sampled_from(["set", "cap"]), attributes, st.integers(0, 2))
+        overlays = []
+        for number in range(data.draw(st.integers(0, 5))):
+            from_km, to_km = sorted(data.draw(st.lists(points, min_size=2, max_size=2, unique=True)))
+            overlays.append(ScenarioOverlay(f"o{number}", from_km, to_km, tuple(data.draw(st.lists(op, max_size=3)))))
+        if overlays and data.draw(st.booleans()):  # an overlay past the corridor's end, in the middle of the list
+            where = data.draw(st.integers(0, len(overlays)))
+            overlays.insert(where, ScenarioOverlay("far", 0.0, profile.length_km + 1.0, (OverlayOp("set", held[0], 0),)))
+
+        def outcome(apply):
+            try:
+                return apply()
+            except ValidationError as exc:
+                return type(exc), str(exc)
+
+        def sequential():
+            result = profile
+            for overlay in overlays:
+                result = apply_overlay(result, overlay)
+            return result
+
+        expected = outcome(sequential)
+        got = outcome(lambda: apply_overlay(profile, *overlays))
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert got == expected and got.segments.rows == expected.segments.rows
+
     def test_bad_overlay_file(self, tmp_path):
         path = tmp_path / "o.json"
         path.write_text(json.dumps({"name": "x", "from_km": 0, "to_km": 1, "ops": [{"op": "zap", "attribute": "hd-maps", "value": 1}]}))

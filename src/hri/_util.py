@@ -47,21 +47,18 @@ def grid_error(geometry: Iterable[tuple], segment_length_m: float) -> str | None
 
 
 def hold_to_grid(container, stored: type) -> None:
-    """Hold a frozen corridor container's ``segments`` to its grid: first the count ``length_km`` gives; then
-    views are stored as ``stored.of(views, segment_length_m)``, which checks each, and a ``stored`` instance
-    must have the container's ``segment_length_m``. A fault is a ValidationError."""
-    segments = container.segments
-    if not isinstance(segments, stored):
-        segments = tuple(segments)
+    """Hold a frozen corridor container's ``segments`` to its grid, else raise a ValidationError: first the count,
+    then each view, stored through ``stored.of``, or a ``stored`` instance's ``segment_length_m``."""
+    segments = container.segments if isinstance(container.segments, stored) else tuple(container.segments)
     problem = segment_count_error(len(segments), container.length_km, container.segment_length_m)
     if problem:
         raise ValidationError(f"corridor {container.corridor_id!r}: {problem}")
-    if not isinstance(segments, stored):
+    if isinstance(segments, stored):  # a stored instance lies on its own grid: segment 0 shows whether that is this one
+        problem = grid_error([(0, 0.0, segments.segment_length_m)] if segments else (), container.segment_length_m)
+        if problem:
+            raise ValidationError(problem)
+    else:
         object.__setattr__(container, "segments", stored.of(segments, container.segment_length_m))
-        return
-    problem = grid_error([(0, 0.0, segments.segment_length_m)] if segments else (), container.segment_length_m)
-    if problem:
-        raise ValidationError(problem)
 
 
 def parse_json(text: str, source: str, *, what: str = "JSON", line: int | None = None):
@@ -147,17 +144,15 @@ def write_csv_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def json_float(value, name: str) -> float:
-    """``float(value)`` of a JSON number; a string or a bool, which ``float`` reads too, is a ValueError."""
-    if isinstance(value, (str, bool)):
+    """``float(value)`` of a JSON number; any other value, even a string or bool ``float`` reads, is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} {value!r} is not a number")
     return float(value)
 
 
 def json_int(value, name: str) -> int:
-    """``int(value)`` of a JSON number, refusing a string, a bool and a number with a fractional part."""
-    if isinstance(value, (str, bool)):
-        raise ValueError(f"{name} {value!r} is not a number")
-    if type(value) is float and not value.is_integer():
+    """``int(value)`` of a JSON number, refusing any other value and a number with a fractional part."""
+    if type(value) is not int and not json_float(value, name).is_integer():  # json_float refuses a non-number
         raise ValueError(f"{name} {value!r} is not an integer")
     return int(value)
 

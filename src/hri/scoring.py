@@ -581,6 +581,9 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
         segments = doc["segments"]
         if not isinstance(segments, list):
             raise TypeError("segments must be a list")
+        for position, segment in enumerate(segments):
+            if type(segment) is not dict:
+                raise TypeError(f"segment {position} is not an object")
         columns = list(zip(*map(_SEGMENT_FIELDS, segments))) or [()] * 8
         indexes, asd, aud, asd_classes, aud_classes, listed, starts, lengths = columns
         indexes = _typed(indexes, int, json_int, "segment_index")
@@ -602,6 +605,9 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
         written = tuple(map(_LEVEL_LISTS.__getitem__, inclusive))  # the lists the writer gives under >=
         if listed != written or not {*map(type, chain.from_iterable(listed))} <= {int}:  # equal lists may hold bools
             # a string or a bool in a set is refused here, and the sets are checked after the grid
+            for given in listed:
+                if type(given) is not list:
+                    raise TypeError(f"allowed_sae_levels {given!r} is not a list")
             levels = [level_code([json_int(level, "SAE level") for level in given]) for given in listed]
         _check_scores(asd, aud)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of 1e400
@@ -615,16 +621,9 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
                 )
     if not segment_length_m >= 1.0:  # shorter segments can round to zones that end where they start
         raise ValidationError(f"{source}: segment_length_m must be at least 1 m, got {segment_length_m!r}")
-    n = len(indexes)
-    on_grid = (
-        indexes == tuple(range(n))
-        and lengths.count(segment_length_m) == n
-        and starts == tuple(map(segment_length_m.__mul__, range(n)))
-    )
-    if not on_grid:  # the starts may also lie within the tolerance
-        problem = grid_error(zip(indexes, starts, lengths), segment_length_m)
-        if problem:
-            raise ValidationError(f"{source}: {problem}")
+    problem = grid_error(zip(indexes, starts, lengths), segment_length_m)
+    if problem:
+        raise ValidationError(f"{source}: {problem}")
     if levels != inclusive:  # each other set must be the one the exclusive test gives
         exclusive = _level_codes(asd, aud, threshold, operator.gt)
         for index, (code, ge, gt) in enumerate(zip(levels, inclusive, exclusive)):
@@ -633,7 +632,7 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
                     f"{source}: segment {index}: allowed_sae_levels {sorted(LEVEL_SETS[code])} "
                     f"do not match the scores at threshold {threshold!r}"
                 )
-    problem = segment_count_error(n, length_km, segment_length_m)
+    problem = segment_count_error(len(indexes), length_km, segment_length_m)
     if problem:
         raise ValidationError(f"{source}: {problem}")
     return CorridorAssessment(

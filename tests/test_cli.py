@@ -67,6 +67,20 @@ class TestScoreCommand:
         differing = [i for i, (b, r) in enumerate(zip(base_rows, rw_rows)) if b != r]
         assert differing == list(range(110, 170))
 
+    def test_every_overlay_is_read_before_any_is_applied(self, tmp_path, capsys):
+        far = tmp_path / "far.json"
+        far.write_text(json.dumps(dict(json.loads(ROADWORKS.read_text()), to_km=30.0)))
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        out_csv, out_json = tmp_path / "p.csv", tmp_path / "p.json"
+        args = ("--out-csv", out_csv, "--out-json", out_json)
+        assert run("score", CORRIDOR, "--overlay", ROADWORKS, "--overlay", MAINTENANCE, "--overlay", far, *args) == 2
+        assert "range [11.0, 30.0) km outside corridor [0, 24.0) km" in capsys.readouterr().err
+        # the unreadable overlay after it is reported first, as an input error
+        assert run("score", CORRIDOR, "--overlay", far, "--overlay", bad, *args) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}:")
+        assert not out_csv.exists() and not out_json.exists()
+
     def test_missing_input_exits_3_without_outputs(self, tmp_path):
         out_csv = tmp_path / "p.csv"
         code = run("score", tmp_path / "absent.csv", "--out-csv", out_csv, "--out-json", tmp_path / "p.json")
@@ -587,7 +601,8 @@ class TestJsonNumbers:
     """Where a JSON input documents a number, a string or a bool is an input
     error (exit 1): ``float`` and ``int`` would read ``"1.5"`` and ``true``.
     So is a fractional index or level, a NaN score, a class that is not a
-    band's name and a segment that is not an object."""
+    band's name, a segment that is not an object and a level set that is
+    not a list."""
 
     @pytest.mark.parametrize(
         "field, spell, text",
@@ -602,14 +617,22 @@ class TestJsonNumbers:
             ("aud_class", lambda name: "x", "unknown readiness class 'x'"),
             ("start_m", str, "start_m '100.0' is not a number"),
             ("length_m", str, "length_m '100.0' is not a number"),
-            ("allowed_sae_levels", lambda levels: "".join(map(str, levels)), "SAE level '1' is not a number"),  # "1234" loaded as SAE 1-4
+            ("allowed_sae_levels", lambda levels: "".join(map(str, levels)), "allowed_sae_levels '1234' is not a list"),
             ("allowed_sae_levels", lambda levels: [True, *levels[1:]], "SAE level True is not a number"),
             ("allowed_sae_levels", lambda levels: [1.5, *levels[1:]], "SAE level 1.5 is not an integer"),
-            ("segments", lambda segments: [segments[0], [1, 2]], "list indices must be integers or slices, not str"),
+            ("segments", lambda segments: [segments[0], [1, 2]], "segment 1 is not an object"),
+            ("segments", lambda segments: [1, *segments[1:]], "segment 0 is not an object"),
             ("segments", lambda segments: {"x": 1}, "segments must be a list"),  # its keys were read as segments
             ("length_km", str, "length_km '24.0' is not a number"),
             ("segment_length_m", str, "segment_length_m '100.0' is not a number"),
             ("threshold", str, "threshold '66.0' is not a number"),
+            # null and other JSON values that are not numbers or lists are named as well
+            ("asd_score", lambda score: None, "asd_score None is not a number"),
+            ("segment_index", lambda index: None, "segment_index None is not a number"),
+            ("start_m", lambda start: [start], "start_m [100.0] is not a number"),
+            ("allowed_sae_levels", lambda levels: None, "allowed_sae_levels None is not a list"),
+            ("allowed_sae_levels", lambda levels: 1.5, "allowed_sae_levels 1.5 is not a list"),
+            ("length_km", lambda length: None, "length_km None is not a number"),
         ],
     )
     def test_score_profile(self, tmp_path, capsys, field, spell, text):
@@ -634,6 +657,8 @@ class TestJsonNumbers:
             ({"to_km": True}, "to_km True is not a number"),
             ({"value": "2"}, "value '2' is not a number"),
             ({"value": True}, "value True is not a number"),  # true loaded as 1
+            ({"from_km": None}, "from_km None is not a number"),
+            ({"value": None}, "value None is not a number"),
         ],
     )
     def test_overlay(self, tmp_path, capsys, edit, text):
@@ -651,7 +676,9 @@ class TestJsonNumbers:
         assert capsys.readouterr().err == f"error: {overlay}: bad overlay: {text}\n"
         assert not out_csv.exists()
 
-    @pytest.mark.parametrize("field, value", [("length_km", "24.0"), ("segment_length_m", "100"), ("length_km", True)])
+    @pytest.mark.parametrize(
+        "field, value", [("length_km", "24.0"), ("segment_length_m", "100"), ("length_km", True), ("segment_length_m", None)]
+    )
     def test_corridor_metadata(self, tmp_path, capsys, field, value):
         meta = {"corridor_id": "D08-synthetic", "length_km": 24.0, "segment_length_m": 100.0, field: value}
         lines = CORRIDOR.read_text().split("\n")
@@ -665,7 +692,12 @@ class TestJsonNumbers:
         assert not out_csv.exists()
 
     @pytest.mark.parametrize(
-        "edit, text", [({"threshold": "100"}, "threshold '100' is not a number"), ({"level": True}, "level True is not a number")]
+        "edit, text",
+        [
+            ({"threshold": "100"}, "threshold '100' is not a number"),
+            ({"level": True}, "level True is not a number"),
+            ({"level": None}, "level None is not a number"),
+        ],
     )
     def test_rubric(self, tmp_path, edit, text):  # no command reads a rubric: the library only
         doc = json.loads(fixture_path(RUBRIC_EXAMPLE_FILE).read_text())

@@ -568,7 +568,7 @@ class TestSegmentAssessmentStore:
             ({"segment_length_m": 0.4}, ValidationError, "segment_length_m must be at least 1 m, got 0.4"),
             ({"length_km": float("nan")}, ParseError, "bad score profile: length_km must be at least 0 and finite in metres, got nan"),
             ({"length_km": 12.0}, ValidationError, "240 segments, expected 120 for 12.0 km at 100.0 m"),
-            ({"segments": [5]}, ParseError, "bad score profile: 'int' object is not subscriptable"),  # not an object
+            ({"segments": [5]}, ParseError, "bad score profile: segment 0 is not an object"),
             # an empty object or string loaded as no segments
             ({"segments": {}, "length_km": 0}, ParseError, "bad score profile: segments must be a list"),
             ({"segments": "", "length_km": 0}, ParseError, "bad score profile: segments must be a list"),

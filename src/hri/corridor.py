@@ -144,8 +144,8 @@ class SegmentRows(Sequence):
 class CorridorProfile:
     """An ordered, contiguous partition of a corridor into segments.
 
-    ``segments`` may be given as a sequence of :class:`SegmentObservation`
-    on the grid; it is kept as :class:`SegmentRows`.
+    ``segments``, as many as ``length_km`` gives, may be given as a sequence
+    of :class:`SegmentObservation` on the grid; it is kept as :class:`SegmentRows`.
     """
 
     corridor_id: str

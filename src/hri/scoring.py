@@ -306,9 +306,9 @@ class SegmentColumns(Sequence):
 class CorridorAssessment:
     """Per-segment assessment of a whole corridor, in segment order.
 
-    ``segments`` may be given as a sequence of :class:`SegmentAssessment`,
-    each at its position on the ``segment_length_m`` grid; it is kept as
-    :class:`SegmentColumns`.
+    ``segments``, as many as ``length_km`` gives, may be given as a sequence
+    of :class:`SegmentAssessment` on the ``segment_length_m`` grid; it is
+    kept as :class:`SegmentColumns`.
     """
 
     corridor_id: str

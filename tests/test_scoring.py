@@ -614,7 +614,7 @@ class TestSegmentColumns:
 
     @pytest.mark.parametrize("length_km, expected", [(0.25, 3), (30.0, 300)])
     def test_assessment_count_must_match_its_length(self, baseline_assessment, length_km, expected):
-        # a shorter length_km once reached build_ivim, which coalesced the 240 segments into zones up to it
+        # build_ivim cuts the last zone at length_km, so a count that disagrees with it must not get that far
         with pytest.raises(ValidationError) as raised:
             replace(baseline_assessment, length_km=length_km)
         assert str(raised.value) == f"corridor 'D08-synthetic': 240 segments, expected {expected} for {length_km} km at 100.0 m"

@@ -18,14 +18,47 @@ DEFAULT_THRESHOLD = 66.0
 GEOM_EPS = 1e-6  # float slack for chainage arithmetic on metre grids
 
 
+def header_error(length_km: float, segment_length_m: float) -> str | None:
+    """What breaks the header rule, or None: length_km at least 0 and finite in metres, segment_length_m 1 m or more."""
+    if not 0.0 <= length_km * 1000.0 < math.inf:  # NaN included
+        return f"length_km must be at least 0 and finite in metres, got {length_km!r}"
+    if not segment_length_m >= 1.0:  # shorter segments can round to zones that end where they start
+        return f"segment_length_m must be at least 1 m, got {segment_length_m!r}"
+    return None
+
+
+def read_header(doc, source: str, line: int | None = None) -> tuple[str, float, float]:
+    """The corridor_id, length_km and segment_length_m of the JSON object ``doc`` from ``source`` (at ``line``): a
+    missing or wrong-typed field is a ParseError, a header that breaks :func:`header_error`'s rule a ValidationError."""
+    fields = ("corridor_id", "length_km", "segment_length_m")
+    if not isinstance(doc, dict) or any(key not in doc for key in fields):
+        raise ParseError(f"corridor metadata must provide {', '.join(fields)}", source=source, line=line)
+    try:
+        corridor_id = json_str(doc["corridor_id"], "corridor_id")
+        length_km = json_float(doc["length_km"], "length_km")
+        segment_length_m = json_float(doc["segment_length_m"], "segment_length_m")
+    except ValueError as exc:
+        raise ParseError(f"corridor metadata: {exc}", source=source, line=line) from None
+    problem = header_error(length_km, segment_length_m)
+    if problem:
+        where = source if line is None else f"{source}:line {line}"
+        raise ValidationError(f"{where}: {problem}")
+    return corridor_id, length_km, segment_length_m
+
+
 def expected_segment_count(length_km: float, segment_length_m: float) -> int:
-    if segment_length_m <= 0:
-        raise ValidationError(f"segment length must be positive, got {segment_length_m}")
+    """The segment count of the header, or a ValidationError with the text of :func:`header_error`."""
+    problem = header_error(length_km, segment_length_m)
+    if problem:
+        raise ValidationError(problem)
     return math.ceil(length_km * 1000.0 / segment_length_m - GEOM_EPS)
 
 
 def segment_count_error(count: int, length_km: float, segment_length_m: float) -> str | None:
-    """What makes ``count`` segments the wrong number for ``length_km`` at ``segment_length_m``, or None."""
+    """What breaks the header rule or makes ``count`` segments the wrong number for the header, or None."""
+    problem = header_error(length_km, segment_length_m)
+    if problem:
+        return problem
     expected = expected_segment_count(length_km, segment_length_m)
     if count != expected:
         return f"{count} segments, expected {expected} for {length_km} km at {segment_length_m} m"
@@ -150,6 +183,13 @@ def json_float(value, name: str) -> float:
     return float(value)
 
 
+def json_str(value, name: str) -> str:
+    """``value`` when it is a JSON string; any other value, which ``str`` would spell, is a ValueError."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} {value!r} is not a string")
+    return value
+
+
 def json_int(value, name: str) -> int:
     """``int(value)`` of a JSON number, refusing any other value and a number with a fractional part."""
     if type(value) is not int and not json_float(value, name).is_integer():  # json_float refuses a non-number
@@ -160,15 +200,6 @@ def json_int(value, name: str) -> int:
 def now_ms() -> int:
     """Wall-clock time in whole milliseconds since the Unix epoch."""
     return time.time_ns() // 1_000_000
-
-
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write whole-file-or-nothing: no partial output survives a failure."""
-    atomic_write_all([(path, text)])
-
-
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    atomic_write_all([(path, data)])
 
 
 def atomic_write_all(outputs: Sequence[tuple[str | Path, str | bytes]]) -> None:

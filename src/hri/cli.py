@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NoReturn, Sequence
 # Each subcommand imports the domain modules it runs, so that a process loads
 # only those: at module level this file needs no more than these two.
 from ._util import DEFAULT_SEGMENT_LENGTH_M, DEFAULT_THRESHOLD
-from ._util import atomic_write_all, atomic_write_bytes, atomic_write_text, now_ms, read_input, write_csv_table
+from ._util import atomic_write_all, now_ms, read_input, write_csv_table
 from .errors import HriError, ValidationError
 
 if TYPE_CHECKING:
@@ -198,7 +198,7 @@ def sensitivity(args: argparse.Namespace) -> None:
         )
 
     if args.out is not None:
-        atomic_write_text(args.out, text)
+        atomic_write_all([(args.out, text)])
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -242,7 +242,7 @@ def ivim_build(args: argparse.Namespace) -> None:
     )
     text = ivim_mod.to_canonical_text(message)
     out_path = args.out if args.out is not None else args.profile_json.with_suffix(".ivim.txt")
-    atomic_write_text(out_path, text)
+    atomic_write_all([(out_path, text)])
     zone_count = len(message.av.zones) if message.av is not None else 0
     print(f"wrote {out_path} ({zone_count} zones)")
 
@@ -260,7 +260,7 @@ def ivim_encode(args: argparse.Namespace) -> None:
         out_path = text_in.with_name(text_in.name[: -len(".txt")])
     else:
         out_path = text_in.with_suffix(".ivim")
-    atomic_write_bytes(out_path, payload)
+    atomic_write_all([(out_path, payload)])
     print(f"wrote {out_path} ({len(payload)} bytes)")
 
 
@@ -271,7 +271,7 @@ def ivim_decode(args: argparse.Namespace) -> None:
     message = ivim_mod.decode(args.bin_in.read_bytes())
     text = ivim_mod.to_canonical_text(message)
     if args.out is not None:
-        atomic_write_text(args.out, text)
+        atomic_write_all([(args.out, text)])
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

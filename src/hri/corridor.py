@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -26,7 +25,7 @@ from typing import Mapping
 
 from ._util import DEFAULT_SEGMENT_LENGTH_M  # noqa: F401 - public at this path too
 from ._util import GEOM_EPS as _GEOM_EPS, expected_segment_count, grid_error, hold_to_grid, json_float, json_int
-from ._util import parse_json, read_input, write_csv_table
+from ._util import json_str, parse_json, read_header, read_input, write_csv_table
 from .errors import ParseError, ValidationError
 from .taxonomy import attribute_ids, is_known_attribute
 
@@ -333,31 +332,6 @@ def load_rubric(path: str | Path) -> dict[str, RubricEntry]:
 _CORRIDOR_HEADER = ["segment_index", "attribute", "value"]
 _PLAIN_HEADER = ",".join(_CORRIDOR_HEADER) + "\n"
 _CELL_OF_DIGIT = bytes.maketrans(b"012", bytes(_ADEQUACY_VALUES))  # a written value -> its cell byte
-_META_KEYS = ("corridor_id", "length_km", "segment_length_m")
-
-
-def _parse_meta(doc: object, *, source: str | None, line: int | None = None) -> dict:
-    if not isinstance(doc, dict) or any(key not in doc for key in _META_KEYS):
-        raise ParseError(
-            f"corridor metadata must provide {', '.join(_META_KEYS)}",
-            source=source,
-            line=line,
-        )
-    try:
-        metadata = {
-            "corridor_id": str(doc["corridor_id"]),
-            "length_km": json_float(doc["length_km"], "length_km"),
-            "segment_length_m": json_float(doc["segment_length_m"], "segment_length_m"),
-        }
-    except (TypeError, ValueError):
-        raise ParseError("malformed corridor metadata values", source=source, line=line) from None
-    if not 0.0 <= metadata["length_km"] * 1000.0 < math.inf:
-        message = f"length_km must be at least 0 and finite in metres, got {metadata['length_km']!r}"
-        raise ParseError(message, source=source, line=line)
-    if not metadata["segment_length_m"] >= 1.0:  # shorter segments can round to zones that end where they start
-        where = source if line is None else f"{source}:line {line}"
-        raise ValidationError(f"{where}: segment_length_m must be at least 1 m, got {metadata['segment_length_m']!r}")
-    return metadata
 
 
 def load_corridor(
@@ -372,37 +346,32 @@ def load_corridor(
     source = str(path)
     text = read_input(path)
 
-    metadata: dict | None = None
+    header = None  # (corridor_id, length_km, segment_length_m)
     newline = text.find("\n")  # not split: that would copy the whole text
     first_line = (text if newline < 0 else text[:newline]).strip()
     if first_line.startswith("#"):
         candidate = first_line.lstrip("#").strip()
         if candidate.startswith("{"):
             doc = parse_json(candidate, source, what="metadata JSON", line=1)
-            metadata = _parse_meta(doc, source=source, line=1)
-    if metadata is None:
+            header = read_header(doc, source, line=1)
+    if header is None:
         if meta is None:
-            raise ParseError(
-                "no metadata: expected a leading '# {json}' line or a sidecar", source=source
-            )
+            raise ParseError("no metadata: expected a leading '# {json}' line or a sidecar", source=source)
         if isinstance(meta, Mapping):
-            metadata = _parse_meta(dict(meta), source="<meta>")
+            header = read_header(dict(meta), "<meta>")
         else:
             meta_source = str(meta)
             doc = parse_json(read_input(meta), meta_source)
-            metadata = _parse_meta(doc, source=meta_source)
+            header = read_header(doc, meta_source)
 
+    corridor_id, length_km, segment_length_m = header
     registry = attribute_ids()
-    expected = expected_segment_count(metadata["length_km"], metadata["segment_length_m"])
+    expected = expected_segment_count(length_km, segment_length_m)
     rows = _plain_rows(text, registry, expected)
     if rows is None:
-        rows = _csv_rows(text, source, registry, expected, metadata["length_km"])
-    return CorridorProfile(
-        corridor_id=metadata["corridor_id"],
-        length_km=metadata["length_km"],
-        segment_length_m=metadata["segment_length_m"],
-        segments=SegmentRows(registry, rows, metadata["segment_length_m"]),
-    )
+        rows = _csv_rows(text, source, registry, expected, length_km)
+    segments = SegmentRows(registry, rows, segment_length_m)
+    return CorridorProfile(corridor_id, length_km, segment_length_m, segments)
 
 
 def _plain_rows(text: str, registry: tuple[str, ...], expected: int) -> list[bytes] | None:
@@ -585,18 +554,23 @@ def dump_corridor(profile: CorridorProfile) -> str:
 
 
 def load_overlay(path: str | Path) -> ScenarioOverlay:
-    """Load an overlay JSON file: {name, from_km, to_km, ops: [...]}."""
+    """Load an overlay JSON file: {name, from_km, to_km, ops: [{op, attribute, value}, ...]}; a bad field is named."""
     source = str(path)
     doc = parse_json(read_input(path), source)
     try:
-        ops = tuple(
-            OverlayOp(
-                op=str(op["op"]), attribute=str(op["attribute"]), value=json_int(op["value"], "value")
-            )
-            for op in doc["ops"]
-        )
+        if type(doc) is not dict:
+            raise TypeError("the document is not an object")
+        if type(doc["ops"]) is not list:
+            raise TypeError(f"ops {doc['ops']!r} is not a list")
+        ops = []
+        for position, op in enumerate(doc["ops"]):
+            if type(op) is not dict:
+                raise TypeError(f"ops[{position}] {op!r} is not an object")
+            kind = json_str(op["op"], "op")
+            attribute = json_str(op["attribute"], "attribute")
+            ops.append(OverlayOp(kind, attribute, json_int(op["value"], "value")))
         return ScenarioOverlay(
-            name=str(doc["name"]),
+            name=json_str(doc["name"], "name"),
             from_km=json_float(doc["from_km"], "from_km"),
             to_km=json_float(doc["to_km"], "to_km"),
             ops=ops,

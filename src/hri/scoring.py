@@ -33,8 +33,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from ._util import DEFAULT_THRESHOLD, grid_error, hold_to_grid, json_float, json_int, parse_json, read_input
-from ._util import segment_count_error
+from ._util import DEFAULT_THRESHOLD, grid_error, hold_to_grid, json_float, json_int, json_str, parse_json
+from ._util import read_header, read_input, segment_count_error
 from .errors import ParseError, ValidationError
 from .taxonomy import (
     BANDS,
@@ -563,12 +563,12 @@ def _typed(column: tuple, kind: type, convert, name: str) -> tuple:
 def load_score_profile_json(path: str | Path) -> CorridorAssessment:
     """Reconstruct an assessment from its JSON profile.
 
-    The document is checked column by column, in this order: each field's
-    type, the class names and level lists included (a column not already of
-    the type the writer gives it is converted, so integral floats, class
-    names in other case and level lists in any order load); the scores in
-    [0, 100]; each class the band of its score; ``segment_length_m`` at least
-    1 m; each segment at its position on the ``segment_length_m`` grid; each
+    The document is checked column by column, in this order: the header, by
+    :func:`read_header`; each other field's type, the class names and level
+    lists included (a column not already of the type the writer gives it is
+    converted, so integral floats, class names in other case and level lists
+    in any order load); the scores in [0, 100]; each class the band of its
+    score; each segment at its position on the ``segment_length_m`` grid; each
     level set the one its scores give at ``threshold`` (under ``>=`` or
     ``>``, which the profile does not record); and as many segments as
     ``length_km`` gives. A check that fails walks its column and reports the
@@ -577,6 +577,7 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
     """
     source = str(path)
     doc = parse_json(read_input(path), source)
+    corridor_id, length_km, segment_length_m = read_header(doc, source)
     try:
         segments = doc["segments"]
         if not isinstance(segments, list):
@@ -591,13 +592,8 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
             _typed(column, float, json_float, name)
             for column, name in ((asd, "asd_score"), (aud, "aud_score"), (starts, "start_m"), (lengths, "length_m"))
         )
-        corridor_id = str(doc["corridor_id"])
-        length_km = json_float(doc["length_km"], "length_km")
-        if not 0.0 <= length_km * 1000.0 < math.inf:
-            raise ValueError(f"length_km must be at least 0 and finite in metres, got {length_km!r}")
-        segment_length_m = json_float(doc["segment_length_m"], "segment_length_m")
         threshold = json_float(doc.get("threshold", DEFAULT_THRESHOLD), "threshold")
-        weight_provenance = str(doc.get("weight_provenance", "unknown"))
+        weight_provenance = json_str(doc.get("weight_provenance", "unknown"), "weight_provenance")
         # class names other than the bands' are read here, and compared with the bands once the scores are checked
         named = asd_classes == tuple(_class_names(asd)) and aud_classes == tuple(_class_names(aud))
         classes = None if named else [list(map(ReadinessClass.parse, pair)) for pair in zip(asd_classes, aud_classes)]
@@ -619,8 +615,6 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
                     f"{source}: segment {index}: {name}_class {readiness_class.value!r} "
                     f"does not match {name}_score {score!r} ({readiness_band(score).value})"
                 )
-    if not segment_length_m >= 1.0:  # shorter segments can round to zones that end where they start
-        raise ValidationError(f"{source}: segment_length_m must be at least 1 m, got {segment_length_m!r}")
     problem = grid_error(zip(indexes, starts, lengths), segment_length_m)
     if problem:
         raise ValidationError(f"{source}: {problem}")

@@ -175,6 +175,15 @@ class TestScoreCommand:
         )
         assert json.loads(out_json.read_text())["corridor_id"] == "spur"
 
+    def test_metadata_flags_outside_the_header_rule_exit_2_without_outputs(self, tmp_path, capsys):
+        bare = tmp_path / "bare.csv"
+        bare.write_text("segment_index,attribute,value\n")
+        out_csv, out_json = tmp_path / "p.csv", tmp_path / "p.json"
+        argv = ("score", bare, "--corridor-id", "x", "--length-km", "inf", "--out-csv", out_csv, "--out-json", out_json)
+        assert run(*argv) == 2  # was a ParseError, exit 1
+        assert capsys.readouterr().err == "error: <meta>: length_km must be at least 0 and finite in metres, got inf\n"
+        assert not out_csv.exists() and not out_json.exists()
+
     @pytest.mark.parametrize(
         "asd_weight, code, problem",
         [
@@ -633,6 +642,9 @@ class TestJsonNumbers:
             ("allowed_sae_levels", lambda levels: None, "allowed_sae_levels None is not a list"),
             ("allowed_sae_levels", lambda levels: 1.5, "allowed_sae_levels 1.5 is not a list"),
             ("length_km", lambda length: None, "length_km None is not a number"),
+            # read with str: null loaded as the corridor 'None' and [1] as the provenance '[1]'
+            ("corridor_id", lambda name: None, "corridor_id None is not a string"),
+            ("weight_provenance", lambda name: [1], "weight_provenance [1] is not a string"),
         ],
     )
     def test_score_profile(self, tmp_path, capsys, field, spell, text):
@@ -642,11 +654,13 @@ class TestJsonNumbers:
         item = doc if field in doc else doc["segments"][1]
         item[field] = spell(item[field])
         profile.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match=re.escape(f"bad score profile: {text}") + "$"):
+        header = field in ("corridor_id", "length_km", "segment_length_m")  # read as the corridor CSV reads them
+        message = f"corridor metadata: {text}" if header else f"bad score profile: {text}"
+        with pytest.raises(ParseError, match=re.escape(message) + "$"):
             load_score_profile_json(profile)
         capsys.readouterr()
         assert run("ivim", "build", profile, "--station-id", 1, "--out", tmp_path / "m.ivim.txt") == 1
-        assert capsys.readouterr().err == f"error: {profile}: bad score profile: {text}\n"
+        assert capsys.readouterr().err == f"error: {profile}: {message}\n"
         assert not (tmp_path / "m.ivim.txt").exists()
 
     @pytest.mark.parametrize(
@@ -659,11 +673,23 @@ class TestJsonNumbers:
             ({"value": True}, "value True is not a number"),  # true loaded as 1
             ({"from_km": None}, "from_km None is not a number"),
             ({"value": None}, "value None is not a number"),
+            # an object loaded as no ops, and a name or an op field that is not a string was spelt with str
+            ({"ops": {}}, "ops {} is not a list"),
+            ({"ops": None}, "ops None is not a list"),
+            ({"ops": "set"}, "ops 'set' is not a list"),
+            ({"ops": [1]}, "ops[0] 1 is not an object"),
+            ({"name": None}, "name None is not a string"),
+            ({"name": 5}, "name 5 is not a string"),
+            ({"op": None}, "op None is not a string"),
+            ({"attribute": 5}, "attribute 5 is not a string"),
+            (None, "the document is not an object"),  # the document is a list of the overlay
         ],
     )
     def test_overlay(self, tmp_path, capsys, edit, text):
         doc = json.loads(ROADWORKS.read_text())
-        if "value" in edit:
+        if edit is None:
+            doc = [doc]
+        elif {"op", "attribute", "value"} & edit.keys():
             doc["ops"][0].update(edit)
         else:
             doc.update(edit)
@@ -677,18 +703,27 @@ class TestJsonNumbers:
         assert not out_csv.exists()
 
     @pytest.mark.parametrize(
-        "field, value", [("length_km", "24.0"), ("segment_length_m", "100"), ("length_km", True), ("segment_length_m", None)]
+        "field, value",
+        [
+            ("length_km", "24.0"),
+            ("segment_length_m", "100"),
+            ("length_km", True),
+            ("segment_length_m", None),
+            ("corridor_id", None),  # loaded as the corridor 'None'
+        ],
     )
     def test_corridor_metadata(self, tmp_path, capsys, field, value):
         meta = {"corridor_id": "D08-synthetic", "length_km": 24.0, "segment_length_m": 100.0, field: value}
         lines = CORRIDOR.read_text().split("\n")
         corridor_csv = tmp_path / "c.csv"
         corridor_csv.write_text("\n".join(["# " + json.dumps(meta), *lines[1:]]))
-        with pytest.raises(ParseError, match="malformed corridor metadata values"):
+        kind = "a string" if field == "corridor_id" else "a number"
+        message = f"corridor metadata: {field} {value!r} is not {kind}"
+        with pytest.raises(ParseError, match=re.escape(message) + "$"):
             load_corridor(corridor_csv)
         out_csv = tmp_path / "p.csv"
         assert run("score", corridor_csv, "--out-csv", out_csv, "--out-json", tmp_path / "p.json") == 1
-        assert capsys.readouterr().err == f"error: {corridor_csv}:line 1: malformed corridor metadata values\n"
+        assert capsys.readouterr().err == f"error: {corridor_csv}:line 1: {message}\n"
         assert not out_csv.exists()
 
     @pytest.mark.parametrize(

@@ -566,13 +566,15 @@ class TestSegmentAssessmentStore:
         "edit, error, message",
         [
             ({"segment_length_m": 0.4}, ValidationError, "segment_length_m must be at least 1 m, got 0.4"),
-            ({"length_km": float("nan")}, ParseError, "bad score profile: length_km must be at least 0 and finite in metres, got nan"),
+            ({"length_km": float("nan")}, ValidationError, "length_km must be at least 0 and finite in metres, got nan"),
             ({"length_km": 12.0}, ValidationError, "240 segments, expected 120 for 12.0 km at 100.0 m"),
             ({"segments": [5]}, ParseError, "bad score profile: segment 0 is not an object"),
             # an empty object or string loaded as no segments
             ({"segments": {}, "length_km": 0}, ParseError, "bad score profile: segments must be a list"),
             ({"segments": "", "length_km": 0}, ParseError, "bad score profile: segments must be a list"),
             ({"length_km": 0.25}, ValidationError, "240 segments, expected 3 for 0.25 km at 100.0 m"),
+            # the header is read before the segments, and a null corridor_id was read as the corridor 'None'
+            ({"corridor_id": None, "segments": [5]}, ParseError, "corridor metadata: corridor_id None is not a string"),
         ],
     )
     def test_loader_checks_the_corridor_geometry(self, baseline_assessment, tmp_path, edit, error, message):
@@ -618,6 +620,27 @@ class TestSegmentColumns:
         with pytest.raises(ValidationError) as raised:
             replace(baseline_assessment, length_km=length_km)
         assert str(raised.value) == f"corridor 'D08-synthetic': 240 segments, expected {expected} for {length_km} km at 100.0 m"
+
+    @pytest.mark.parametrize(
+        "length_km, segment_length_m, message",
+        [
+            (math.inf, 100.0, "length_km must be at least 0 and finite in metres, got inf"),  # was an OverflowError
+            (math.nan, 100.0, "length_km must be at least 0 and finite in metres, got nan"),  # was a bare ValueError
+            (-0.2, 100.0, "length_km must be at least 0 and finite in metres, got -0.2"),  # was "expected -2"
+            (0.0, 0.5, "segment_length_m must be at least 1 m, got 0.5"),  # was accepted, though no loader reads it
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["profile", "assessment"])
+    def test_containers_hold_their_header_to_the_rule(
+        self, corridor, baseline_assessment, kind, length_km, segment_length_m, message
+    ):
+        header = {"corridor_id": "x", "length_km": length_km, "segment_length_m": segment_length_m}
+        good = corridor if kind == "profile" else baseline_assessment
+        scoring = {} if kind == "profile" else {"threshold": 66.0, "weight_provenance": "w"}
+        for make in (lambda: type(good)(segments=(), **scoring, **header), lambda: replace(good, **header)):
+            with pytest.raises(ValidationError) as raised:
+                make()
+            assert str(raised.value) == f"corridor 'x': {message}"
 
     @pytest.mark.parametrize(
         "index, start_m, length_m, message",

@@ -19,10 +19,10 @@ GEOM_EPS = 1e-6  # float slack for chainage arithmetic on metre grids
 
 
 def header_error(length_km: float, segment_length_m: float) -> str | None:
-    """What breaks the header rule, or None: length_km at least 0 and finite in metres, segment_length_m 1 m or more."""
+    """What breaks the header rule, or None: length_km >= 0 and finite in metres, segment_length_m >= 1 m and finite."""
     if not 0.0 <= length_km * 1000.0 < math.inf:  # NaN included
         return f"length_km must be at least 0 and finite in metres, got {length_km!r}"
-    if not segment_length_m >= 1.0:  # shorter segments can round to zones that end where they start
+    if not 1.0 <= segment_length_m < math.inf:  # shorter segments can round to zones that end where they start
         return f"segment_length_m must be at least 1 m, got {segment_length_m!r}"
     return None
 
@@ -37,7 +37,7 @@ def read_header(doc, source: str, line: int | None = None) -> tuple[str, float, 
         corridor_id = json_str(doc["corridor_id"], "corridor_id")
         length_km = json_float(doc["length_km"], "length_km")
         segment_length_m = json_float(doc["segment_length_m"], "segment_length_m")
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: float() of an integer past the float range
         raise ParseError(f"corridor metadata: {exc}", source=source, line=line) from None
     problem = header_error(length_km, segment_length_m)
     if problem:
@@ -56,10 +56,10 @@ def expected_segment_count(length_km: float, segment_length_m: float) -> int:
 
 def segment_count_error(count: int, length_km: float, segment_length_m: float) -> str | None:
     """What breaks the header rule or makes ``count`` segments the wrong number for the header, or None."""
-    problem = header_error(length_km, segment_length_m)
-    if problem:
-        return problem
-    expected = expected_segment_count(length_km, segment_length_m)
+    try:
+        expected = expected_segment_count(length_km, segment_length_m)
+    except ValidationError as exc:  # the header rule's text
+        return str(exc)
     if count != expected:
         return f"{count} segments, expected {expected} for {length_km} km at {segment_length_m} m"
     return None

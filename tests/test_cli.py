@@ -645,6 +645,8 @@ class TestJsonNumbers:
             # read with str: null loaded as the corridor 'None' and [1] as the provenance '[1]'
             ("corridor_id", lambda name: None, "corridor_id None is not a string"),
             ("weight_provenance", lambda name: [1], "weight_provenance [1] is not a string"),
+            # json reads an integer literal as an int, which float() refuses past the float range
+            ("length_km", lambda length: 10**400, "int too large to convert to float"),
         ],
     )
     def test_score_profile(self, tmp_path, capsys, field, spell, text):
@@ -719,6 +721,20 @@ class TestJsonNumbers:
         corridor_csv.write_text("\n".join(["# " + json.dumps(meta), *lines[1:]]))
         kind = "a string" if field == "corridor_id" else "a number"
         message = f"corridor metadata: {field} {value!r} is not {kind}"
+        with pytest.raises(ParseError, match=re.escape(message) + "$"):
+            load_corridor(corridor_csv)
+        out_csv = tmp_path / "p.csv"
+        assert run("score", corridor_csv, "--out-csv", out_csv, "--out-json", tmp_path / "p.json") == 1
+        assert capsys.readouterr().err == f"error: {corridor_csv}:line 1: {message}\n"
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("field", ["length_km", "segment_length_m"])
+    def test_corridor_metadata_integer_past_the_float_range(self, tmp_path, capsys, field):
+        meta = {"corridor_id": "D08-synthetic", "length_km": 24.0, "segment_length_m": 100.0, field: 10**400}
+        lines = CORRIDOR.read_text().split("\n")
+        corridor_csv = tmp_path / "c.csv"
+        corridor_csv.write_text("\n".join(["# " + json.dumps(meta), *lines[1:]]))
+        message = "corridor metadata: int too large to convert to float"  # was an OverflowError traceback
         with pytest.raises(ParseError, match=re.escape(message) + "$"):
             load_corridor(corridor_csv)
         out_csv = tmp_path / "p.csv"

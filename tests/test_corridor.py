@@ -194,6 +194,7 @@ class TestLoadCorridor:
             ({"length_km": float("inf")}, ValidationError, "length_km must be at least 0 and finite in metres, got inf"),
             ({"length_km": 1.8e305}, ValidationError, "length_km must be at least 0 and finite in metres, got 1.8e+305"),
             ({"length_km": -1.0}, ValidationError, "length_km must be at least 0 and finite in metres, got -1.0"),
+            ({"segment_length_m": float("inf")}, ValidationError, "segment_length_m must be at least 1 m, got inf"),
         ],
     )
     def test_metadata_rejects_sub_metre_segments_and_bad_lengths(self, tmp_path, meta, error, message):

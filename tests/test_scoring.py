@@ -628,6 +628,7 @@ class TestSegmentColumns:
             (math.nan, 100.0, "length_km must be at least 0 and finite in metres, got nan"),  # was a bare ValueError
             (-0.2, 100.0, "length_km must be at least 0 and finite in metres, got -0.2"),  # was "expected -2"
             (0.0, 0.5, "segment_length_m must be at least 1 m, got 0.5"),  # was accepted, though no loader reads it
+            (1.0, math.inf, "segment_length_m must be at least 1 m, got inf"),  # was accepted as 0 segments
         ],
     )
     @pytest.mark.parametrize("kind", ["profile", "assessment"])

@@ -11,9 +11,10 @@ from pathlib import Path
 
 from .errors import ParseError, ValidationError
 
-# CLI help defaults, kept here so --help imports no domain module; corridor and scoring re-export them.
+# CLI help defaults and choices, here so --help imports no domain module; corridor and scoring re-export the defaults.
 DEFAULT_SEGMENT_LENGTH_M = 100.0
 DEFAULT_THRESHOLD = 66.0
+ADEQUACY = (0, 1, 2)  # the adequacy scale of every attribute value and survey rating, lowest first
 
 GEOM_EPS = 1e-6  # float slack for chainage arithmetic on metre grids
 
@@ -37,7 +38,7 @@ def read_header(doc, source: str, line: int | None = None) -> tuple[str, float, 
         corridor_id = json_str(doc["corridor_id"], "corridor_id")
         length_km = json_float(doc["length_km"], "length_km")
         segment_length_m = json_float(doc["segment_length_m"], "segment_length_m")
-    except (ValueError, OverflowError) as exc:  # OverflowError: float() of an integer past the float range
+    except ValueError as exc:
         raise ParseError(f"corridor metadata: {exc}", source=source, line=line) from None
     problem = header_error(length_km, segment_length_m)
     if problem:
@@ -95,12 +96,13 @@ def hold_to_grid(container, stored: type) -> None:
 
 
 def parse_json(text: str, source: str, *, what: str = "JSON", line: int | None = None):
-    """``json.loads(text)``; malformed or too deeply nested text is a ParseError.
+    """``json.loads(text)``; malformed or too deeply nested text, or an integer too long to convert, is a ParseError.
 
     The error says ``invalid {what}`` and gives the line and column of the
     fault in ``text``, or only ``line`` when given (``text`` is that line of
     ``source``). Nesting deeper than the interpreter's recursion limit is
-    reported at the start of the outermost value.
+    reported at the start of the outermost value, an integer of more digits
+    than ``sys.get_int_max_str_digits()`` at the start of that integer.
     """
     import json  # here, so that importing the CLI does not load json
 
@@ -110,6 +112,17 @@ def parse_json(text: str, source: str, *, what: str = "JSON", line: int | None =
         fault = exc
     except RecursionError:
         fault = json.JSONDecodeError("nesting too deep", text, len(text) - len(text.lstrip(" \t\n\r")))
+    except ValueError:  # int() of an integer literal past the interpreter's digit limit
+        import re
+        import sys
+
+        limit = sys.get_int_max_str_digits()
+        # the text parsed up to the first such literal, so its strings, skipped here, are well formed
+        tokens = re.finditer(r'"[^"\\]*(?:\\.[^"\\]*)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?', text)
+        starts = [t.start() for t in tokens if t[1] and not t[2] and not t[3] and len(t[1]) > limit]
+        if not starts:
+            raise
+        fault = json.JSONDecodeError(f"integer of more than {limit} digits", text, starts[0])
     if line is not None:
         raise ParseError(f"invalid {what}: {fault.msg}", source=source, line=line)
     raise ParseError(f"invalid {what}: {fault.msg}", source=source, line=fault.lineno, column=fault.colno)
@@ -177,10 +190,14 @@ def write_csv_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def json_float(value, name: str) -> float:
-    """``float(value)`` of a JSON number; any other value, even a string or bool ``float`` reads, is a ValueError."""
+    """``float(value)`` of a JSON number; any other value, even a string or bool ``float`` reads, and an integer
+    past the float range are a ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} {value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # int too large to convert to float
+        raise ValueError(str(exc)) from None
 
 
 def json_str(value, name: str) -> str:

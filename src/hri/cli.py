@@ -21,11 +21,12 @@ from typing import TYPE_CHECKING, NoReturn, Sequence
 
 # Each subcommand imports the domain modules it runs, so that a process loads
 # only those: at module level this file needs no more than these two.
-from ._util import DEFAULT_SEGMENT_LENGTH_M, DEFAULT_THRESHOLD
+from ._util import ADEQUACY, DEFAULT_SEGMENT_LENGTH_M, DEFAULT_THRESHOLD
 from ._util import atomic_write_all, now_ms, read_input, write_csv_table
 from .errors import HriError, ValidationError
 
 if TYPE_CHECKING:
+    from .ivim import IvimMessage
     from .taxonomy import WeightTable
 
 
@@ -214,10 +215,25 @@ def sensitivity(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _profile_message(profile_json: Path, args: argparse.Namespace, location=None) -> IvimMessage:
+    """The message built from the score profile JSON at ``profile_json`` with the options ``--station-id``,
+    ``--timestamp`` (default: the wall clock), ``--validity`` and ``--ivi-id`` of ``args``, and ``location``."""
+    from .ivim import build_ivim
+    from .scoring import load_score_profile_json
+
+    return build_ivim(
+        load_score_profile_json(profile_json),
+        station_id=args.station_id,
+        timestamp_ms=args.timestamp if args.timestamp is not None else now_ms(),
+        validity_duration_s=args.validity,
+        ivi_identification=args.ivi_id,
+        location=location,
+    )
+
+
 def ivim_build(args: argparse.Namespace) -> None:
     """Build a canonical-text message from a score profile JSON."""
     from . import ivim as ivim_mod
-    from .scoring import load_score_profile_json
 
     ref_lat, ref_lon = args.ref_lat, args.ref_lon
     if (ref_lat is None) != (ref_lon is None):
@@ -231,15 +247,7 @@ def ivim_build(args: argparse.Namespace) -> None:
             latitude_e7=int(round(ref_lat * 1e7)),
             longitude_e7=int(round(ref_lon * 1e7)),
         )
-    assessment = load_score_profile_json(args.profile_json)
-    message = ivim_mod.build_ivim(
-        assessment,
-        station_id=args.station_id,
-        timestamp_ms=args.timestamp if args.timestamp is not None else now_ms(),
-        validity_duration_s=args.validity,
-        ivi_identification=args.ivi_id,
-        location=location,
-    )
+    message = _profile_message(args.profile_json, args, location)
     text = ivim_mod.to_canonical_text(message)
     out_path = args.out if args.out is not None else args.profile_json.with_suffix(".ivim.txt")
     atomic_write_all([(out_path, text)])
@@ -298,7 +306,6 @@ def simulate_rsu(args: argparse.Namespace) -> None:
 
     from . import ivim as ivim_mod
     from . import rsu as rsu_mod
-    from .scoring import load_score_profile_json
 
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(name)s: %(message)s")
     if (args.message is None) == (args.profile is None):
@@ -313,14 +320,7 @@ def simulate_rsu(args: argparse.Namespace) -> None:
         else:
             base_message = ivim_mod.from_canonical_text(read_input(args.message, raw), source=str(args.message))
     else:
-        assessment = load_score_profile_json(args.profile)
-        base_message = ivim_mod.build_ivim(
-            assessment,
-            station_id=args.station_id,
-            timestamp_ms=args.timestamp if args.timestamp is not None else now_ms(),
-            validity_duration_s=args.validity,
-            ivi_identification=args.ivi_id,
-        )
+        base_message = _profile_message(args.profile, args)
 
     config = rsu_mod.BroadcastConfig(
         period_s=args.period,
@@ -428,7 +428,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p = command(commands, "sensitivity", sensitivity)
     p.add_argument(
-        "--degraded-level", type=int, choices=range(3), default=1,
+        "--degraded-level", type=int, choices=ADEQUACY, default=1,
         help="Adequacy assigned to degraded physical categories.",
     )
     p.add_argument(

@@ -24,17 +24,17 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._util import DEFAULT_SEGMENT_LENGTH_M  # noqa: F401 - public at this path too
-from ._util import GEOM_EPS as _GEOM_EPS, expected_segment_count, grid_error, hold_to_grid, json_float, json_int
-from ._util import json_str, parse_json, read_header, read_input, write_csv_table
+from ._util import ADEQUACY, GEOM_EPS as _GEOM_EPS, expected_segment_count, grid_error, hold_to_grid, json_float
+from ._util import json_int, json_str, parse_json, read_header, read_input, write_csv_table
 from .errors import ParseError, ValidationError
 from .taxonomy import attribute_ids, is_known_attribute
 
-_ADEQUACY_VALUES = (0, 1, 2)
-_ADEQUACY_SET = frozenset(_ADEQUACY_VALUES)
-_VALUE_OF = {str(value): value for value in _ADEQUACY_VALUES}
+_ADEQUACY_SET = frozenset(ADEQUACY)
+_VALUE_OF = {str(value): value for value in ADEQUACY}
+_DIGITS = "".join(_VALUE_OF).encode()  # the written values, one byte each
 MISSING = 0xFF
 """The row byte of an attribute that a segment has no value for."""
-_ROW_BYTES = bytes([*_ADEQUACY_VALUES, MISSING])
+_ROW_BYTES = bytes([*ADEQUACY, MISSING])
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class SegmentObservation:
             valid = False
         if not valid:
             for attr, value in self.values.items():
-                if value not in _ADEQUACY_VALUES:
+                if value not in ADEQUACY:
                     raise ValueError(
                         f"segment {self.index}: adequacy for {attr!r} must be 0, 1 or 2, got {value}"
                     )
@@ -171,7 +171,7 @@ class OverlayOp:
     def __post_init__(self) -> None:
         if self.op not in ("set", "cap"):
             raise ValueError(f"overlay op must be 'set' or 'cap', got {self.op!r}")
-        if self.value not in _ADEQUACY_VALUES:
+        if self.value not in ADEQUACY:
             raise ValueError(f"overlay value must be 0, 1 or 2, got {self.value}")
         if not is_known_attribute(self.attribute):
             raise ValueError(f"unknown attribute {self.attribute!r}")
@@ -265,7 +265,7 @@ class RubricEntry:
         if any(t is None for t in thresholds) or not thresholds[0] < thresholds[1]:
             raise ValueError("rubric thresholds must be strictly increasing")
         levels = [level for _, level in self.breakpoints]
-        expected = [0, 1, 2] if self.direction == DIRECTION_HIGHER else [2, 1, 0]
+        expected = list(ADEQUACY) if self.direction == DIRECTION_HIGHER else list(reversed(ADEQUACY))
         if levels != expected:
             raise ValueError(
                 f"rubric levels {levels} do not cover 0..2 in {self.direction} order"
@@ -294,7 +294,8 @@ def operationalize(
 
 
 def load_rubric(path: str | Path) -> dict[str, RubricEntry]:
-    """Load a rubric JSON file: {attribute: {direction, unit?, breakpoints}}."""
+    """Load a rubric JSON file: {attribute: {direction, unit?, breakpoints: [{threshold, level}, ...]}}; a bad field
+    is named."""
     source = str(path)
     doc = parse_json(read_input(path), source)
     if not isinstance(doc, dict):
@@ -304,17 +305,21 @@ def load_rubric(path: str | Path) -> dict[str, RubricEntry]:
         if not is_known_attribute(attr):
             raise ParseError(f"unknown attribute {attr!r}", source=source)
         try:
-            breakpoints = tuple(
-                (
-                    None if bp["threshold"] is None else json_float(bp["threshold"], "threshold"),
-                    json_int(bp["level"], "level"),
-                )
-                for bp in spec["breakpoints"]
-            )
+            if type(spec) is not dict:
+                raise TypeError(f"entry {spec!r} is not an object")
+            if type(spec["breakpoints"]) is not list:
+                raise TypeError(f"breakpoints {spec['breakpoints']!r} is not a list")
+            breakpoints = []
+            for position, bp in enumerate(spec["breakpoints"]):
+                if type(bp) is not dict:
+                    raise TypeError(f"breakpoints[{position}] {bp!r} is not an object")
+                threshold = None if bp["threshold"] is None else json_float(bp["threshold"], "threshold")
+                breakpoints.append((threshold, json_int(bp["level"], "level")))
+            unit = spec.get("unit")
             rubric[attr] = RubricEntry(
-                direction=spec["direction"],
+                direction=json_str(spec["direction"], "direction"),
                 breakpoints=breakpoints,
-                unit=spec.get("unit"),
+                unit=None if unit is None else json_str(unit, "unit"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad rubric for {attr!r}: {exc}", source=source) from None
@@ -331,7 +336,7 @@ def load_rubric(path: str | Path) -> dict[str, RubricEntry]:
 
 _CORRIDOR_HEADER = ["segment_index", "attribute", "value"]
 _PLAIN_HEADER = ",".join(_CORRIDOR_HEADER) + "\n"
-_CELL_OF_DIGIT = bytes.maketrans(b"012", bytes(_ADEQUACY_VALUES))  # a written value -> its cell byte
+_CELL_OF_DIGIT = bytes.maketrans(_DIGITS, bytes(ADEQUACY))  # a written value -> its cell byte
 
 
 def load_corridor(
@@ -451,7 +456,7 @@ def _ordered_cells(body: bytes, registry: tuple[str, ...], expected: int) -> byt
             del run[-1]
         if not body.startswith(run, first):
             return None
-    if cells.translate(None, b"012"):
+    if cells.translate(None, _DIGITS):
         return None
     return cells.translate(_CELL_OF_DIGIT)
 
@@ -509,7 +514,7 @@ def _csv_rows(text: str, source: str, registry: tuple[str, ...], expected: int, 
                     value = int(text)
                 except ValueError:
                     raise error(f"malformed adequacy value {text!r}") from None
-                if value not in _ADEQUACY_VALUES:
+                if value not in ADEQUACY:
                     raise error(f"adequacy value {value} outside 0..2")
             if slots[slot] != MISSING:
                 raise error(f"duplicate row for segment {index}, attribute {registry[slot]!r}")
@@ -575,5 +580,5 @@ def load_overlay(path: str | Path) -> ScenarioOverlay:
             to_km=json_float(doc["to_km"], "to_km"),
             ops=ops,
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of 1e400
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad overlay: {exc}", source=source) from None

@@ -33,7 +33,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from ._util import DEFAULT_THRESHOLD, grid_error, hold_to_grid, json_float, json_int, json_str, parse_json
+from ._util import ADEQUACY, DEFAULT_THRESHOLD, grid_error, hold_to_grid, json_float, json_int, json_str, parse_json
 from ._util import read_header, read_input, segment_count_error
 from .errors import ParseError, ValidationError
 from .taxonomy import (
@@ -46,6 +46,7 @@ from .taxonomy import (
     ReadinessClass,
     WeightTable,
     band_indexes,
+    check_scores,
     level_code,
     macro_weight_table,
     readiness_band,
@@ -53,17 +54,6 @@ from .taxonomy import (
 
 if TYPE_CHECKING:
     from .corridor import CorridorProfile, SegmentObservation
-
-
-def _check_scores(*columns) -> None:
-    """Refuse a readiness score outside [0, 100], NaN included: a ValueError names the first one,
-    taking the columns' scores of one segment after another."""
-    for column in columns:
-        # min and max can pass over a NaN, which makes the sum NaN
-        if column and not (0.0 <= min(column) and max(column) <= 100.0 and not math.isnan(sum(column))):
-            for score in chain.from_iterable(zip(*columns)):
-                if not 0.0 <= score <= 100.0:
-                    raise ValueError(f"readiness score {score} outside [0, 100]")
 
 
 @dataclass(frozen=True)
@@ -76,7 +66,7 @@ class ReadinessScore:
     segment_index: int | None = None
 
     def __post_init__(self) -> None:
-        _check_scores((self.value,))
+        check_scores((self.value,))
 
 
 _ASD, _AUD = AutomationLevelGroup.ASD, AutomationLevelGroup.AUD
@@ -114,7 +104,7 @@ class _WeightedRatio:
         self.keys = frozenset(key for key, _ in self.pairs)
         self.label = label
         # per pair, the terms ``(w * 0, w * 1, w * 2)`` that a value adds to the numerator
-        self.terms = [(weight * 0, weight * 1, weight * 2) for _, weight in self.pairs]
+        self.terms = [tuple(weight * value for value in ADEQUACY) for _, weight in self.pairs]
         denominator = 0.0
         for terms in self.terms:
             denominator += terms[V_MAX]
@@ -212,7 +202,7 @@ class SegmentAssessment:
     allowed_sae_levels: frozenset[int]
 
     def __post_init__(self) -> None:
-        _check_scores((self.asd_score,), (self.aud_score,))
+        check_scores((self.asd_score,), (self.aud_score,))
         object.__setattr__(self, "allowed_sae_levels", LEVEL_SETS[level_code(self.allowed_sae_levels)])
 
     @property
@@ -259,8 +249,8 @@ class SegmentColumns(Sequence):
         bad = self.levels.translate(None, _LEVEL_BYTES)
         if bad:
             raise ValueError(f"level byte {bad[0]} is not the code of an allowed-level set 0..3")
-        _check_scores(self.asd_scores)  # the asd column first, then the aud column
-        _check_scores(self.aud_scores)
+        check_scores(self.asd_scores)  # the asd column first, then the aud column
+        check_scores(self.aud_scores)
 
     @classmethod
     def of(cls, segments: tuple[SegmentAssessment, ...], segment_length_m: float) -> SegmentColumns:
@@ -397,7 +387,7 @@ class SensitivityConfig:
             if category not in _PHYSICAL_CATEGORIES:
                 name = getattr(category, "value", category)
                 raise ValueError(f"degraded level given for non-physical category {name!r}")
-            if level not in (0, 1, 2):
+            if level not in ADEQUACY:
                 raise ValueError(f"degraded level for {category.value} must be 0, 1 or 2")
         merged = dict(DEFAULT_DEGRADED_LEVELS)
         merged.update(self.degraded_levels)
@@ -605,8 +595,8 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
                 if type(given) is not list:
                     raise TypeError(f"allowed_sae_levels {given!r} is not a list")
             levels = [level_code([json_int(level, "SAE level") for level in given]) for given in listed]
-        _check_scores(asd, aud)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of 1e400
+        check_scores(asd, aud)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad score profile: {exc}", source=source) from None
     for index, pair, loaded in zip(indexes, zip(asd, aud), classes or ()):  # no walk when every class is named
         for name, readiness_class, score in zip(("asd", "aud"), loaded, pair):

@@ -18,7 +18,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from ._util import read_csv_table, read_input, write_csv_table
+from ._util import ADEQUACY, read_csv_table, read_input, write_csv_table
 from .errors import ParseError, ValidationError
 from .taxonomy import (
     PROVENANCE_CUSTOM,
@@ -48,9 +48,6 @@ class DayService(Enum):
     DAY3 = "day3"
 
 
-_VALID_RATINGS = (0, 1, 2)
-
-
 @dataclass(frozen=True)
 class SurveyResponse:
     """One expert's profile and ratings. Attribute coverage may be partial."""
@@ -68,10 +65,10 @@ class SurveyResponse:
             if not 1 <= value <= 5:
                 raise ValueError(f"{name} must be in [1, 5], got {value}")
         for key, rating in self.attribute_ratings.items():
-            if rating not in _VALID_RATINGS:
+            if rating not in ADEQUACY:
                 raise ValueError(f"rating for {key} must be 0, 1 or 2, got {rating}")
         for day, rating in self.cits_day_ratings.items():
-            if rating not in _VALID_RATINGS:
+            if rating not in ADEQUACY:
                 raise ValueError(f"rating for {day.value} must be 0, 1 or 2, got {rating}")
         object.__setattr__(self, "attribute_ratings", MappingProxyType(dict(self.attribute_ratings)))
         object.__setattr__(self, "cits_day_ratings", MappingProxyType(dict(self.cits_day_ratings)))
@@ -163,7 +160,7 @@ def _parse_rating(text: str, *, source: str | None, line: int) -> int:
         value = int(text)
     except ValueError:
         raise ParseError(f"malformed rating {text!r}", source=source, line=line) from None
-    if value not in _VALID_RATINGS:
+    if value not in ADEQUACY:
         raise ParseError(f"rating {value} outside 0..2", source=source, line=line)
     return value
 

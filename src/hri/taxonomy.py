@@ -18,15 +18,15 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._util import read_csv_table, read_input, write_csv_table
+from ._util import ADEQUACY, read_csv_table, read_input, write_csv_table
 from .errors import ParseError, ValidationError
 
-V_MAX = 2
+V_MAX = ADEQUACY[-1]
 """Adequacy/rating scale maximum shared by observations and survey ratings."""
 
 PROVENANCE_BUILTIN = "builtin-fig2"
@@ -88,10 +88,20 @@ def level_code(levels: Iterable[int]) -> int:
     return code
 
 
+def check_scores(*columns) -> None:
+    """Refuse a readiness score outside [0, 100], NaN included: a ValueError names the first one,
+    taking the columns' scores of one segment after another."""
+    for column in columns:
+        # min and max can pass over a NaN, which makes the sum NaN
+        if column and not (0.0 <= min(column) and max(column) <= 100.0 and not math.isnan(sum(column))):
+            for score in chain.from_iterable(zip(*columns)):
+                if not 0.0 <= score <= 100.0:
+                    raise ValueError(f"readiness score {score} outside [0, 100]")
+
+
 def readiness_band(score: float) -> ReadinessClass:
     """Band a score: [0,33) unlikely, [33,66) may-be, [66,100] highly-likely."""
-    if not 0.0 <= score <= 100.0:
-        raise ValueError(f"score {score} outside [0, 100]")
+    check_scores((score,))
     return BANDS[bisect_right(_BAND_EDGES, score)]
 
 

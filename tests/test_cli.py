@@ -685,6 +685,7 @@ class TestJsonNumbers:
             ({"op": None}, "op None is not a string"),
             ({"attribute": 5}, "attribute 5 is not a string"),
             (None, "the document is not an object"),  # the document is a list of the overlay
+            ({"from_km": 10**400}, "int too large to convert to float"),  # float() refuses it
         ],
     )
     def test_overlay(self, tmp_path, capsys, edit, text):
@@ -748,6 +749,7 @@ class TestJsonNumbers:
             ({"threshold": "100"}, "threshold '100' is not a number"),
             ({"level": True}, "level True is not a number"),
             ({"level": None}, "level None is not a number"),
+            ({"threshold": 10**400}, "int too large to convert to float"),  # was an OverflowError traceback
         ],
     )
     def test_rubric(self, tmp_path, edit, text):  # no command reads a rubric: the library only
@@ -758,6 +760,42 @@ class TestJsonNumbers:
         rubric.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match=re.escape(f"bad rubric for '{attr}': {text}") + "$"):
             load_rubric(rubric)
+
+    @pytest.mark.parametrize("reader", ["overlay", "metadata", "sidecar", "profile", "rubric"])
+    def test_integer_longer_than_the_interpreter_converts(self, tmp_path, capsys, reader):
+        """json reads an integer literal with int(), which refuses more than sys.get_int_max_str_digits() digits:
+        an input error at the start of the literal (on the metadata line, its line), not a traceback."""
+        long = "1" + "0" * 5000
+        path, profile = tmp_path / "in", tmp_path / "p.json"
+        assert run("score", CORRIDOR, "--out-csv", tmp_path / "p.csv", "--out-json", profile) == 0
+        meta, rows = CORRIDOR.read_text().split("\n", 1)
+        (tmp_path / "rows.csv").write_text(rows)  # the corridor without its metadata line
+        sidecar = json.dumps(json.loads(meta[2:]), indent=2)
+        score = ["--out-csv", tmp_path / "out.csv", "--out-json", tmp_path / "out.json"]
+        build = ["--station-id", 1, "--out", tmp_path / "out.txt"]
+        length = '"length_km": 24.0'
+        text, field, argv, where = {  # the text, the number replaced in it, the command and the literal's position
+            "overlay": (
+                ROADWORKS.read_text(), '"from_km": 11.0', ["score", CORRIDOR, "--overlay", path, *score],
+                "line 3, column 14",
+            ),
+            "metadata": (CORRIDOR.read_text(), length, ["score", path, *score], "line 1"),
+            "sidecar": (sidecar, length, ["score", tmp_path / "rows.csv", "--meta", path, *score], "line 3, column 16"),
+            "profile": (profile.read_text(), length, ["ivim", "build", path, *build], "line 3, column 16"),
+            "rubric": (fixture_path(RUBRIC_EXAMPLE_FILE).read_text(), '"threshold": 100', None, "line 11, column 22"),
+        }[reader]
+        path.write_text(text.replace(field, field.split()[0] + " " + long, 1))
+        what = "metadata JSON" if reader == "metadata" else "JSON"
+        error = f"{path}:{where}: invalid {what}: integer of more than {sys.get_int_max_str_digits()} digits"
+        if argv is None:  # no command reads a rubric: the library only
+            with pytest.raises(ParseError, match=re.escape(error) + "$"):
+                load_rubric(path)
+            return
+        before = set(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run(*argv) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert set(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize(

@@ -440,6 +440,39 @@ class TestRubrics:
         assert rubric["lane-mark-retroreflectivity"].direction == "higher-is-better"
         assert rubric["horizontal-curvature"].level_for(0.5) == 2
 
+    @pytest.mark.parametrize(
+        "edit, text",
+        [
+            ({"unit": [5]}, "unit [5] is not a string"),  # loaded as the unit [5]
+            ({"unit": 5}, "unit 5 is not a string"),
+            ({"direction": ["higher-is-better"]}, "direction ['higher-is-better'] is not a string"),
+            ({"breakpoints": {"a": 1}}, "breakpoints {'a': 1} is not a list"),  # string indices must be integers
+            ({"breakpoints": "abc"}, "breakpoints 'abc' is not a list"),
+            ({"breakpoints": [[None, 0], [12, 1], [15, 2]]}, "breakpoints[0] [None, 0] is not an object"),
+            ({"breakpoints": [{"threshold": None, "level": 0}, 12]}, "breakpoints[1] 12 is not an object"),
+            (5, "entry 5 is not an object"),
+            ([], "entry [] is not an object"),
+        ],
+    )
+    def test_load_names_a_field_of_the_wrong_type(self, tmp_path, edit, text):
+        doc = json.loads(fixture_path(RUBRIC_EXAMPLE_FILE).read_text())
+        if isinstance(edit, dict):
+            doc["lane-mark-width"].update(edit)
+        else:
+            doc["lane-mark-width"] = edit
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as raised:
+            load_rubric(path)
+        assert str(raised.value) == f"{path}: bad rubric for 'lane-mark-width': {text}"
+
+    def test_load_takes_a_null_unit(self, tmp_path):
+        doc = json.loads(fixture_path(RUBRIC_EXAMPLE_FILE).read_text())
+        doc["lane-mark-width"]["unit"] = None
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        assert load_rubric(path)["lane-mark-width"].unit is None
+
 
 class TestSegmentCount:
     def test_partial_final_segment_rounds_up(self):

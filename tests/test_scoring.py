@@ -219,6 +219,11 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(101.0)
 
+    def test_out_of_range_is_worded_as_the_loaders_word_it(self):
+        with pytest.raises(ValueError) as raised:
+            classify(101.0)
+        assert str(raised.value) == "readiness score 101.0 outside [0, 100]"
+
     @given(st.floats(0.0, 100.0, allow_nan=False))
     def test_total_and_consistent_with_threshold(self, value):
         cls = classify(value)

@@ -148,33 +148,46 @@ def read_csv_table(text: str, source: str | None, header: Sequence[str], empty: 
     """The ``(line number, fields)`` of each data row of a headered CSV table.
 
     Blank rows and rows whose first field starts with ``#`` are skipped. The
-    faults are ParseErrors, raised as the iteration reaches them: first a
-    record csv cannot read (e.g. a field over its size limit) anywhere in the
-    text, at its line; then no row at all (the message ``empty``); then a
-    first row other than ``header`` (cells stripped), at its line; then, row
-    by row, a data row without ``len(header)`` fields, at its line, so that a
-    fault the caller finds in an earlier row is reported first.
+    text is read as it is iterated, and each fault is a ParseError raised
+    when the iteration reaches it, so the first fault in the file, a fault
+    the caller finds in a row included, is the one reported: a record csv
+    cannot read (e.g. a field over its size limit), at its line; no row at
+    all (the message ``empty``); a first row other than ``header`` (cells
+    stripped), at its line; a data row without ``len(header)`` fields, at
+    its line.
     """
     import csv  # here, so that importing the CLI does not load csv
     import io
 
     reader = csv.reader(io.StringIO(text))
-    rows = []
+    width = len(header)
     try:
         for row in reader:
             if row and not row[0].lstrip().startswith("#"):
-                rows.append((reader.line_num, row))
+                break
+        else:
+            raise ParseError(empty, source=source)
+        if [cell.strip() for cell in row] != list(header):
+            raise ParseError(f"expected header {','.join(header)!r}", source=source, line=reader.line_num)
+        for row in reader:
+            # a first field without '#' is no comment, which saves most rows the strip
+            if row and ("#" not in row[0] or not row[0].lstrip().startswith("#")):
+                if len(row) != width:
+                    raise ParseError(f"expected {width} fields, got {len(row)}", source=source, line=reader.line_num)
+                yield reader.line_num, row
     except csv.Error as exc:  # e.g. a field over csv's size limit
         raise ParseError(f"malformed CSV: {exc}", source=source, line=reader.line_num) from None
-    if not rows:
-        raise ParseError(empty, source=source)
-    header_line, first = rows[0]
-    if [cell.strip() for cell in first] != list(header):
-        raise ParseError(f"expected header {','.join(header)!r}", source=source, line=header_line)
-    for line, row in rows[1:]:
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(row)}", source=source, line=line)
-        yield line, row
+
+
+def parse_adequacy(text: str, what: str, *, source: str | None, line: int) -> int:
+    """The adequacy value 0, 1 or 2 written in the CSV cell ``text``; other text is a ParseError on ``what``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ParseError(f"malformed {what} {text!r}", source=source, line=line) from None
+    if value not in ADEQUACY:
+        raise ParseError(f"{what} {value} outside 0..2", source=source, line=line)
+    return value
 
 
 def write_csv_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -14,7 +14,6 @@ the grid. Profiles are immutable; overlay application returns a new profile.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
@@ -25,7 +24,8 @@ from typing import Mapping
 
 from ._util import DEFAULT_SEGMENT_LENGTH_M  # noqa: F401 - public at this path too
 from ._util import ADEQUACY, GEOM_EPS as _GEOM_EPS, expected_segment_count, grid_error, hold_to_grid, json_float
-from ._util import json_int, json_str, parse_json, read_header, read_input, write_csv_table
+from ._util import json_int, json_str, parse_adequacy, parse_json, read_csv_table, read_header, read_input
+from ._util import write_csv_table
 from .errors import ParseError, ValidationError
 from .taxonomy import attribute_ids, is_known_attribute
 
@@ -283,12 +283,14 @@ def operationalize(
     raw: Mapping[str, float],
     rubric: Mapping[str, RubricEntry],
 ) -> dict[str, int]:
-    """Map raw measurements onto adequacy values via the rubric."""
+    """Map raw measurements onto adequacy values via the rubric; a NaN measurement is a ValidationError."""
     values: dict[str, int] = {}
     for attr, measurement in raw.items():
         entry = rubric.get(attr)
         if entry is None:
             raise ValidationError(f"no rubric entry for attribute {attr!r}")
+        if measurement != measurement:  # NaN, which no threshold orders: level_for would give the first level
+            raise ValidationError(f"measurement {measurement!r} for attribute {attr!r} is not a number")
         values[attr] = entry.level_for(measurement)
     return values
 
@@ -463,64 +465,36 @@ def _ordered_cells(body: bytes, registry: tuple[str, ...], expected: int) -> byt
 
 def _csv_rows(text: str, source: str, registry: tuple[str, ...], expected: int, length_km: float) -> list[bytes]:
     """The rows of any corridor CSV, read with csv; a ParseError names the first fault."""
-    reader = csv.reader(io.StringIO(text))
-
-    def error(message: str) -> ParseError:
-        return ParseError(message, source=source, line=reader.line_num)
-
-    try:
-        for header in reader:
-            if header and not header[0].lstrip().startswith("#"):
-                break
-        else:
-            raise ParseError("no data rows", source=source)
-        if [c.strip() for c in header] != _CORRIDOR_HEADER:
-            raise error("expected header 'segment_index,attribute,value'")
-
-        slot_of = {attr: slot for slot, attr in enumerate(registry)}
-        blank = bytes([MISSING]) * len(registry)
-        per_segment: dict[int, bytearray] = {}  # per segment, its values in registry order
-        last_key = slots = None
-        slot_for, value_for = slot_of.get, _VALUE_OF.get  # bound once: called for every row
-        for row in reader:
-            if len(row) == 3:
-                key, attr, text = row
-            elif row and (row[0] == last_key or not row[0].lstrip().startswith("#")):
-                raise error(f"expected 3 fields, got {len(row)}")
-            else:
-                continue  # a blank or comment line
-            # a repeated index text is the previous row's segment, so it is parsed once
-            if key != last_key:
-                if key.lstrip().startswith("#"):
-                    continue
-                try:
-                    index = int(key)
-                except ValueError:
-                    raise error(f"malformed segment index {key!r}") from None
-                if index < 0:
-                    raise error(f"negative segment index {index}")
-                slots = per_segment.get(index)
-                if slots is None:
-                    slots = per_segment[index] = bytearray(blank)
-                last_key = key
-            slot = slot_for(attr)
+    slot_of = {attr: slot for slot, attr in enumerate(registry)}
+    blank = bytes([MISSING]) * len(registry)
+    per_segment: dict[int, bytearray] = {}  # per segment, its values in registry order
+    last_key = slots = None
+    slot_for, value_for = slot_of.get, _VALUE_OF.get  # bound once: called for every row
+    for line, (key, attr, cell) in read_csv_table(text, source, _CORRIDOR_HEADER, "no data rows"):
+        # a repeated index text is the previous row's segment, so it is parsed once
+        if key != last_key:
+            try:
+                index = int(key)
+            except ValueError:
+                raise ParseError(f"malformed segment index {key!r}", source=source, line=line) from None
+            if index < 0:
+                raise ParseError(f"negative segment index {index}", source=source, line=line)
+            slots = per_segment.get(index)
+            if slots is None:
+                slots = per_segment[index] = bytearray(blank)
+            last_key = key
+        slot = slot_for(attr)
+        if slot is None:
+            slot = slot_for(attr.strip())
             if slot is None:
-                slot = slot_for(attr.strip())
-                if slot is None:
-                    raise error(f"unknown attribute {attr.strip()!r}")
-            value = value_for(text)
-            if value is None:
-                try:
-                    value = int(text)
-                except ValueError:
-                    raise error(f"malformed adequacy value {text!r}") from None
-                if value not in ADEQUACY:
-                    raise error(f"adequacy value {value} outside 0..2")
-            if slots[slot] != MISSING:
-                raise error(f"duplicate row for segment {index}, attribute {registry[slot]!r}")
-            slots[slot] = value
-    except csv.Error as exc:  # e.g. a field over csv's size limit
-        raise error(f"malformed CSV: {exc}") from None
+                raise ParseError(f"unknown attribute {attr.strip()!r}", source=source, line=line)
+        value = value_for(cell)
+        if value is None:
+            value = parse_adequacy(cell, "adequacy value", source=source, line=line)
+        if slots[slot] != MISSING:
+            message = f"duplicate row for segment {index}, attribute {registry[slot]!r}"
+            raise ParseError(message, source=source, line=line)
+        slots[slot] = value
 
     for index in range(expected):
         if index not in per_segment:

@@ -309,8 +309,8 @@ def build_ivim(
     automated class) coalesce into one zone; zone scores are the minimum
     over the coalesced segments (floored to cpct), so a zone never
     overstates any segment it covers. The last zone ends at the corridor's
-    end, inside its last segment when the length is not a whole number of
-    segments.
+    end rounded to the metre, inside its last segment when the length is not
+    a whole number of segments, and at least one metre after its start.
     """
     segments = assessment.segments
     if not segments:
@@ -324,7 +324,8 @@ def build_ivim(
         end = first + len(list(run))
         zones.append(
             ZoneRecord(
-                start_m=int(round(first * length)),
+                # where the previous zone ends: first * length can round to another metre than that end
+                start_m=zones[-1].end_m if zones else 0,
                 end_m=int(round((end - 1) * length + length)),
                 allowed_sae_levels=LEVEL_SETS[code],
                 asd_class=BANDS[asd_band],
@@ -334,7 +335,8 @@ def build_ivim(
             )
         )
         first = end
-    zones[-1] = replace(zones[-1], end_m=min(zones[-1].end_m, round(assessment.length_km * 1000)))
+    last = zones[-1]  # a tail under half a metre rounds to the last zone's start: it keeps one metre
+    zones[-1] = replace(last, end_m=max(min(last.end_m, round(assessment.length_km * 1000)), last.start_m + 1))
 
     msg = IvimMessage(
         header=IvimHeader(station_id=station_id, protocol_version=protocol_version),

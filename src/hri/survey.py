@@ -18,7 +18,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from ._util import ADEQUACY, read_csv_table, read_input, write_csv_table
+from ._util import ADEQUACY, parse_adequacy, read_csv_table, read_input, write_csv_table
 from .errors import ParseError, ValidationError
 from .taxonomy import (
     PROVENANCE_CUSTOM,
@@ -155,16 +155,6 @@ _RATINGS_HEADER = ("respondent_id", "attribute", "group", "rating")
 _RESPONDENTS_HEADER = ("respondent_id", "role", "region", "av_expertise", "cits_expertise", "day1", "day2", "day3")
 
 
-def _parse_rating(text: str, *, source: str | None, line: int) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ParseError(f"malformed rating {text!r}", source=source, line=line) from None
-    if value not in ADEQUACY:
-        raise ParseError(f"rating {value} outside 0..2", source=source, line=line)
-    return value
-
-
 def load_survey(
     ratings_path: str | Path,
     respondents_path: str | Path,
@@ -195,7 +185,7 @@ def load_survey(
         for day, cell in zip(DayService, row[5:8]):
             cell = cell.strip()
             if cell:
-                days[day] = _parse_rating(cell, source=respondents_src, line=line_num)
+                days[day] = parse_adequacy(cell, "rating", source=respondents_src, line=line_num)
         profiles[rid] = {
             "role": row[1].strip(),
             "region": region,
@@ -227,7 +217,7 @@ def load_survey(
                 source=ratings_src,
                 line=line_num,
             )
-        ratings[rid][key] = _parse_rating(row[3], source=ratings_src, line=line_num)
+        ratings[rid][key] = parse_adequacy(row[3], "rating", source=ratings_src, line=line_num)
 
     responses = []
     for rid in order:

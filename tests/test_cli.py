@@ -13,7 +13,7 @@ import pytest
 
 import hri
 from hri.cli import main
-from hri.corridor import load_corridor, load_overlay, load_rubric
+from hri.corridor import CorridorProfile, SegmentObservation, dump_corridor, load_corridor, load_overlay, load_rubric
 from hri.errors import ParseError, ValidationError
 from hri.fixtures import (
     SURVEY20_RATINGS_FILE,
@@ -26,7 +26,7 @@ from hri.fixtures import (
 )
 from hri.ivim import IviStatus, decode, encode
 from hri.scoring import load_score_profile_json
-from hri.taxonomy import builtin_weight_table, parse_weight_table
+from hri.taxonomy import attribute_ids, builtin_weight_table, parse_weight_table
 
 from test_imports import CLI_MODULES, loaded_after
 from test_ivim import one_zone_message
@@ -362,6 +362,22 @@ class TestIvimCommands:
         assert run("ivim", "decode", bin_path) == 0
         decoded_text = capsys.readouterr().out
         assert decoded_text == text
+
+    def test_corridor_with_a_tail_under_half_a_metre_builds_a_message(self, tmp_path, capsys):
+        # 200.4 m at 100 m: a third segment of 0.4 m, in another class than the second, whose zone
+        # would end where it starts if its end were only rounded
+        segments = [SegmentObservation(i, i * 100.0, 100.0, dict.fromkeys(attribute_ids(), 2 - i)) for i in range(3)]
+        corridor_csv, profile = tmp_path / "tail.csv", tmp_path / "tail.json"
+        corridor_csv.write_text(dump_corridor(CorridorProfile("tail", 0.2004, 100.0, segments)))
+        assert run("score", corridor_csv, "--out-csv", tmp_path / "tail.scores.csv", "--out-json", profile) == 0
+        text_path, bin_path = tmp_path / "tail.ivim.txt", tmp_path / "tail.ivim"
+        assert run("ivim", "build", profile, "--station-id", 1, "--timestamp", 1, "--out", text_path) == 0
+        assert run("ivim", "encode", text_path, "--out", bin_path) == 0
+        capsys.readouterr()
+        assert run("ivim", "decode", bin_path) == 0
+        assert capsys.readouterr().out == text_path.read_text()
+        zones = decode(bin_path.read_bytes()).av.zones
+        assert [(zone.start_m, zone.end_m) for zone in zones] == [(0, 100), (100, 200), (200, 201)]
 
     def test_build_with_reference_point(self, tmp_path):
         profile = self.build_profile(tmp_path)

@@ -427,6 +427,13 @@ class TestRubrics:
         with pytest.raises(ValidationError, match="no rubric entry"):
             operationalize({"hd-maps": 1.0}, {})
 
+    @pytest.mark.parametrize("attr", ["horizontal-curvature", "lane-mark-width"])
+    def test_nan_measurement_rejected(self, attr):
+        # no threshold orders NaN: unrefused it took the first level, the best for lower-is-better curvature
+        rubric = load_rubric(fixture_path(RUBRIC_EXAMPLE_FILE))
+        with pytest.raises(ValidationError, match=f"measurement nan for attribute '{attr}' is not a number"):
+            operationalize({attr: math.nan}, rubric)
+
     def test_non_monotone_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             RubricEntry(direction="higher-is-better", breakpoints=((None, 0), (200.0, 1), (100.0, 2)))

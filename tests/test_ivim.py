@@ -5,7 +5,7 @@ import struct
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_message
@@ -29,9 +29,10 @@ from hri.ivim import (
     validate_message,
     with_management,
 )
-from hri.corridor import apply_overlay
+from hri._util import ADEQUACY, expected_segment_count
+from hri.corridor import CorridorProfile, OverlayOp, ScenarioOverlay, SegmentObservation, apply_overlay
 from hri.scoring import ReadinessClass, score_corridor
-from hri.taxonomy import AutomationLevelGroup
+from hri.taxonomy import AutomationLevelGroup, attribute_ids
 
 ASD = AutomationLevelGroup.ASD
 AUD = AutomationLevelGroup.AUD
@@ -136,6 +137,44 @@ class TestBuild:
             assert zones[-1].end_m == 24000
             for left, right in zip(zones, zones[1:]):
                 assert left.end_m == right.start_m
+
+    @settings(max_examples=100, deadline=None)
+    @example(data=None)  # 200.4 m at 100 m: a third segment of 0.4 m in another class than the second
+    @given(st.data())
+    def test_every_corridor_builds_a_message_that_tiles_it(self, weights, data):
+        # whole pipeline, corridor -> overlays -> score -> message, on corridors of at most 255 segments
+        # whose length is mostly not a whole number of segments, with tails down to a few centimetres
+        attrs = attribute_ids()
+        patterns = [dict.fromkeys(attrs, value) for value in ADEQUACY] + [{a: i % 3 for i, a in enumerate(attrs)}]
+        if data is None:
+            length_m, length_km, picks, overlays = 100.0, 0.2004, [2, 2, 0], []
+        else:
+            length_m = data.draw(st.sampled_from([1.0, 2.5, 7.7, 33.3, 100.0, 250.0]))
+            whole = data.draw(st.integers(0, 254))
+            tail = data.draw(st.sampled_from([0.0, 0.02, 0.3, 0.499, 0.5, 0.51, 0.3 * length_m, length_m - 0.02]))
+            length_km = (whole * length_m + tail) / 1000.0
+            count = expected_segment_count(length_km, length_m)
+            assume(1 <= count <= 255)
+            picks = data.draw(st.lists(st.integers(0, len(patterns) - 1), min_size=count, max_size=count))
+            km = st.floats(0.0, length_km)
+            op = st.builds(OverlayOp, st.sampled_from(["set", "cap"]), st.sampled_from(attrs), st.integers(0, 2))
+            overlays = []
+            for number in range(data.draw(st.integers(0, 3))):
+                from_km, to_km = data.draw(km), data.draw(km)
+                assume(from_km < to_km)
+                ops = tuple(data.draw(st.lists(op, max_size=3)))
+                overlays.append(ScenarioOverlay(f"o{number}", from_km, to_km, ops))
+        segments = [SegmentObservation(i, i * length_m, length_m, patterns[p]) for i, p in enumerate(picks)]
+        profile = apply_overlay(CorridorProfile("c", length_km, length_m, segments), *overlays)
+        msg = build_ivim(score_corridor(profile, weights), station_id=1, timestamp_ms=0, validity_duration_s=60)
+        zones = msg.av.zones
+        assert zones[0].start_m == 0
+        assert all(zone.start_m < zone.end_m for zone in zones)
+        assert all(left.end_m == right.start_m for left, right in zip(zones, zones[1:]))
+        # the corridor's end to the metre, or one metre past the last zone's start when the tail rounds onto it
+        assert abs(zones[-1].end_m - length_km * 1000) < 1 or zones[-1].end_m == zones[-1].start_m + 1
+        assert decode(encode(msg)) == msg
+        assert from_canonical_text(to_canonical_text(msg)) == msg
 
     def test_empty_assessment_rejected(self, baseline_assessment):
         with pytest.raises(ValidationError, match="empty"):

@@ -297,6 +297,7 @@ def test_committed_fixtures_match_their_generators():
 WEIGHTS_HEADER = "attribute,asd_weight,aud_weight"
 RESPONDENTS_HEADER = "respondent_id,role,region,av_expertise,cits_expertise,day1,day2,day3"
 RATINGS_HEADER = "respondent_id,attribute,group,rating"
+CORRIDOR_HEADER = "segment_index,attribute,value"
 OVERSIZED = "2" * 200_000  # over csv's field size limit
 
 # Per table: its header, a data row, a row with a bad value (and that value's error), and a row one field short.
@@ -307,7 +308,9 @@ TABLES = {
         "r3,Engineer,usa,5,4,,",
     ),
     "ratings": (RATINGS_HEADER, "r1,hd-maps,aud,2", "r1,lighting,asd,7", "rating 7 outside 0..2", "r1,lane-width,aud"),
+    "corridor": (CORRIDOR_HEADER, "0,hd-maps,2", "0,lighting,7", "adequacy value 7 outside 0..2", "0,lane-width"),
 }
+CORRIDOR_META = {"corridor_id": "c", "length_km": 0.1, "segment_length_m": 100.0}  # for a text with no metadata line
 
 
 def table_error(kind: str, text: str, tmp_path) -> ParseError:
@@ -318,6 +321,10 @@ def table_error(kind: str, text: str, tmp_path) -> ParseError:
     with pytest.raises(ParseError) as raised:
         if kind == "weights":
             parse_weight_table(text, source="w.csv")
+        elif kind == "corridor":
+            corridor = tmp_path / "corridor.csv"
+            corridor.write_text(text)
+            load_corridor(corridor, CORRIDOR_META)
         else:
             (respondents if kind == "respondents" else ratings).write_text(text)
             load_survey(ratings, respondents)
@@ -325,29 +332,35 @@ def table_error(kind: str, text: str, tmp_path) -> ParseError:
 
 
 class TestCsvTables:
-    """The rules the weight table and both survey files share, each with the text and line it had
-    when every reader checked its own header and field count."""
+    """The rules the corridor CSV, the weight table and both survey files share, each with the text and
+    line it had when every reader checked its own header and field count; the first fault in the file
+    is the one reported."""
 
     @pytest.mark.parametrize("kind", sorted(TABLES))
     @pytest.mark.parametrize(
         "fault",
-        ["empty", "comments only", "wrong header", "short row", "bad value then short row", "bad value then csv fault"],
+        [
+            "empty", "comments only", "wrong header", "wrong header then csv fault", "short row",
+            "bad value then short row", "bad value then csv fault", "csv fault then bad value",
+        ],
     )
     def test_faults_report_their_text_and_line(self, kind, fault, tmp_path):
         header, good, bad, bad_message, short = TABLES[kind]
         width = header.count(",") + 1
-        empty = "empty weight table" if kind == "weights" else "empty file"
+        empty = {"weights": "empty weight table", "corridor": "no data rows"}.get(kind, "empty file")
         oversized = "malformed CSV: field larger than field limit (131072)"
         text, line, message = {
             "empty": ("", None, empty),
             "comments only": ("# a comment\n\n  # another\n", None, empty),
             "wrong header": (f"# {kind}\n{header},extra\n{good}\n", 2, f"expected header {header!r}"),
+            "wrong header then csv fault": (f"{header},extra\n{good},{OVERSIZED}\n", 1, f"expected header {header!r}"),
             "short row": (
                 f"{header}\n{good}\n# a comment\n{short}\n", 4, f"expected {width} fields, got {width - 1}"
             ),
             "bad value then short row": (f"{header}\n{good}\n{bad}\n{short}\n", 3, bad_message),
-            # csv reads the whole file before any row is checked: its fault comes first wherever it is
-            "bad value then csv fault": (f"{header}\n{bad}\n{good}\n{good},{OVERSIZED}\n", 4, oversized),
+            # csv reads the file as the rows are checked: an earlier bad value comes before a later csv fault
+            "bad value then csv fault": (f"{header}\n{bad}\n{good}\n{good},{OVERSIZED}\n", 2, bad_message),
+            "csv fault then bad value": (f"{header}\n{good}\n{good},{OVERSIZED}\n{bad}\n", 3, oversized),
         }[fault]
         error = table_error(kind, text, tmp_path)
         source = "w.csv" if kind == "weights" else str(tmp_path / f"{kind}.csv")

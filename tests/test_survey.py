@@ -274,6 +274,42 @@ class TestSurveyFiles:
         with pytest.raises(ParseError, match="empty file"):
             load_survey(ratings, respondents)
 
+    @pytest.mark.parametrize(
+        "kind, respondents_rows, ratings_rows, line, message",
+        [
+            (
+                "respondents", ["r1,Professor,europe,5,4,,,", "r1,Engineer,usa,3,3,,,"], ["r1,hd-maps,aud,2"],
+                3, "duplicate respondent 'r1'",
+            ),
+            (
+                "respondents", ["r1,Professor,europe,5,4,,,", "r2,Engineer,asia,3,3,,,"], ["r1,hd-maps,aud,2"],
+                3, "unknown region 'asia' (expected europe, usa or other)",
+            ),
+            (
+                "ratings", ["r1,Professor,europe,5,4,,,"], ["r1,hd-maps,aud,2", "r1,warp-drive,aud,2"],
+                3, "unknown attribute 'warp-drive'",
+            ),
+            (
+                "ratings", ["r1,Professor,europe,5,4,,,"], ["r1,hd-maps,aud,2", "r1,hd-maps,sae5,2"],
+                3, "unknown automation-level group 'sae5' (expected 'asd' or 'aud')",
+            ),
+            (
+                "respondents", ["r1,Professor,europe,5,4,,,", "r2,Engineer,usa,3,9,,,"], ["r1,hd-maps,aud,2"],
+                3, "cits_expertise must be in [1, 5], got 9",
+            ),
+        ],
+        ids=["duplicate respondent", "unknown region", "unknown attribute", "unknown group", "expertise out of range"],
+    )
+    def test_fault_names_its_file_and_line(self, kind, respondents_rows, ratings_rows, line, message, tmp_path):
+        respondents, ratings = tmp_path / "respondents.csv", tmp_path / "ratings.csv"
+        respondents.write_text("\n".join([RESPONDENTS_HEADER, *respondents_rows]) + "\n")
+        ratings.write_text("\n".join([RATINGS_HEADER, *ratings_rows]) + "\n")
+        with pytest.raises(ParseError) as raised:
+            load_survey(ratings, respondents)
+        source = str(respondents if kind == "respondents" else ratings)
+        assert (raised.value.source, raised.value.line) == (source, line)
+        assert str(raised.value) == f"{source}:line {line}: {message}"
+
     def test_bad_expertise_rejected(self):
         with pytest.raises(ValueError, match="av_expertise"):
             SurveyResponse(

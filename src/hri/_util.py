@@ -6,7 +6,7 @@ import math
 import os
 import tempfile
 import time
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -144,17 +144,17 @@ def read_input(path: str | Path, data: bytes | None = None) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def read_csv_table(text: str, source: str | None, header: Sequence[str], empty: str) -> Iterator[tuple[int, list[str]]]:
-    """The ``(line number, fields)`` of each data row of a headered CSV table.
+def read_csv_table(text: str, source: str | None, header: Sequence[str], empty: str, read_row: Callable) -> None:
+    """Call ``read_row(fields)`` on each data row of a headered CSV table, in order.
 
-    Blank rows and rows whose first field starts with ``#`` are skipped. The
-    text is read as it is iterated, and each fault is a ParseError raised
-    when the iteration reaches it, so the first fault in the file, a fault
-    the caller finds in a row included, is the one reported: a record csv
-    cannot read (e.g. a field over its size limit), at its line; no row at
-    all (the message ``empty``); a first row other than ``header`` (cells
-    stripped), at its line; a data row without ``len(header)`` fields, at
-    its line.
+    This is the one place that positions a CSV fault: a ValueError from
+    ``read_row`` is a ParseError with its text at that row's line. Blank
+    rows and rows whose first field starts with ``#`` are skipped. The text
+    is read as the rows are read, so the first fault in the file is the one
+    reported: a row ``read_row`` refuses; a record csv cannot read (e.g. a
+    field over its size limit), at its line; no row at all (the message
+    ``empty``); a first row other than ``header`` (cells stripped), at its
+    line; a data row without ``len(header)`` fields, at its line.
     """
     import csv  # here, so that importing the CLI does not load csv
     import io
@@ -174,19 +174,21 @@ def read_csv_table(text: str, source: str | None, header: Sequence[str], empty: 
             if row and ("#" not in row[0] or not row[0].lstrip().startswith("#")):
                 if len(row) != width:
                     raise ParseError(f"expected {width} fields, got {len(row)}", source=source, line=reader.line_num)
-                yield reader.line_num, row
+                read_row(row)
     except csv.Error as exc:  # e.g. a field over csv's size limit
         raise ParseError(f"malformed CSV: {exc}", source=source, line=reader.line_num) from None
+    except ValueError as exc:  # from read_row: the reader is still at its row
+        raise ParseError(str(exc), source=source, line=reader.line_num) from None
 
 
-def parse_adequacy(text: str, what: str, *, source: str | None, line: int) -> int:
-    """The adequacy value 0, 1 or 2 written in the CSV cell ``text``; other text is a ParseError on ``what``."""
+def parse_adequacy(text: str, what: str) -> int:
+    """The adequacy value 0, 1 or 2 written in the CSV cell ``text``; other text is a ValueError on ``what``."""
     try:
         value = int(text)
     except ValueError:
-        raise ParseError(f"malformed {what} {text!r}", source=source, line=line) from None
+        raise ValueError(f"malformed {what} {text!r}") from None
     if value not in ADEQUACY:
-        raise ParseError(f"{what} {value} outside 0..2", source=source, line=line)
+        raise ValueError(f"{what} {value} outside 0..2")
     return value
 
 

@@ -468,17 +468,20 @@ def _csv_rows(text: str, source: str, registry: tuple[str, ...], expected: int, 
     slot_of = {attr: slot for slot, attr in enumerate(registry)}
     blank = bytes([MISSING]) * len(registry)
     per_segment: dict[int, bytearray] = {}  # per segment, its values in registry order
-    last_key = slots = None
+    last_key = index = slots = None
     slot_for, value_for = slot_of.get, _VALUE_OF.get  # bound once: called for every row
-    for line, (key, attr, cell) in read_csv_table(text, source, _CORRIDOR_HEADER, "no data rows"):
+
+    def read_row(row: list[str]) -> None:
+        nonlocal last_key, index, slots
+        key, attr, cell = row
         # a repeated index text is the previous row's segment, so it is parsed once
         if key != last_key:
             try:
                 index = int(key)
             except ValueError:
-                raise ParseError(f"malformed segment index {key!r}", source=source, line=line) from None
+                raise ValueError(f"malformed segment index {key!r}") from None
             if index < 0:
-                raise ParseError(f"negative segment index {index}", source=source, line=line)
+                raise ValueError(f"negative segment index {index}")
             slots = per_segment.get(index)
             if slots is None:
                 slots = per_segment[index] = bytearray(blank)
@@ -487,15 +490,15 @@ def _csv_rows(text: str, source: str, registry: tuple[str, ...], expected: int, 
         if slot is None:
             slot = slot_for(attr.strip())
             if slot is None:
-                raise ParseError(f"unknown attribute {attr.strip()!r}", source=source, line=line)
+                raise ValueError(f"unknown attribute {attr.strip()!r}")
         value = value_for(cell)
         if value is None:
-            value = parse_adequacy(cell, "adequacy value", source=source, line=line)
+            value = parse_adequacy(cell, "adequacy value")
         if slots[slot] != MISSING:
-            message = f"duplicate row for segment {index}, attribute {registry[slot]!r}"
-            raise ParseError(message, source=source, line=line)
+            raise ValueError(f"duplicate row for segment {index}, attribute {registry[slot]!r}")
         slots[slot] = value
 
+    read_csv_table(text, source, _CORRIDOR_HEADER, "no data rows", read_row)
     for index in range(expected):
         if index not in per_segment:
             raise ParseError(f"gap: segment {index} missing", source=source)

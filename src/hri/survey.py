@@ -12,14 +12,14 @@ the denominator, never imputed as zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from ._util import ADEQUACY, parse_adequacy, read_csv_table, read_input, write_csv_table
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .taxonomy import (
     PROVENANCE_CUSTOM,
     AutomationLevelGroup,
@@ -162,81 +162,49 @@ def load_survey(
     """Load responses from the two-file CSV form, strictly.
 
     Errors carry the offending file and line number; ratings must reference
-    respondents declared in the sidecar file.
+    respondents declared in the sidecar file. Each respondent is built as its
+    row is read, so the respondents file is checked whole before the ratings.
     """
-    respondents_src = str(respondents_path)
-    text = read_input(respondents_path)
-    profiles: dict[str, dict] = {}
-    order: list[str] = []
-    for line_num, row in read_csv_table(text, respondents_src, _RESPONDENTS_HEADER, "empty file"):
+    responses: dict[str, SurveyResponse] = {}  # by respondent_id, in file order
+    ratings: dict[str, dict[tuple[str, AutomationLevelGroup], int]] = {}  # by respondent_id
+
+    def read_respondent(row: list[str]) -> None:
         rid = row[0].strip()
-        if rid in profiles:
-            raise ParseError(f"duplicate respondent {rid!r}", source=respondents_src, line=line_num)
-        try:
-            region = Region.parse(row[2])
-        except ValueError as exc:
-            raise ParseError(str(exc), source=respondents_src, line=line_num) from None
+        if rid in responses:
+            raise ValueError(f"duplicate respondent {rid!r}")
+        region = Region.parse(row[2])
         try:
             av_exp = int(row[3])
             cits_exp = int(row[4])
         except ValueError:
-            raise ParseError("malformed expertise value", source=respondents_src, line=line_num) from None
+            raise ValueError("malformed expertise value") from None
         days: dict[DayService, int] = {}
         for day, cell in zip(DayService, row[5:8]):
             cell = cell.strip()
             if cell:
-                days[day] = parse_adequacy(cell, "rating", source=respondents_src, line=line_num)
-        profiles[rid] = {
-            "role": row[1].strip(),
-            "region": region,
-            "av_expertise": av_exp,
-            "cits_expertise": cits_exp,
-            "days": days,
-            "line": line_num,
-        }
-        order.append(rid)
+                days[day] = parse_adequacy(cell, "rating")
+        responses[rid] = SurveyResponse(rid, row[1].strip(), region, av_exp, cits_exp, cits_day_ratings=days)
+        ratings[rid] = {}  # filled from the ratings file
 
-    ratings_src = str(ratings_path)
-    text = read_input(ratings_path)
-    ratings: dict[str, dict[tuple[str, AutomationLevelGroup], int]] = {rid: {} for rid in order}
-    for line_num, row in read_csv_table(text, ratings_src, _RATINGS_HEADER, "empty file"):
+    def read_rating(row: list[str]) -> None:
         rid = row[0].strip()
         if rid not in ratings:
-            raise ParseError(f"unknown respondent {rid!r}", source=ratings_src, line=line_num)
+            raise ValueError(f"unknown respondent {rid!r}")
         attr = row[1].strip()
         if not is_known_attribute(attr):
-            raise ParseError(f"unknown attribute {attr!r}", source=ratings_src, line=line_num)
-        try:
-            group = AutomationLevelGroup.parse(row[2])
-        except ValueError as exc:
-            raise ParseError(str(exc), source=ratings_src, line=line_num) from None
+            raise ValueError(f"unknown attribute {attr!r}")
+        group = AutomationLevelGroup.parse(row[2])
         key = (attr, group)
         if key in ratings[rid]:
-            raise ParseError(
-                f"duplicate rating for ({rid}, {attr}, {group.value})",
-                source=ratings_src,
-                line=line_num,
-            )
-        ratings[rid][key] = parse_adequacy(row[3], "rating", source=ratings_src, line=line_num)
+            raise ValueError(f"duplicate rating for ({rid}, {attr}, {group.value})")
+        ratings[rid][key] = parse_adequacy(row[3], "rating")
 
-    responses = []
-    for rid in order:
-        profile = profiles[rid]
-        try:
-            responses.append(
-                SurveyResponse(
-                    respondent_id=rid,
-                    role=profile["role"],
-                    region=profile["region"],
-                    av_expertise=profile["av_expertise"],
-                    cits_expertise=profile["cits_expertise"],
-                    attribute_ratings=ratings[rid],
-                    cits_day_ratings=profile["days"],
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), source=respondents_src, line=profile["line"]) from None
-    return responses
+    for path, header, read_row in (
+        (respondents_path, _RESPONDENTS_HEADER, read_respondent),
+        (ratings_path, _RATINGS_HEADER, read_rating),
+    ):
+        read_csv_table(read_input(path), str(path), header, "empty file", read_row)
+    return [replace(response, attribute_ratings=ratings[rid]) for rid, response in responses.items()]
 
 
 def dump_impact_difference(diffs: Mapping[str, float]) -> str:

@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from ._util import ADEQUACY, read_csv_table, read_input, write_csv_table
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 
 V_MAX = ADEQUACY[-1]
 """Adequacy/rating scale maximum shared by observations and survey ratings."""
@@ -271,20 +271,23 @@ def parse_weight_table(
     their line number.
     """
     pairs: dict[str, tuple[float, float]] = {}  # (asd, aud) weights by attribute, in file order
-    for line_num, row in read_csv_table(text, source, _WEIGHT_HEADER, "empty weight table"):
+
+    def read_row(row: list[str]) -> None:
         attr = row[0].strip()
         if not is_known_attribute(attr):
-            raise ParseError(f"unknown attribute {attr!r}", source=source, line=line_num)
+            raise ValueError(f"unknown attribute {attr!r}")
         if attr in pairs:
-            raise ParseError(f"duplicate attribute {attr!r}", source=source, line=line_num)
+            raise ValueError(f"duplicate attribute {attr!r}")
         try:
             asd_w = float(row[1])
             aud_w = float(row[2])
         except ValueError:
-            raise ParseError(f"malformed weight for {attr!r}", source=source, line=line_num) from None
+            raise ValueError(f"malformed weight for {attr!r}") from None
         if not (math.isfinite(asd_w) and math.isfinite(aud_w)):
-            raise ParseError(f"weight for {attr!r} is not finite", source=source, line=line_num)
+            raise ValueError(f"weight for {attr!r} is not finite")
         pairs[attr] = (asd_w, aud_w)
+
+    read_csv_table(text, source, _WEIGHT_HEADER, "empty weight table", read_row)
     # Group-major, so that group_weights() follows file order per group.
     weights = {
         (group, attr): pair[slot]

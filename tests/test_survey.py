@@ -310,6 +310,23 @@ class TestSurveyFiles:
         assert (raised.value.source, raised.value.line) == (source, line)
         assert str(raised.value) == f"{source}:line {line}: {message}"
 
+    @pytest.mark.parametrize(
+        "respondents_rows, ratings_rows",
+        [
+            (["r1,Professor,europe,5,9,,,"], ["r1,warp-drive,aud,2"]),
+            (["r1,Professor,europe,5,9,,,", "r2,Engineer,asia,3,3,,,"], ["r1,hd-maps,aud,2"]),
+        ],
+        ids=["before a ratings fault", "before a later respondents fault"],
+    )
+    def test_expertise_fault_is_reported_at_its_row(self, respondents_rows, ratings_rows, tmp_path):
+        # each respondent is built as its row is read, so its expertise is checked there
+        respondents, ratings = tmp_path / "respondents.csv", tmp_path / "ratings.csv"
+        respondents.write_text("\n".join([RESPONDENTS_HEADER, *respondents_rows]) + "\n")
+        ratings.write_text("\n".join([RATINGS_HEADER, *ratings_rows]) + "\n")
+        with pytest.raises(ParseError) as raised:
+            load_survey(ratings, respondents)
+        assert str(raised.value) == f"{respondents}:line 2: cits_expertise must be in [1, 5], got 9"
+
     def test_bad_expertise_rejected(self):
         with pytest.raises(ValueError, match="av_expertise"):
             SurveyResponse(

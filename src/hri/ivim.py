@@ -277,8 +277,8 @@ def _problems(msg: IvimMessage):
         yield from _out_of_range(zone, chainage, i)
         if zone.start_m >= zone.end_m:
             yield i, "end_m", f"{at}start_m {zone.start_m} >= end_m {zone.end_m}"
-        if previous_end is not None and zone.start_m < previous_end:
-            yield i, "start_m", f"{at}start_m {zone.start_m} overlaps or precedes previous zone end {previous_end}"
+        if previous_end is not None and zone.start_m != previous_end:  # zones tile: no gap, no overlap
+            yield i, "start_m", f"{at}start_m {zone.start_m} != previous zone end_m {previous_end}"
         previous_end = zone.end_m
         try:
             level_code(zone.allowed_sae_levels)
@@ -308,9 +308,12 @@ def build_ivim(
     Adjacent segments with identical (allowed levels, assisted class,
     automated class) coalesce into one zone; zone scores are the minimum
     over the coalesced segments (floored to cpct), so a zone never
-    overstates any segment it covers. The last zone ends at the corridor's
-    end rounded to the metre, inside its last segment when the length is not
-    a whole number of segments, and at least one metre after its start.
+    overstates any segment it covers. Each zone starts where the previous
+    one ends. The last zone ends at the corridor's end rounded to the metre,
+    inside its last segment when the length is not a whole number of
+    segments, and at least one metre after its start: when a tail under a
+    metre rounds onto that start, the last zone ends up to 1 m past the
+    rounded end (0.28752 km at 2.5 m ends in the zone 288-289).
     """
     segments = assessment.segments
     if not segments:

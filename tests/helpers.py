@@ -36,11 +36,10 @@ def random_message(rng: random.Random) -> IvimMessage:
     av = None
     if rng.random() < 0.7:
         zones = []
-        cursor = rng.randrange(0, 1000)
+        end = rng.randrange(0, 1000)  # the first zone need not start at 0; each later one starts where the last ends
         for _ in range(rng.randrange(0, 6)):
-            start = cursor + rng.randrange(0, 200)
+            start = end
             end = start + rng.randrange(1, 2000)
-            cursor = end
             zones.append(
                 ZoneRecord(
                     start_m=start,

@@ -173,6 +173,9 @@ class TestBuild:
         assert all(left.end_m == right.start_m for left, right in zip(zones, zones[1:]))
         # the corridor's end to the metre, or one metre past the last zone's start when the tail rounds onto it
         assert abs(zones[-1].end_m - length_km * 1000) < 1 or zones[-1].end_m == zones[-1].start_m + 1
+        # the last zone ends up to 1 m past the rounded end when a tail under a metre rounds onto its start
+        assert zones[-1].end_m <= round(length_km * 1000) + 1
+        assert validate_message(msg) == []
         assert decode(encode(msg)) == msg
         assert from_canonical_text(to_canonical_text(msg)) == msg
 
@@ -276,7 +279,7 @@ class TestBinaryCodec:
             ),
         ) * 2
         msg = replace(minimal_message(), av=AutomatedVehicleContainer(zones=zones))
-        with pytest.raises(ValidationError, match="overlaps"):
+        with pytest.raises(ValidationError, match="zone 1: start_m 1000 != previous zone end_m 2000"):
             encode(msg)
         # bypass encode validation by patching a valid two-zone image
         first = ZoneRecord(
@@ -293,7 +296,7 @@ class TestBinaryCodec:
         )
         payload = bytearray(encode(valid))
         payload[27 + 15 : 27 + 15 + 4] = (500).to_bytes(4, "big")  # second zone now overlaps
-        with pytest.raises(DecodeError, match="precedes previous zone"):
+        with pytest.raises(DecodeError, match="zone 1: start_m 500 != previous zone end_m 1000"):
             decode(bytes(payload))
 
     def test_overrange_cpct_rejected(self):
@@ -429,6 +432,81 @@ class TestHelpers:
 CLASSES = (ReadinessClass.UNLIKELY, ReadinessClass.MAY_BE, ReadinessClass.HIGHLY_LIKELY)
 
 
+def alternating_corridor(count: int) -> CorridorProfile:
+    """``count`` 100 m segments alternating between all-2 and all-0 values: one zone per segment."""
+    values = [dict.fromkeys(attribute_ids(), value) for value in (2, 0)]
+    segments = [SegmentObservation(i, i * 100.0, 100.0, values[i % 2]) for i in range(count)]
+    return CorridorProfile("alternating", count / 10, 100.0, segments)
+
+
+def with_zones(zones) -> IvimMessage:
+    return replace(minimal_message(), av=AutomatedVehicleContainer(zones=tuple(zones)))
+
+
+class TestZoneRules:
+    """Each zone starts where the previous one ends, and a message holds at most 255 zones."""
+
+    @pytest.fixture
+    def walk_message(self, corridor, weights, roadworks, maintenance):
+        """The README walk's message: the fixture with both overlays, five zones, the last (17000, 24000)."""
+        assessment = score_corridor(apply_overlay(corridor, roadworks, maintenance), weights)
+        msg = build_ivim(assessment, station_id=1001, timestamp_ms=1_700_000_000_000, validity_duration_s=600)
+        assert [(zone.start_m, zone.end_m) for zone in msg.av.zones][-1] == (17000, 24000)
+        return msg
+
+    def test_a_gap_is_refused_by_every_reader(self, walk_message):
+        zones = walk_message.av.zones
+        gap = replace(walk_message, av=AutomatedVehicleContainer(zones=(*zones[:4], replace(zones[4], start_m=17005))))
+        problem = "zone 4: start_m 17005 != previous zone end_m 17000"
+        assert validate_message(gap) == [problem]
+        with pytest.raises(ValidationError, match=problem):
+            encode(gap)
+        wire = bytearray(encode(walk_message))
+        start_at = 27 + 4 * 15  # zone 4's start_m: 26 bytes of header and management, the count, four zones
+        struct.pack_into(">I", wire, start_at, 17005)
+        with pytest.raises(DecodeError, match=problem) as raised:
+            decode(bytes(wire))
+        assert raised.value.offset == start_at
+        lines = to_canonical_text(walk_message).split("\n")
+        line = lines.index("zone.4.start_m: 17000") + 1
+        lines[line - 1] = "zone.4.start_m: 17005"
+        with pytest.raises(ParseError, match=problem) as raised:
+            from_canonical_text("\n".join(lines))
+        assert raised.value.line == line
+
+    def test_the_first_zone_may_start_past_0(self):
+        msg = with_zones([replace(one_zone_message().av.zones[0], start_m=100)])
+        assert validate_message(msg) == []
+        assert decode(encode(msg)) == msg
+
+    def test_build_refuses_256_zones(self, weights):
+        assessment = score_corridor(alternating_corridor(256), weights)
+        with pytest.raises(ValidationError, match="^built message is invalid: 256 zones exceed the u8 zone count$"):
+            build_ivim(assessment, station_id=1, timestamp_ms=0, validity_duration_s=60)
+        fits = replace(assessment, length_km=25.5, segments=assessment.segments[:255])
+        assert len(build_ivim(fits, station_id=1, timestamp_ms=0, validity_duration_s=60).av.zones) == 255
+
+    def test_256_zones_are_refused_by_validate_encode_and_text(self):
+        zone = one_zone_message().av.zones[0]
+        msg = with_zones(replace(zone, start_m=i * 10, end_m=i * 10 + 10) for i in range(256))
+        problem = "256 zones exceed the u8 zone count"
+        assert validate_message(msg) == [problem]
+        for write in (encode, to_canonical_text):
+            with pytest.raises(ValidationError, match=f"^{problem}$"):
+                write(msg)
+
+    def test_256_zone_text_fails_at_its_zone_count_line(self):
+        zone = one_zone_message().av.zones[0]
+        zones = [replace(zone, start_m=i * 10, end_m=i * 10 + 10) for i in range(256)]
+        text = to_canonical_text(with_zones(zones[:255]))
+        extra = to_canonical_text(with_zones(zones[255:])).split("zone.0.", 1)[1]
+        text = text.replace("zone_count: 255", "zone_count: 256") + "zone.255." + extra.replace("zone.0.", "zone.255.")
+        line = text.split("\n").index("zone_count: 256") + 1
+        with pytest.raises(ParseError, match="256 zones exceed the u8 zone count") as raised:
+            from_canonical_text(text)
+        assert raised.value.line == line
+
+
 def uint(bits):
     return st.integers(0, 2**bits - 1)
 
@@ -448,7 +526,9 @@ def wire_fields(draw):
     if draw(st.booleans()):
         zones, end = [], 0
         for _ in range(draw(st.integers(0, 4))):
-            start = min(draw(mostly(st.integers(end, end + 50), uint(32))), 2**32 - 1)
+            # the first zone may start anywhere, each later one where the previous one ends
+            valid_start = st.just(end) if zones else st.integers(end, end + 50)
+            start = min(draw(mostly(valid_start, uint(32))), 2**32 - 1)
             end = min(draw(mostly(st.integers(start + 1, start + 5000), uint(32))), 2**32 - 1)
             mask = draw(mostly(st.sampled_from([0x0, 0x3, 0xC, 0xF]), uint(8)))
             classes = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))

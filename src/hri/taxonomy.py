@@ -30,7 +30,6 @@ V_MAX = ADEQUACY[-1]
 """Adequacy/rating scale maximum shared by observations and survey ratings."""
 
 PROVENANCE_BUILTIN = "builtin-fig2"
-PROVENANCE_MACRO = "macro-table1"
 PROVENANCE_CUSTOM = "custom"
 
 

@@ -24,9 +24,9 @@ from hri.fixtures import (
     RUBRIC_EXAMPLE_FILE,
     ROADWORKS_OVERLAY_FILE,
 )
-from hri.ivim import IviStatus, decode, encode
+from hri.ivim import IviStatus, decode, encode, to_canonical_text
 from hri.scoring import load_score_profile_json
-from hri.taxonomy import attribute_ids, builtin_weight_table, parse_weight_table
+from hri.taxonomy import AutomationLevelGroup, attribute_ids, builtin_weight_table, parse_weight_table
 
 from test_imports import CLI_MODULES, loaded_after
 from test_ivim import one_zone_message
@@ -211,6 +211,27 @@ class TestScoreCommand:
         assert err == f"error: {where}{problem}\n"
         assert not out_csv.exists() and not out_json.exists()
 
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            ("drop", "no weight for (asd, lighting)"),
+            ("negative", "weight -0.5 for (asd, lighting) is negative"),
+        ],
+    )
+    def test_weights_that_fail_the_table_rules_exit_2_without_outputs(self, tmp_path, capsys, edit, problem):
+        from hri.taxonomy import dump_weight_table
+
+        lines = [
+            line if not line.startswith("lighting,") else "" if edit == "drop" else "lighting,-0.5,0.95"
+            for line in dump_weight_table(builtin_weight_table()).split("\n")
+        ]
+        weights = tmp_path / "w.csv"
+        weights.write_text("\n".join(lines))
+        out_csv, out_json = tmp_path / "p.csv", tmp_path / "p.json"
+        assert run("score", CORRIDOR, "--weights", weights, "--out-csv", out_csv, "--out-json", out_json) == 2
+        assert capsys.readouterr().err == f"error: weight table {weights}: {problem}\n"
+        assert not out_csv.exists() and not out_json.exists()
+
     def test_custom_weights_via_env(self, tmp_path, monkeypatch):
         from hri.taxonomy import dump_weight_table
 
@@ -284,6 +305,24 @@ class TestSurveyCommand:
         table = parse_weight_table(out_weights.read_text())
         assert all(w == 2.0 for w in table.weights.values())
 
+    def test_pretty_prints_each_attribute(self, tmp_path, capsys):
+        argv = [
+            "survey", fixture_path(SURVEY20_RATINGS_FILE), fixture_path(SURVEY20_RESPONDENTS_FILE),
+            "--out-weights", tmp_path / "w.csv", "--out-diff", tmp_path / "d.csv", "--out-days", tmp_path / "y.csv",
+        ]
+        assert run(*argv) == 0
+        plain = capsys.readouterr().out
+        assert run(*argv, "--pretty") == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert lines[0] + "\n" == plain  # the line that names the outputs, then the table
+        assert lines[1].split() == ["attribute", "asd", "aud", "diff"]
+        table = builtin_weight_table()
+        rows = {line.split()[0]: line.split()[1:] for line in lines[2:] if line}
+        assert list(rows) == list(table.attribute_ids_present())
+        asd, aud = AutomationLevelGroup.ASD, AutomationLevelGroup.AUD
+        lighting = [table.lookup(asd, "lighting"), table.lookup(aud, "lighting")]
+        assert rows["lighting"] == [f"{w:.2f}" for w in (*lighting, lighting[1] - lighting[0])]
+
     def test_empty_ratings_exits_1(self, tmp_path):
         respondents = tmp_path / "resp.csv"
         respondents.write_text(
@@ -323,6 +362,22 @@ class TestSensitivityCommand:
 
     def test_bad_override_exits_2(self):
         assert run("sensitivity", "--degraded", "weather=1") == 2
+
+    def test_override_level_that_is_not_a_number_exits_2(self, capsys):
+        assert run("sensitivity", "--degraded", "road-markings-signage=x") == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: bad degraded level in 'road-markings-signage=x'\n")
+
+    def test_pretty_prints_each_row_after_the_table(self, capsys):
+        assert run("sensitivity") == 0
+        table = capsys.readouterr().out
+        assert run("sensitivity", "--pretty") == 0
+        out = capsys.readouterr().out
+        assert out.startswith(table)
+        lines = out[len(table):].strip("\n").split("\n")
+        assert lines[0].split() == ["scenario", "group", "score", "class"]
+        rows = [row.split(",") for row in table.strip().split("\n")[1:]]
+        assert [line.split() for line in lines[1:]] == rows
 
     @pytest.mark.parametrize(
         "override, message",
@@ -445,6 +500,31 @@ class TestIvimCommands:
         err = capsys.readouterr().err
         assert err == f"error: {option} must be finite in 1e-7 degrees, got {float(degrees)}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["--ref-lat", "--ref-lon"])
+    def test_build_with_half_a_reference_point_exits_2(self, tmp_path, capsys, given):
+        profile = self.build_profile(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "m.ivim.txt"
+        assert run("ivim", "build", profile, "--station-id", 1, given, 45.0, "--out", out) == 2
+        assert capsys.readouterr().err == "error: --ref-lat and --ref-lon must be given together\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["m.ivim.txt", "m.txt"])
+    def test_encode_without_out_writes_beside_the_input(self, tmp_path, capsys, name):
+        text_in = tmp_path / name
+        text_in.write_text(to_canonical_text(one_zone_message()))
+        assert run("ivim", "encode", text_in) == 0
+        payload = encode(one_zone_message())
+        assert capsys.readouterr().out == f"wrote {tmp_path / 'm.ivim'} ({len(payload)} bytes)\n"
+        assert (tmp_path / "m.ivim").read_bytes() == payload
+
+    def test_decode_out_writes_the_text(self, tmp_path, capsys):
+        bin_in, out = tmp_path / "m.ivim", tmp_path / "back.txt"
+        bin_in.write_bytes(encode(one_zone_message()))
+        assert run("ivim", "decode", bin_in, "--out", out) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert out.read_text() == to_canonical_text(one_zone_message())
 
     def test_build_error_names_the_profile_once(self, tmp_path, capsys):
         profile = self.build_profile(tmp_path)

@@ -174,15 +174,11 @@ def load_survey(
             raise ValueError(f"duplicate respondent {rid!r}")
         region = Region.parse(row[2])
         try:
-            av_exp = int(row[3])
-            cits_exp = int(row[4])
+            av_exp, cits_exp = int(row[3]), int(row[4])
         except ValueError:
             raise ValueError("malformed expertise value") from None
-        days: dict[DayService, int] = {}
-        for day, cell in zip(DayService, row[5:8]):
-            cell = cell.strip()
-            if cell:
-                days[day] = parse_adequacy(cell, "rating")
+        cells = zip(DayService, (cell.strip() for cell in row[5:8]))
+        days = {day: parse_adequacy(cell, "rating") for day, cell in cells if cell}
         responses[rid] = SurveyResponse(rid, row[1].strip(), region, av_exp, cits_exp, cits_day_ratings=days)
         ratings[rid] = {}  # filled from the ratings file
 

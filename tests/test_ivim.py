@@ -451,7 +451,8 @@ class TestZoneRules:
         """The README walk's message: the fixture with both overlays, five zones, the last (17000, 24000)."""
         assessment = score_corridor(apply_overlay(corridor, roadworks, maintenance), weights)
         msg = build_ivim(assessment, station_id=1001, timestamp_ms=1_700_000_000_000, validity_duration_s=600)
-        assert [(zone.start_m, zone.end_m) for zone in msg.av.zones][-1] == (17000, 24000)
+        zones = msg.av.zones
+        assert len(zones) == 5 and (zones[-1].start_m, zones[-1].end_m) == (17000, 24000)
         return msg
 
     def test_a_gap_is_refused_by_every_reader(self, walk_message):

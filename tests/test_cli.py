@@ -368,6 +368,13 @@ class TestSensitivityCommand:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: bad degraded level in 'road-markings-signage=x'\n")
 
+    def test_override_level_with_blanks_or_a_leading_zero_reads_as_written(self, capsys):
+        assert run("sensitivity", "--degraded", "road-markings-signage=1") == 0
+        written = capsys.readouterr().out
+        for level in (" 1 ", "01"):
+            assert run("sensitivity", "--degraded", f"road-markings-signage={level}") == 0
+            assert capsys.readouterr().out == written
+
     def test_pretty_prints_each_row_after_the_table(self, capsys):
         assert run("sensitivity") == 0
         table = capsys.readouterr().out

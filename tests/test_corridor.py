@@ -176,6 +176,16 @@ class TestLoadCorridor:
         assert values[attribute_ids()[5]] == 0
         assert list(values) == list(attribute_ids())
 
+    def test_padded_cells_and_leading_zeros_read_as_written(self, tmp_path):
+        # reversed rows, so that the csv loop reads the file
+        rows = [row for index in range(18) for row in full_rows(index)][::-1]
+        written = load_corridor(write_corridor_csv(tmp_path, rows, length_km=1.8, name="written.csv"))
+        rows = ["0" + row if row.startswith("17,") else row for row in rows]  # index 017
+        rows[0] = rows[0].replace(",2", ", 2 ")
+        rows[-1] = rows[-1].replace(",2", ",02")
+        assert rows[0].startswith("017,") and rows[0].endswith(", 2 ") and rows[-1].startswith("0,")
+        assert load_corridor(write_corridor_csv(tmp_path, rows, length_km=1.8, name="padded.csv")) == written
+
     def test_row_order_does_not_matter(self, tmp_path):
         rows = [f"{i},{attr},{(i + j) % 3}" for i in range(3) for j, attr in enumerate(attribute_ids())]
         sorted_profile = load_corridor(write_corridor_csv(tmp_path, rows, length_km=0.3, name="sorted.csv"))

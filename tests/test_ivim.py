@@ -405,6 +405,12 @@ class TestCanonicalText:
         text = "# a comment\n\n" + to_canonical_text(minimal_message())
         assert from_canonical_text(text) == minimal_message()
 
+    def test_padded_integers_and_leading_zeros_read_as_written(self):
+        text = to_canonical_text(one_zone_message())
+        padded = text.replace("station_id: 1001\n", "station_id:  01001 \n").replace("levels: 1,2,3,4", "levels: 01, 2 ,3,4")
+        assert padded.count("01001") == padded.count("01, 2 ,3,4") == 1
+        assert from_canonical_text(padded) == one_zone_message()
+
 
 class TestHelpers:
     def test_bitmask_round_trip(self):

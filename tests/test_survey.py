@@ -419,3 +419,28 @@ class TestCsvTables:
         source = "w.csv" if kind == "weights" else str(tmp_path / f"{kind}.csv")
         expected = ParseError(message, source=source, line=line)
         assert (error.source, error.line, str(error)) == (source, line, str(expected))
+
+
+class TestNumberRule:
+    """A number in the weight table or a survey file is read as hri writes it: an integer is an optional '-' and
+    ASCII digits, a real what float() reads from ASCII text without '_'; ASCII blanks around a number and
+    leading zeros are allowed."""
+
+    def test_padded_numbers_and_leading_zeros_read_as_written(self, tmp_path):
+        table = parse_weight_table(f"{WEIGHTS_HEADER}\nlighting, 0.5 ,01\nhd-maps,\t1e0,.25 \n")
+        assert dict(table.weights) == {
+            (ASD, "lighting"): 0.5, (ASD, "hd-maps"): 1.0, (AUD, "lighting"): 1.0, (AUD, "hd-maps"): 0.25
+        }
+        respondents, ratings = tmp_path / "respondents.csv", tmp_path / "ratings.csv"
+        respondents.write_text(f"{RESPONDENTS_HEADER}\nr1,Professor,europe, 05 ,004, 1 ,02,\n")
+        ratings.write_text(f"{RATINGS_HEADER}\nr1,hd-maps,aud, 02 \nr1,lighting,asd,0\n")
+        (loaded,) = load_survey(ratings, respondents)
+        assert (loaded.av_expertise, loaded.cits_expertise) == (5, 4)
+        assert loaded.cits_day_ratings == {DayService.DAY1: 1, DayService.DAY2: 2}
+        assert loaded.attribute_ratings == {("hd-maps", AUD): 2, ("lighting", ASD): 0}
+
+    @pytest.mark.parametrize("spelling", ["nan", "NaN", "inf", "-Infinity", " +inf "])
+    def test_weights_that_are_not_finite_keep_their_text(self, spelling):
+        with pytest.raises(ParseError) as raised:
+            parse_weight_table(f"{WEIGHTS_HEADER}\nhd-maps,1,1\nlighting,0.5,{spelling}\n", source="w.csv")
+        assert str(raised.value) == "w.csv:line 3: weight for 'lighting' is not finite"

@@ -181,10 +181,25 @@ def read_csv_table(text: str, source: str | None, header: Sequence[str], empty: 
         raise ParseError(str(exc), source=source, line=reader.line_num) from None
 
 
+def parse_int(text: str) -> int:
+    """The integer in the CSV cell or canonical-text value ``text``: an optional ``-`` and ASCII digits, leading zeros
+    and ASCII blanks around allowed; other text, even ``+2``, ``1_0`` or other scripts' digits, is a ValueError."""
+    if text.isascii() and (text.isdigit() or text.strip().removeprefix("-").isdigit()):  # the written form first
+        return int(text)
+    raise ValueError(f"not an integer: {text!r}")
+
+
+def parse_real(text: str) -> float:
+    """``float(text)`` of the CSV cell ``text`` if it is ASCII without ``_`` (so ``nan`` reads), else a ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a real number: {text!r}")
+    return float(text)
+
+
 def parse_adequacy(text: str, what: str) -> int:
     """The adequacy value 0, 1 or 2 written in the CSV cell ``text``; other text is a ValueError on ``what``."""
     try:
-        value = int(text)
+        value = parse_int(text)
     except ValueError:
         raise ValueError(f"malformed {what} {text!r}") from None
     if value not in ADEQUACY:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NoReturn, Sequence
 # Each subcommand imports the domain modules it runs, so that a process loads
 # only those: at module level this file needs no more than these two.
 from ._util import ADEQUACY, DEFAULT_SEGMENT_LENGTH_M, DEFAULT_THRESHOLD
-from ._util import atomic_write_all, now_ms, read_input, write_csv_table
+from ._util import atomic_write_all, now_ms, parse_int, read_input, write_csv_table
 from .errors import HriError, ValidationError
 
 if TYPE_CHECKING:
@@ -163,7 +163,7 @@ def sensitivity(args: argparse.Namespace) -> None:
         except ValueError:
             raise ValidationError(f"unknown degradable category {name!r}") from None
         try:
-            degraded[category] = int(level_text)
+            degraded[category] = parse_int(level_text)
         except ValueError:
             raise ValidationError(f"bad degraded level in {override!r}") from None
     try:

@@ -24,7 +24,7 @@ from typing import Mapping
 
 from ._util import DEFAULT_SEGMENT_LENGTH_M  # noqa: F401 - public at this path too
 from ._util import ADEQUACY, GEOM_EPS as _GEOM_EPS, expected_segment_count, grid_error, hold_to_grid, json_float
-from ._util import json_int, json_str, parse_adequacy, parse_json, read_csv_table, read_header, read_input
+from ._util import json_int, json_str, parse_adequacy, parse_int, parse_json, read_csv_table, read_header, read_input
 from ._util import write_csv_table
 from .errors import ParseError, ValidationError
 from .taxonomy import attribute_ids, is_known_attribute
@@ -154,10 +154,6 @@ class CorridorProfile:
 
     def __post_init__(self) -> None:
         hold_to_grid(self, SegmentRows)
-
-    @property
-    def length_m(self) -> float:
-        return self.length_km * 1000.0
 
 
 @dataclass(frozen=True)
@@ -477,7 +473,7 @@ def _csv_rows(text: str, source: str, registry: tuple[str, ...], expected: int, 
         # a repeated index text is the previous row's segment, so it is parsed once
         if key != last_key:
             try:
-                index = int(key)
+                index = parse_int(key)
             except ValueError:
                 raise ValueError(f"malformed segment index {key!r}") from None
             if index < 0:

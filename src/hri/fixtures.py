@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .corridor import CorridorProfile, ScenarioOverlay, SegmentObservation, load_corridor, load_overlay
 from .survey import DayService, Region, SurveyResponse
-from .taxonomy import AutomationLevelGroup, WeightTable, attribute_ids, builtin_weight_table
+from .taxonomy import AutomationLevelGroup, attribute_ids, builtin_weight_table
 
 _FIXTURE_DIR = "data/fixtures"
 
@@ -137,20 +137,8 @@ def generate_baseline_corridor() -> CorridorProfile:
             values["lane-mark-retroreflectivity"] = 1
 
         ordered = {attr: values[attr] for attr in attribute_ids()}
-        segments.append(
-            SegmentObservation(
-                index=i,
-                start_m=i * SEGMENT_LENGTH_M,
-                length_m=SEGMENT_LENGTH_M,
-                values=ordered,
-            )
-        )
-    return CorridorProfile(
-        corridor_id=CORRIDOR_ID,
-        length_km=CORRIDOR_LENGTH_KM,
-        segment_length_m=SEGMENT_LENGTH_M,
-        segments=tuple(segments),
-    )
+        segments.append(SegmentObservation(i, i * SEGMENT_LENGTH_M, SEGMENT_LENGTH_M, ordered))
+    return CorridorProfile(CORRIDOR_ID, CORRIDOR_LENGTH_KM, SEGMENT_LENGTH_M, tuple(segments))
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +208,13 @@ def _spread_ratings(n: int, total: int) -> list[int]:
     return [2] * twos + [1] * ones + [0] * (n - twos - ones)
 
 
-def build_survey_responses(
-    n_respondents: int,
-    targets: WeightTable | None = None,
-) -> list[SurveyResponse]:
-    """Construct responses whose column means reproduce ``targets``.
+def build_survey_responses(n_respondents: int) -> list[SurveyResponse]:
+    """Construct responses whose column means reproduce the built-in weight table.
 
     Exact for every cell whose target is representable with at most
     ``n_respondents`` integer ratings; closest-achievable otherwise.
     """
-    table = targets if targets is not None else builtin_weight_table()
+    table = builtin_weight_table()
     regions = _REGION_PLAN.get(
         n_respondents, tuple(Region.OTHER for _ in range(n_respondents))
     )

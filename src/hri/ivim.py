@@ -33,6 +33,7 @@ from itertools import accumulate, groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from ._util import parse_int
 from .errors import DecodeError, ParseError, ValidationError
 from .taxonomy import BANDS, LEVEL_CODES, LEVEL_MASKS, LEVEL_SETS, ReadinessClass, band_indexes, level_code
 
@@ -138,7 +139,7 @@ _LEVEL_TEXTS = {levels: ",".join(map(str, sorted(levels))) or "none" for levels 
 
 def _parse_levels(text: str) -> frozenset[int]:
     try:
-        return frozenset() if text == "none" else frozenset(int(part) for part in text.split(","))
+        return frozenset() if text == "none" else frozenset(map(parse_int, text.split(",")))
     except ValueError:
         raise ValueError(f"bad allowed_sae_levels {text!r}") from None
 
@@ -299,8 +300,6 @@ def build_ivim(
     timestamp_ms: int,
     validity_duration_s: int,
     ivi_identification: int = 1,
-    ivi_status: IviStatus = IviStatus.NEW,
-    protocol_version: int = DEFAULT_PROTOCOL_VERSION,
     location: GeographicLocationContainer | None = None,
 ) -> IvimMessage:
     """Build a message from a scored corridor.
@@ -342,12 +341,12 @@ def build_ivim(
     zones[-1] = replace(last, end_m=max(min(last.end_m, round(assessment.length_km * 1000)), last.start_m + 1))
 
     msg = IvimMessage(
-        header=IvimHeader(station_id=station_id, protocol_version=protocol_version),
+        header=IvimHeader(station_id=station_id),
         management=ManagementContainer(
             ivi_identification=ivi_identification,
             timestamp_ms=timestamp_ms,
             validity_duration_s=validity_duration_s,
-            ivi_status=ivi_status,
+            ivi_status=IviStatus.NEW,
         ),
         location=location,
         av=AutomatedVehicleContainer(zones=tuple(zones)),
@@ -479,7 +478,7 @@ class _TextReader:
             )
         self.pos += 1
         try:
-            return int(value) if parse is None else parse(value)
+            return parse_int(value) if parse is None else parse(value)
         except ValueError as exc:
             problem = f"{key} must be an integer, got {value!r}" if parse is None else str(exc)
             raise ParseError(problem, source=self.source, line=line, column=column) from None

@@ -407,17 +407,14 @@ class SensitivityConfig:
         return values
 
 
-def macro_sensitivity(
-    config: SensitivityConfig,
-    macro_weights: Mapping[tuple[AutomationLevelGroup, MacroCategory], float] | None = None,
-) -> dict[AutomationLevelGroup, ReadinessScore]:
+def macro_sensitivity(config: SensitivityConfig) -> dict[AutomationLevelGroup, ReadinessScore]:
     """Evaluate the readiness ratio over the four macro-categories.
 
     Category adequacy is fixed by the scenario (compliant physical
-    categories at 2, degraded ones per config, HD maps 0 or 2); weights
-    default to the built-in macro table.
+    categories at 2, degraded ones per config, HD maps 0 or 2); the weights
+    are the built-in macro table.
     """
-    weights = macro_weights if macro_weights is not None else macro_weight_table()
+    weights = macro_weight_table()
     values = config.category_values()
     result = {}
     for group in AutomationLevelGroup:
@@ -559,11 +556,11 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
     converted, so integral floats, class names in other case and level lists
     in any order load); the scores in [0, 100]; each class the band of its
     score; each segment at its position on the ``segment_length_m`` grid; each
-    level set the one its scores give at ``threshold`` (under ``>=`` or
-    ``>``, which the profile does not record); and as many segments as
-    ``length_km`` gives. A check that fails walks its column and reports the
-    first segment at fault, so of several faults the one reported is the
-    first of the first check that fails.
+    level set the one its scores give at ``threshold`` (under one rule for the
+    whole profile, ``>=`` or ``>``, which it does not record); and as many
+    segments as ``length_km`` gives. A check that fails walks its column and
+    reports the first segment at fault, so of several faults the one reported
+    is the first of the first check that fails.
     """
     source = str(path)
     doc = parse_json(read_input(path), source)
@@ -608,13 +605,22 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
     problem = grid_error(zip(indexes, starts, lengths), segment_length_m)
     if problem:
         raise ValidationError(f"{source}: {problem}")
-    if levels != inclusive:  # each other set must be the one the exclusive test gives
+    if levels != inclusive:  # each other set must be the one the exclusive test gives, and all follow one rule
         exclusive = _level_codes(asd, aud, threshold, operator.gt)
+        rule = None  # the first segment whose sets under >= and > differ, and the rule its set follows
         for index, (code, ge, gt) in enumerate(zip(levels, inclusive, exclusive)):
             if code != ge and code != gt:
                 raise ValidationError(
                     f"{source}: segment {index}: allowed_sae_levels {sorted(LEVEL_SETS[code])} "
                     f"do not match the scores at threshold {threshold!r}"
+                )
+            follows = ">=" if code == ge else ">"
+            if ge != gt and rule is None:
+                rule = index, follows
+            elif ge != gt and follows != rule[1]:
+                raise ValidationError(
+                    f"{source}: segment {index}: allowed_sae_levels {sorted(LEVEL_SETS[code])} follow score {follows} "
+                    f"threshold {threshold!r}, but segment {rule[0]}'s follow score {rule[1]} threshold"
                 )
     problem = segment_count_error(len(indexes), length_km, segment_length_m)
     if problem:

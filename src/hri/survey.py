@@ -18,7 +18,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from ._util import ADEQUACY, parse_adequacy, read_csv_table, read_input, write_csv_table
+from ._util import ADEQUACY, parse_adequacy, parse_int, read_csv_table, read_input, write_csv_table
 from .errors import ValidationError
 from .taxonomy import (
     PROVENANCE_CUSTOM,
@@ -174,7 +174,7 @@ def load_survey(
             raise ValueError(f"duplicate respondent {rid!r}")
         region = Region.parse(row[2])
         try:
-            av_exp, cits_exp = int(row[3]), int(row[4])
+            av_exp, cits_exp = parse_int(row[3]), parse_int(row[4])
         except ValueError:
             raise ValueError("malformed expertise value") from None
         cells = zip(DayService, (cell.strip() for cell in row[5:8]))

@@ -23,7 +23,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._util import ADEQUACY, read_csv_table, read_input, write_csv_table
+from ._util import ADEQUACY, parse_real, read_csv_table, read_input, write_csv_table
 from .errors import ValidationError
 
 V_MAX = ADEQUACY[-1]
@@ -223,16 +223,12 @@ class WeightIssue:
     detail: str
 
 
-def validate_weight_table(
-    table: WeightTable,
-    registry: Iterable[str] | None = None,
-) -> list[WeightIssue]:
-    """Check totality, non-negativity and non-degenerate group sums.
+def validate_weight_table(table: WeightTable) -> list[WeightIssue]:
+    """Check totality over the built-in attribute set, non-negativity and non-degenerate group sums.
 
-    An empty report means the table is valid. ``registry`` defaults to the
-    built-in attribute set.
+    An empty report means the table is valid.
     """
-    ids = tuple(registry) if registry is not None else attribute_ids()
+    ids = attribute_ids()
     issues: list[WeightIssue] = []
     for group in AutomationLevelGroup:
         for attr in ids:
@@ -278,8 +274,8 @@ def parse_weight_table(
         if attr in pairs:
             raise ValueError(f"duplicate attribute {attr!r}")
         try:
-            asd_w = float(row[1])
-            aud_w = float(row[2])
+            asd_w = parse_real(row[1])
+            aud_w = parse_real(row[2])
         except ValueError:
             raise ValueError(f"malformed weight for {attr!r}") from None
         if not (math.isfinite(asd_w) and math.isfinite(aud_w)):
@@ -296,9 +292,8 @@ def parse_weight_table(
     return WeightTable(weights, provenance=provenance)
 
 
-def load_weight_table(path: str | Path, *, provenance: str = PROVENANCE_CUSTOM) -> WeightTable:
-    p = Path(path)
-    return parse_weight_table(read_input(p), provenance=provenance, source=str(p))
+def load_weight_table(path: str | Path) -> WeightTable:
+    return parse_weight_table(read_input(path), source=str(path))
 
 
 def dump_weight_table(table: WeightTable) -> str:

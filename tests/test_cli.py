@@ -368,6 +368,13 @@ class TestSensitivityCommand:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: bad degraded level in 'road-markings-signage=x'\n")
 
+    @pytest.mark.parametrize("level", ["+1", "0_1", "١"])
+    def test_override_level_int_reads_but_no_writer_gives_exits_2(self, capsys, level):
+        override = f"road-markings-signage={level}"
+        assert run("sensitivity", "--degraded", override) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: bad degraded level in {override!r}\n")
+
     def test_override_level_with_blanks_or_a_leading_zero_reads_as_written(self, capsys):
         assert run("sensitivity", "--degraded", "road-markings-signage=1") == 0
         written = capsys.readouterr().out
@@ -585,6 +592,28 @@ class TestIvimCommands:
         out = tmp_path / "m.ivim.txt"
         assert run("ivim", "build", profile, "--station-id", 1, "--out", out) == 2
         assert capsys.readouterr().err == f"error: {profile}: {message}\n"
+        assert not out.exists()
+
+    def test_build_refuses_level_sets_that_follow_both_rules_exits_2(self, tmp_path, capsys):
+        # an all-1 segment scores exactly 50 in both groups: its set is [1, 2, 3, 4] under >= and [] under >
+        corridor = tmp_path / "ones.csv"
+        segments = [SegmentObservation(i, i * 100.0, 100.0, dict.fromkeys(attribute_ids(), 1)) for i in range(2)]
+        corridor.write_text(dump_corridor(CorridorProfile("ones", 0.2, 100.0, segments)))
+        profile = tmp_path / "ones.json"
+        argv = ["score", corridor, "--threshold", 50, "--out-csv", tmp_path / "ones.csv.out", "--out-json", profile]
+        assert run(*argv) == 0
+        doc = json.loads(profile.read_text())
+        assert [segment["allowed_sae_levels"] for segment in doc["segments"]] == [[1, 2, 3, 4]] * 2
+        doc["segments"][1]["allowed_sae_levels"] = []
+        profile.write_text(json.dumps(doc, indent=2) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "m.ivim.txt"
+        assert run("ivim", "build", profile, "--station-id", 1, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: {profile}: segment 1: allowed_sae_levels [] follow score > threshold 50.0, "
+            "but segment 0's follow score >= threshold\n"
+        )
         assert not out.exists()
 
     def test_build_deterministic_with_timestamp(self, tmp_path):

@@ -186,6 +186,28 @@ class TestLoadCorridor:
         assert rows[0].startswith("017,") and rows[0].endswith(", 2 ") and rows[-1].startswith("0,")
         assert load_corridor(write_corridor_csv(tmp_path, rows, length_km=1.8, name="padded.csv")) == written
 
+    @pytest.mark.parametrize(
+        "field, spelling, what",
+        [
+            (0, "0_1", "segment index"),
+            (0, "+1", "segment index"),
+            (0, "١", "segment index"),  # an Arabic-Indic one
+            (2, "+2", "adequacy value"),
+            (2, "0_2", "adequacy value"),
+            (2, "٢", "adequacy value"),
+        ],
+    )
+    def test_numbers_int_reads_but_no_writer_gives_are_refused(self, tmp_path, field, spelling, what):
+        rows = (full_rows(0) + full_rows(1))[::-1]  # reversed, so that the csv loop reads the file
+        cells = rows[5].split(",")
+        assert cells[0] == "1" and cells[2] == "2"
+        cells[field] = spelling
+        rows[5] = ",".join(cells)
+        path = write_corridor_csv(tmp_path, rows)
+        with pytest.raises(ParseError) as raised:
+            load_corridor(path)
+        assert str(raised.value) == str(ParseError(f"malformed {what} {spelling!r}", source=str(path), line=2 + 5 + 1))
+
     def test_row_order_does_not_matter(self, tmp_path):
         rows = [f"{i},{attr},{(i + j) % 3}" for i in range(3) for j, attr in enumerate(attribute_ids())]
         sorted_profile = load_corridor(write_corridor_csv(tmp_path, rows, length_km=0.3, name="sorted.csv"))

@@ -411,6 +411,30 @@ class TestCanonicalText:
         assert padded.count("01001") == padded.count("01, 2 ,3,4") == 1
         assert from_canonical_text(padded) == one_zone_message()
 
+    @pytest.mark.parametrize(
+        "field, spelling",
+        [
+            ("station_id", "+0_1"),
+            ("station_id", "+1001"),
+            ("station_id", "1_001"),
+            ("zone_count", "+1"),
+            ("zone.0.start_m", "٠"),  # an Arabic-Indic zero
+            ("zone.0.allowed_sae_levels", "1,+2,3,4"),
+            ("zone.0.allowed_sae_levels", "0_1,2,3,4"),
+            ("zone.0.allowed_sae_levels", "1,2,3,٤"),
+        ],
+    )
+    def test_integers_int_reads_but_no_writer_gives_are_refused_at_their_value(self, field, spelling):
+        lines = to_canonical_text(one_zone_message()).split("\n")
+        line = next(number for number, text in enumerate(lines, start=1) if text.startswith(f"{field}:"))
+        lines[line - 1] = f"{field}: {spelling}"
+        with pytest.raises(ParseError) as raised:
+            from_canonical_text("\n".join(lines), source="m.txt")
+        problem = f"{field} must be an integer, got {spelling!r}"
+        if field.endswith("levels"):
+            problem = f"bad allowed_sae_levels {spelling!r}"
+        assert str(raised.value) == str(ParseError(problem, source="m.txt", line=line, column=len(field) + 2))
+
 
 class TestHelpers:
     def test_bitmask_round_trip(self):

@@ -567,6 +567,23 @@ class TestSegmentAssessmentStore:
             load_score_profile_json(path)
         assert str(raised.value) == f"{path}: segment 0: allowed_sae_levels [1, 2] do not match the scores at threshold 50.0"
 
+    @pytest.mark.parametrize("inclusive", [True, False])
+    def test_loader_refuses_level_sets_that_follow_both_rules(self, weights, tmp_path, inclusive):
+        # all-1 segments score exactly 50 in both groups: segment 2's set is written under the other rule
+        assessment = score_corridor(corridor_of([dict.fromkeys(attribute_ids(), 1)] * 3), weights, threshold=50.0,
+                                    threshold_inclusive=inclusive)
+        doc = json.loads(dump_score_profile_json(assessment))
+        doc["segments"][2]["allowed_sae_levels"] = [] if inclusive else [1, 2, 3, 4]
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as raised:
+            load_score_profile_json(path)
+        rules = (">", ">=") if inclusive else (">=", ">")
+        assert str(raised.value) == (
+            f"{path}: segment 2: allowed_sae_levels {doc['segments'][2]['allowed_sae_levels']} follow score {rules[0]} "
+            f"threshold 50.0, but segment 0's follow score {rules[1]} threshold"
+        )
+
     @pytest.mark.parametrize(
         "edit, error, message",
         [

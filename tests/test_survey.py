@@ -444,3 +444,25 @@ class TestNumberRule:
         with pytest.raises(ParseError) as raised:
             parse_weight_table(f"{WEIGHTS_HEADER}\nhd-maps,1,1\nlighting,0.5,{spelling}\n", source="w.csv")
         assert str(raised.value) == "w.csv:line 3: weight for 'lighting' is not finite"
+
+    @pytest.mark.parametrize(
+        "kind, row, message",
+        [
+            ("weights", "lighting,1_0,1", "malformed weight for 'lighting'"),
+            ("weights", "lighting,1,٣", "malformed weight for 'lighting'"),  # an Arabic-Indic three
+            ("respondents", "r2,Engineer,usa,+3,4,,,", "malformed expertise value"),
+            ("respondents", "r2,Engineer,usa,3,0_4,,,", "malformed expertise value"),
+            ("respondents", "r2,Engineer,usa,٣,4,,,", "malformed expertise value"),
+            ("respondents", "r2,Engineer,usa,3,4,+1,,", "malformed rating '+1'"),
+            ("respondents", "r2,Engineer,usa,3,4,,0_2,", "malformed rating '0_2'"),
+            ("respondents", "r2,Engineer,usa,3,4,,,٢", "malformed rating '٢'"),
+            ("ratings", "r1,lighting,asd,+2", "malformed rating '+2'"),
+            ("ratings", "r1,lighting,asd,0_2", "malformed rating '0_2'"),
+            ("ratings", "r1,lighting,asd,٢", "malformed rating '٢'"),
+        ],
+    )
+    def test_numbers_that_no_writer_gives_are_refused_at_their_line(self, tmp_path, kind, row, message):
+        header, good = TABLES[kind][:2]
+        error = table_error(kind, f"{header}\n{good}\n{row}\n", tmp_path)
+        source = "w.csv" if kind == "weights" else str(tmp_path / f"{kind}.csv")
+        assert str(error) == str(ParseError(message, source=source, line=3))

@@ -228,10 +228,9 @@ def validate_weight_table(table: WeightTable) -> list[WeightIssue]:
 
     An empty report means the table is valid.
     """
-    ids = attribute_ids()
     issues: list[WeightIssue] = []
     for group in AutomationLevelGroup:
-        for attr in ids:
+        for attr in attribute_ids():
             if (group, attr) not in table.weights:
                 issues.append(
                     WeightIssue("missing", group, attr, f"no weight for ({group.value}, {attr})")

@@ -600,7 +600,7 @@ class TestIvimCommands:
         segments = [SegmentObservation(i, i * 100.0, 100.0, dict.fromkeys(attribute_ids(), 1)) for i in range(2)]
         corridor.write_text(dump_corridor(CorridorProfile("ones", 0.2, 100.0, segments)))
         profile = tmp_path / "ones.json"
-        argv = ["score", corridor, "--threshold", 50, "--out-csv", tmp_path / "ones.csv.out", "--out-json", profile]
+        argv = ["score", corridor, "--threshold", 50, "--out-csv", tmp_path / "ones.scores.csv", "--out-json", profile]
         assert run(*argv) == 0
         doc = json.loads(profile.read_text())
         assert [segment["allowed_sae_levels"] for segment in doc["segments"]] == [[1, 2, 3, 4]] * 2

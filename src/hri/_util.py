@@ -15,6 +15,7 @@ from .errors import ParseError, ValidationError
 DEFAULT_SEGMENT_LENGTH_M = 100.0
 DEFAULT_THRESHOLD = 66.0
 ADEQUACY = (0, 1, 2)  # the adequacy scale of every attribute value and survey rating, lowest first
+BLANKS = " \t\n\r\v\f"  # the ASCII blanks: all that is stripped from around a CSV cell or canonical-text field
 
 GEOM_EPS = 1e-6  # float slack for chainage arithmetic on metre grids
 
@@ -147,14 +148,12 @@ def read_input(path: str | Path, data: bytes | None = None) -> str:
 def read_csv_table(text: str, source: str | None, header: Sequence[str], empty: str, read_row: Callable) -> None:
     """Call ``read_row(fields)`` on each data row of a headered CSV table, in order.
 
-    This is the one place that positions a CSV fault: a ValueError from
-    ``read_row`` is a ParseError with its text at that row's line. Blank
-    rows and rows whose first field starts with ``#`` are skipped. The text
-    is read as the rows are read, so the first fault in the file is the one
-    reported: a row ``read_row`` refuses; a record csv cannot read (e.g. a
-    field over its size limit), at its line; no row at all (the message
-    ``empty``); a first row other than ``header`` (cells stripped), at its
-    line; a data row without ``len(header)`` fields, at its line.
+    This is the one place that positions a CSV fault: a ValueError from ``read_row`` is a ParseError with its text
+    at that row's line. Blank rows and rows whose first field starts with ``#`` after BLANKS are skipped. The text
+    is read as the rows are read, so the first fault in the file is the one reported: a row ``read_row`` refuses; a
+    record csv cannot read (e.g. a field over its size limit), at its line; no row at all (the message ``empty``); a
+    first row other than ``header`` (cells stripped of BLANKS), at its line; a data row without ``len(header)``
+    fields, at its line.
     """
     import csv  # here, so that importing the CLI does not load csv
     import io
@@ -163,15 +162,15 @@ def read_csv_table(text: str, source: str | None, header: Sequence[str], empty: 
     width = len(header)
     try:
         for row in reader:
-            if row and not row[0].lstrip().startswith("#"):
+            if row and not row[0].lstrip(BLANKS).startswith("#"):
                 break
         else:
             raise ParseError(empty, source=source)
-        if [cell.strip() for cell in row] != list(header):
+        if [cell.strip(BLANKS) for cell in row] != list(header):
             raise ParseError(f"expected header {','.join(header)!r}", source=source, line=reader.line_num)
         for row in reader:
             # a first field without '#' is no comment, which saves most rows the strip
-            if row and ("#" not in row[0] or not row[0].lstrip().startswith("#")):
+            if row and ("#" not in row[0] or not row[0].lstrip(BLANKS).startswith("#")):
                 if len(row) != width:
                     raise ParseError(f"expected {width} fields, got {len(row)}", source=source, line=reader.line_num)
                 read_row(row)
@@ -181,19 +180,26 @@ def read_csv_table(text: str, source: str | None, header: Sequence[str], empty: 
         raise ParseError(str(exc), source=source, line=reader.line_num) from None
 
 
-def parse_int(text: str) -> int:
-    """The integer in the CSV cell or canonical-text value ``text``: an optional ``-`` and ASCII digits, leading zeros
-    and ASCII blanks around allowed; other text, even ``+2``, ``1_0`` or other scripts' digits, is a ValueError."""
-    if text.isascii() and (text.isdigit() or text.strip().removeprefix("-").isdigit()):  # the written form first
+def parse_int(text: str, *, signed: bool = True) -> int:
+    """The integer in the CSV cell or canonical-text value ``text``: an optional ``-`` and ASCII digits, ASCII blanks
+    around, or ASCII digits alone when not ``signed``; other text, even ``+2``, ``1_0`` or ``٢``, is a ValueError."""
+    if text.isascii() and (text.isdigit() or signed and text.strip(BLANKS).removeprefix("-").isdigit()):
         return int(text)
     raise ValueError(f"not an integer: {text!r}")
 
 
 def parse_real(text: str) -> float:
     """``float(text)`` of the CSV cell ``text`` if it is ASCII without ``_`` (so ``nan`` reads), else a ValueError."""
-    if not text.isascii() or "_" in text:
+    if not text.isascii() or "_" in text:  # float() strips the ASCII blanks, and only those, from ASCII text
         raise ValueError(f"not a real number: {text!r}")
     return float(text)
+
+
+def check_adequacy(value, what: str):
+    """``value`` when it is on the 0–2 adequacy scale, else a ValueError on ``what`` with the one 0–2 text."""
+    if value not in ADEQUACY:
+        raise ValueError(f"{what} must be 0, 1 or 2, got {value}")
+    return value
 
 
 def parse_adequacy(text: str, what: str) -> int:
@@ -202,9 +208,23 @@ def parse_adequacy(text: str, what: str) -> int:
         value = parse_int(text)
     except ValueError:
         raise ValueError(f"malformed {what} {text!r}") from None
-    if value not in ADEQUACY:
-        raise ValueError(f"{what} {value} outside 0..2")
-    return value
+    return check_adequacy(value, what)
+
+
+def name_reader(members: Iterable, what: str, name: Callable = lambda member: member.value) -> Callable:
+    """The reader of the lower-case names ``name(member)`` of ``members``, built once. It ignores ASCII blanks around a
+    name and ASCII case; a non-string is a TypeError, other text a ValueError that lists the names."""
+    by_name = {name(member): member for member in members}
+    *first, last = by_name
+    expected = f"{', '.join(first)} or {last}"
+    def read(text: str):
+        if not isinstance(text, str):
+            raise TypeError(f"{what} must be a string, got {text!r}")
+        member = by_name.get(text.strip(BLANKS).lower()) if text.isascii() else None  # "\u212a" (Kelvin) lowers to "k"
+        if member is None:
+            raise ValueError(f"unknown {what} {text!r} (expected {expected})")
+        return member
+    return read
 
 
 def write_csv_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:

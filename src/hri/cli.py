@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, NoReturn, Sequence
 
 # Each subcommand imports the domain modules it runs, so that a process loads
 # only those: at module level this file needs no more than these two.
-from ._util import ADEQUACY, DEFAULT_SEGMENT_LENGTH_M, DEFAULT_THRESHOLD
+from ._util import ADEQUACY, BLANKS, DEFAULT_SEGMENT_LENGTH_M, DEFAULT_THRESHOLD
 from ._util import atomic_write_all, now_ms, parse_int, read_input, write_csv_table
 from .errors import HriError, ValidationError
 
@@ -49,11 +49,15 @@ def _check_threshold(threshold: float) -> None:
 
 def _parse_hostport(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdecimal():
+    try:
+        number = parse_int(port, signed=False)  # ASCII digits alone
+    except ValueError:
+        number = None
+    if not host or number is None:
         raise ValidationError(f"expected host:port, got {text!r}")
-    if int(port) > 65535:
+    if number > 65535:
         raise ValidationError(f"port {port} in {text!r} is above 65535")
-    return host, int(port)
+    return host, number
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +163,7 @@ def sensitivity(args: argparse.Namespace) -> None:
     for override in args.degraded or ():
         name, _, level_text = override.partition("=")
         try:
-            category = MacroCategory(name.strip())
+            category = MacroCategory(name.strip(BLANKS))
         except ValueError:
             raise ValidationError(f"unknown degradable category {name!r}") from None
         try:

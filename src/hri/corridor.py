@@ -23,13 +23,12 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._util import DEFAULT_SEGMENT_LENGTH_M  # noqa: F401 - public at this path too
-from ._util import ADEQUACY, GEOM_EPS as _GEOM_EPS, expected_segment_count, grid_error, hold_to_grid, json_float
-from ._util import json_int, json_str, parse_adequacy, parse_int, parse_json, read_csv_table, read_header, read_input
-from ._util import write_csv_table
+from ._util import ADEQUACY, BLANKS, GEOM_EPS as _GEOM_EPS, check_adequacy, expected_segment_count, grid_error
+from ._util import hold_to_grid, json_float, json_int, json_str, parse_adequacy, parse_int, parse_json, read_csv_table
+from ._util import read_header, read_input, write_csv_table
 from .errors import ParseError, ValidationError
 from .taxonomy import attribute_ids, is_known_attribute
 
-_ADEQUACY_SET = frozenset(ADEQUACY)
 _VALUE_OF = {str(value): value for value in ADEQUACY}
 _DIGITS = "".join(_VALUE_OF).encode()  # the written values, one byte each
 MISSING = 0xFF
@@ -52,19 +51,10 @@ class SegmentObservation:
         if not self.length_m > 0:  # NaN included
             raise ValueError(f"segment length must be positive, got {self.length_m}")
         if not abs(self.start_m - self.index * self.length_m) <= _GEOM_EPS:
-            raise ValueError(
-                f"segment {self.index}: start_m {self.start_m} != index * length_m"
-            )
-        try:
-            valid = _ADEQUACY_SET.issuperset(self.values.values())
-        except TypeError:  # an unhashable value, named below
-            valid = False
-        if not valid:
-            for attr, value in self.values.items():
-                if value not in ADEQUACY:
-                    raise ValueError(
-                        f"segment {self.index}: adequacy for {attr!r} must be 0, 1 or 2, got {value}"
-                    )
+            raise ValueError(f"segment {self.index}: start_m {self.start_m} != index * length_m")
+        for attr, value in self.values.items():
+            if value not in ADEQUACY:  # the text names the attribute, so it is built only for a value off the scale
+                check_adequacy(value, f"segment {self.index}: adequacy for {attr!r}")
         if type(self.values) is not MappingProxyType:
             object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
 
@@ -167,8 +157,7 @@ class OverlayOp:
     def __post_init__(self) -> None:
         if self.op not in ("set", "cap"):
             raise ValueError(f"overlay op must be 'set' or 'cap', got {self.op!r}")
-        if self.value not in ADEQUACY:
-            raise ValueError(f"overlay value must be 0, 1 or 2, got {self.value}")
+        check_adequacy(self.value, "overlay value")
         if not is_known_attribute(self.attribute):
             raise ValueError(f"unknown attribute {self.attribute!r}")
 
@@ -351,9 +340,9 @@ def load_corridor(
 
     header = None  # (corridor_id, length_km, segment_length_m)
     newline = text.find("\n")  # not split: that would copy the whole text
-    first_line = (text if newline < 0 else text[:newline]).strip()
+    first_line = (text if newline < 0 else text[:newline]).strip(BLANKS)
     if first_line.startswith("#"):
-        candidate = first_line.lstrip("#").strip()
+        candidate = first_line.lstrip("#").strip(BLANKS)
         if candidate.startswith("{"):
             doc = parse_json(candidate, source, what="metadata JSON", line=1)
             header = read_header(doc, source, line=1)
@@ -484,9 +473,10 @@ def _csv_rows(text: str, source: str, registry: tuple[str, ...], expected: int, 
             last_key = key
         slot = slot_for(attr)
         if slot is None:
-            slot = slot_for(attr.strip())
+            attr = attr.strip(BLANKS)
+            slot = slot_for(attr)
             if slot is None:
-                raise ValueError(f"unknown attribute {attr.strip()!r}")
+                raise ValueError(f"unknown attribute {attr!r}")
         value = value_for(cell)
         if value is None:
             value = parse_adequacy(cell, "adequacy value")
@@ -509,9 +499,7 @@ def _csv_rows(text: str, source: str, registry: tuple[str, ...], expected: int, 
         values = bytes(per_segment[index])
         if MISSING in values:
             missing = [attr for attr, value in zip(registry, values) if value == MISSING]
-            raise ParseError(
-                f"segment {index} missing attributes: {', '.join(missing)}", source=source
-            )
+            raise ParseError(f"segment {index} missing attributes: {', '.join(missing)}", source=source)
         rows.append(values)
     return rows
 

@@ -33,7 +33,7 @@ from itertools import accumulate, groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from ._util import parse_int
+from ._util import BLANKS, name_reader, parse_int
 from .errors import DecodeError, ParseError, ValidationError
 from .taxonomy import BANDS, LEVEL_CODES, LEVEL_MASKS, LEVEL_SETS, ReadinessClass, band_indexes, level_code
 
@@ -61,11 +61,8 @@ class IviStatus(Enum):
         return self.name.lower()
 
     @classmethod
-    def parse(cls, text: str) -> "IviStatus":
-        try:
-            return cls[text.strip().upper()]
-        except KeyError:
-            raise ValueError(f"unknown ivi_status {text!r}") from None
+    def parse(cls, text: str) -> IviStatus:
+        return _read_status(text)
 
 
 @dataclass(frozen=True)
@@ -162,6 +159,7 @@ def _indexed(members: tuple, what: str, to_text: Callable, from_text: Callable) 
     return _Conversion(members.index, member, to_text, from_text)
 
 
+_read_status = name_reader(IviStatus, "ivi_status", attrgetter("label"))
 _CLASS = _indexed(BANDS, "class", attrgetter("value"), ReadinessClass.parse)
 _CONVERSIONS = {
     "ivi_status": _indexed(tuple(IviStatus), "ivi_status", attrgetter("label"), IviStatus.parse),
@@ -451,13 +449,13 @@ class _TextReader:
         self.source = source
         self.items: list[tuple[int, str, str, int]] = []  # line, key, value, value column
         for line_num, raw in enumerate(text.split("\n"), start=1):
-            stripped = raw.strip()
+            stripped = raw.strip(BLANKS)
             if not stripped or stripped.startswith("#"):
                 continue
             if ":" not in raw:
                 raise ParseError("expected 'key: value'", source=source, line=line_num, column=1)
             key, _, value = raw.partition(":")
-            self.items.append((line_num, key.strip(), value.strip(), len(key) + 2))
+            self.items.append((line_num, key.strip(BLANKS), value.strip(BLANKS), len(key) + 2))
         self.pos = 0
 
     def peek_key(self) -> str | None:
@@ -473,9 +471,7 @@ class _TextReader:
             raise ParseError(f"missing field {key!r}", source=self.source, line=last_line)
         line, actual, value, column = self.items[self.pos]
         if actual != key:
-            raise ParseError(
-                f"expected field {key!r}, found {actual!r}", source=self.source, line=line, column=1
-            )
+            raise ParseError(f"expected field {key!r}, found {actual!r}", source=self.source, line=line, column=1)
         self.pos += 1
         try:
             return parse_int(value) if parse is None else parse(value)

@@ -33,8 +33,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from ._util import ADEQUACY, DEFAULT_THRESHOLD, grid_error, hold_to_grid, json_float, json_int, json_str, parse_json
-from ._util import read_header, read_input, segment_count_error
+from ._util import ADEQUACY, DEFAULT_THRESHOLD, check_adequacy, grid_error, hold_to_grid, json_float, json_int, json_str
+from ._util import parse_json, read_header, read_input, segment_count_error
 from .errors import ParseError, ValidationError
 from .taxonomy import (
     BANDS,
@@ -387,8 +387,7 @@ class SensitivityConfig:
             if category not in _PHYSICAL_CATEGORIES:
                 name = getattr(category, "value", category)
                 raise ValueError(f"degraded level given for non-physical category {name!r}")
-            if level not in ADEQUACY:
-                raise ValueError(f"degraded level for {category.value} must be 0, 1 or 2")
+            check_adequacy(level, f"degraded level for {category.value}")
         merged = dict(DEFAULT_DEGRADED_LEVELS)
         merged.update(self.degraded_levels)
         object.__setattr__(self, "degraded_levels", MappingProxyType(merged))

@@ -18,7 +18,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from ._util import ADEQUACY, parse_adequacy, parse_int, read_csv_table, read_input, write_csv_table
+from ._util import BLANKS, check_adequacy, name_reader, parse_adequacy, parse_int, read_csv_table, read_input
+from ._util import write_csv_table
 from .errors import ValidationError
 from .taxonomy import (
     PROVENANCE_CUSTOM,
@@ -35,11 +36,8 @@ class Region(Enum):
     OTHER = "other"
 
     @classmethod
-    def parse(cls, text: str) -> "Region":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown region {text!r} (expected europe, usa or other)") from None
+    def parse(cls, text: str) -> Region:
+        return _read_region(text)
 
 
 class DayService(Enum):
@@ -65,11 +63,9 @@ class SurveyResponse:
             if not 1 <= value <= 5:
                 raise ValueError(f"{name} must be in [1, 5], got {value}")
         for key, rating in self.attribute_ratings.items():
-            if rating not in ADEQUACY:
-                raise ValueError(f"rating for {key} must be 0, 1 or 2, got {rating}")
+            check_adequacy(rating, f"rating for {key}")
         for day, rating in self.cits_day_ratings.items():
-            if rating not in ADEQUACY:
-                raise ValueError(f"rating for {day.value} must be 0, 1 or 2, got {rating}")
+            check_adequacy(rating, f"rating for {day.value}")
         object.__setattr__(self, "attribute_ratings", MappingProxyType(dict(self.attribute_ratings)))
         object.__setattr__(self, "cits_day_ratings", MappingProxyType(dict(self.cits_day_ratings)))
 
@@ -151,6 +147,7 @@ def grouped_mean(
 # day1,day2,day3 (day cells may be empty when unanswered).
 # ---------------------------------------------------------------------------
 
+_read_region = name_reader(Region, "region")
 _RATINGS_HEADER = ("respondent_id", "attribute", "group", "rating")
 _RESPONDENTS_HEADER = ("respondent_id", "role", "region", "av_expertise", "cits_expertise", "day1", "day2", "day3")
 
@@ -169,7 +166,7 @@ def load_survey(
     ratings: dict[str, dict[tuple[str, AutomationLevelGroup], int]] = {}  # by respondent_id
 
     def read_respondent(row: list[str]) -> None:
-        rid = row[0].strip()
+        rid = row[0].strip(BLANKS)
         if rid in responses:
             raise ValueError(f"duplicate respondent {rid!r}")
         region = Region.parse(row[2])
@@ -177,16 +174,16 @@ def load_survey(
             av_exp, cits_exp = parse_int(row[3]), parse_int(row[4])
         except ValueError:
             raise ValueError("malformed expertise value") from None
-        cells = zip(DayService, (cell.strip() for cell in row[5:8]))
+        cells = zip(DayService, (cell.strip(BLANKS) for cell in row[5:8]))
         days = {day: parse_adequacy(cell, "rating") for day, cell in cells if cell}
-        responses[rid] = SurveyResponse(rid, row[1].strip(), region, av_exp, cits_exp, cits_day_ratings=days)
+        responses[rid] = SurveyResponse(rid, row[1].strip(BLANKS), region, av_exp, cits_exp, cits_day_ratings=days)
         ratings[rid] = {}  # filled from the ratings file
 
     def read_rating(row: list[str]) -> None:
-        rid = row[0].strip()
+        rid = row[0].strip(BLANKS)
         if rid not in ratings:
             raise ValueError(f"unknown respondent {rid!r}")
-        attr = row[1].strip()
+        attr = row[1].strip(BLANKS)
         if not is_known_attribute(attr):
             raise ValueError(f"unknown attribute {attr!r}")
         group = AutomationLevelGroup.parse(row[2])

@@ -23,7 +23,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._util import ADEQUACY, parse_real, read_csv_table, read_input, write_csv_table
+from ._util import ADEQUACY, BLANKS, name_reader, parse_real, read_csv_table, read_input, write_csv_table
 from .errors import ValidationError
 
 V_MAX = ADEQUACY[-1]
@@ -40,11 +40,8 @@ class AutomationLevelGroup(Enum):
     AUD = "aud"
 
     @classmethod
-    def parse(cls, text: str) -> "AutomationLevelGroup":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown automation-level group {text!r} (expected 'asd' or 'aud')") from None
+    def parse(cls, text: str) -> AutomationLevelGroup:
+        return _read_group(text)
 
 
 class ReadinessClass(Enum):
@@ -53,15 +50,12 @@ class ReadinessClass(Enum):
     HIGHLY_LIKELY = "highly-likely"
 
     @classmethod
-    def parse(cls, text: str) -> "ReadinessClass":
-        if not isinstance(text, str):
-            raise TypeError(f"readiness class must be a string, got {text!r}")
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown readiness class {text!r}") from None
+    def parse(cls, text: str) -> ReadinessClass:
+        return _read_class(text)
 
 
+_read_group = name_reader(AutomationLevelGroup, "automation-level group")
+_read_class = name_reader(ReadinessClass, "readiness class")
 BANDS = tuple(ReadinessClass)
 _BAND_EDGES = (33.0, 66.0)
 
@@ -267,7 +261,7 @@ def parse_weight_table(
     pairs: dict[str, tuple[float, float]] = {}  # (asd, aud) weights by attribute, in file order
 
     def read_row(row: list[str]) -> None:
-        attr = row[0].strip()
+        attr = row[0].strip(BLANKS)
         if not is_known_attribute(attr):
             raise ValueError(f"unknown attribute {attr!r}")
         if attr in pairs:

@@ -396,7 +396,7 @@ class TestSensitivityCommand:
     @pytest.mark.parametrize(
         "override, message",
         [
-            ("road-markings-signage=3", "degraded level for road-markings-signage must be 0, 1 or 2"),
+            ("road-markings-signage=3", "degraded level for road-markings-signage must be 0, 1 or 2, got 3"),
             ("preloaded-hd-maps=1", "degraded level given for non-physical category 'preloaded-hd-maps'"),
         ],
     )
@@ -755,7 +755,7 @@ class TestJsonNumbers:
             ("aud_score", str, "aud_score '82.29166666666669' is not a number"),
             ("asd_score", lambda score: math.nan, "readiness score nan outside [0, 100]"),
             ("asd_class", lambda name: 5, "readiness class must be a string, got 5"),
-            ("aud_class", lambda name: "x", "unknown readiness class 'x'"),
+            ("aud_class", lambda name: "x", "unknown readiness class 'x' (expected unlikely, may-be or highly-likely)"),
             ("start_m", str, "start_m '100.0' is not a number"),
             ("length_m", str, "length_m '100.0' is not a number"),
             ("allowed_sae_levels", lambda levels: "".join(map(str, levels)), "allowed_sae_levels '1234' is not a list"),

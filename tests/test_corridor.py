@@ -95,7 +95,7 @@ class TestLoadCorridor:
         rows = full_rows(0) + full_rows(1)
         rows[5] = rows[5][:-1] + "3"  # adequacy 3 on data line 6
         path = write_corridor_csv(tmp_path, rows)
-        with pytest.raises(ParseError, match="adequacy value 3") as excinfo:
+        with pytest.raises(ParseError, match="adequacy value must be 0, 1 or 2, got 3") as excinfo:
             load_corridor(path)
         assert excinfo.value.line == 2 + 5 + 1  # meta + header + offset
 

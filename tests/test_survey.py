@@ -220,7 +220,7 @@ class TestSurveyFiles:
             "r1,hd-maps,aud,2\n"
             "r1,hd-maps,asd,7\n"
         )
-        with pytest.raises(ParseError, match="rating 7 outside") as excinfo:
+        with pytest.raises(ParseError, match="rating must be 0, 1 or 2, got 7") as excinfo:
             load_survey(ratings, respondents)
         assert excinfo.value.line == 3
 
@@ -291,7 +291,7 @@ class TestSurveyFiles:
             ),
             (
                 "ratings", ["r1,Professor,europe,5,4,,,"], ["r1,hd-maps,aud,2", "r1,hd-maps,sae5,2"],
-                3, "unknown automation-level group 'sae5' (expected 'asd' or 'aud')",
+                3, "unknown automation-level group 'sae5' (expected asd or aud)",
             ),
             (
                 "respondents", ["r1,Professor,europe,5,4,,,", "r2,Engineer,usa,3,9,,,"], ["r1,hd-maps,aud,2"],
@@ -360,8 +360,8 @@ TABLES = {
         RESPONDENTS_HEADER, "r1,Professor,europe,5,4,1,1,1", "r2,Engineer,usa,five,4,,,", "malformed expertise value",
         "r3,Engineer,usa,5,4,,",
     ),
-    "ratings": (RATINGS_HEADER, "r1,hd-maps,aud,2", "r1,lighting,asd,7", "rating 7 outside 0..2", "r1,lane-width,aud"),
-    "corridor": (CORRIDOR_HEADER, "0,hd-maps,2", "0,lighting,7", "adequacy value 7 outside 0..2", "0,lane-width"),
+    "ratings": (RATINGS_HEADER, "r1,hd-maps,aud,2", "r1,lighting,asd,7", "rating must be 0, 1 or 2, got 7", "r1,lane-width,aud"),
+    "corridor": (CORRIDOR_HEADER, "0,hd-maps,2", "0,lighting,7", "adequacy value must be 0, 1 or 2, got 7", "0,lane-width"),
 }
 CORRIDOR_META = {"corridor_id": "c", "length_km": 0.1, "segment_length_m": 100.0}  # for a text with no metadata line
 

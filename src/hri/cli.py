@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NoReturn, Sequence
 # Each subcommand imports the domain modules it runs, so that a process loads
 # only those: at module level this file needs no more than these two.
 from ._util import ADEQUACY, BLANKS, DEFAULT_SEGMENT_LENGTH_M, DEFAULT_THRESHOLD
-from ._util import atomic_write_all, now_ms, parse_int, read_input, write_csv_table
+from ._util import atomic_write_all, now_ms, parse_int, parse_real, read_input, write_csv_table
 from .errors import HriError, ValidationError
 
 if TYPE_CHECKING:
@@ -385,6 +385,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     def with_help(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
         parser.add_argument("--help", action="help", help="Show this message and exit.")
+        parser.register("type", int, parse_int)  # type=int and type=float options read by the number rule
+        parser.register("type", float, parse_real)
         return parser
 
     def command(commands, name: str, run, doc: str | None = None) -> argparse.ArgumentParser:

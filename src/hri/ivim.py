@@ -447,7 +447,7 @@ class _TextReader:
 
     def __init__(self, text: str, source: str | None) -> None:
         self.source = source
-        self.items: list[tuple[int, str, str, int]] = []  # line, key, value, value column
+        self.items: list[tuple[int, str, str, str]] = []  # line, key, value, the line as written
         for line_num, raw in enumerate(text.split("\n"), start=1):
             stripped = raw.strip(BLANKS)
             if not stripped or stripped.startswith("#"):
@@ -455,7 +455,7 @@ class _TextReader:
             if ":" not in raw:
                 raise ParseError("expected 'key: value'", source=source, line=line_num, column=1)
             key, _, value = raw.partition(":")
-            self.items.append((line_num, key.strip(BLANKS), value.strip(BLANKS), len(key) + 2))
+            self.items.append((line_num, key.strip(BLANKS), value.strip(BLANKS), raw))
         self.pos = 0
 
     def peek_key(self) -> str | None:
@@ -469,7 +469,7 @@ class _TextReader:
         if self.pos >= len(self.items):
             last_line = self.items[-1][0] if self.items else 1
             raise ParseError(f"missing field {key!r}", source=self.source, line=last_line)
-        line, actual, value, column = self.items[self.pos]
+        line, actual, value, _ = self.items[self.pos]
         if actual != key:
             raise ParseError(f"expected field {key!r}, found {actual!r}", source=self.source, line=line, column=1)
         self.pos += 1
@@ -477,11 +477,12 @@ class _TextReader:
             return parse_int(value) if parse is None else parse(value)
         except ValueError as exc:
             problem = f"{key} must be an integer, got {value!r}" if parse is None else str(exc)
-            raise ParseError(problem, source=self.source, line=line, column=column) from None
+            raise self.error_at(key, problem) from None
 
     def error_at(self, key: str, problem: str) -> ParseError:
-        """``problem`` at the value of the field ``key``, which has been read."""
-        line, column = next((line, column) for line, k, _, column in self.items if k == key)
+        """``problem`` at the value of the field ``key``, which has been read: at its first character."""
+        line, value, raw = next((line, value, raw) for line, k, value, raw in self.items if k == key)
+        column = raw.find(value, raw.index(":") + 1) + 1  # past the colon and the blanks before the value
         return ParseError(problem, source=self.source, line=line, column=column)
 
     def done(self) -> None:

@@ -30,6 +30,7 @@ from hri.taxonomy import AutomationLevelGroup, attribute_ids, builtin_weight_tab
 
 from test_imports import CLI_MODULES, loaded_after
 from test_ivim import one_zone_message
+from test_survey import WEIGHTS_HEADER
 
 CORRIDOR = fixture_path(BASELINE_CORRIDOR_FILE)
 ROADWORKS = fixture_path(ROADWORKS_OVERLAY_FILE)
@@ -38,6 +39,25 @@ MAINTENANCE = fixture_path(MAINTENANCE_OVERLAY_FILE)
 
 def run(*argv: object) -> int:
     return main([str(a) for a in argv])
+
+
+def edited(text: str, old: str, new: str) -> str:
+    """``text`` with its one ``old`` replaced by ``new``."""
+    assert text.count(old) == 1
+    return text.replace(old, new)
+
+
+WALK_OVERLAYS = ("--overlay", ROADWORKS, "--overlay", MAINTENANCE)
+WALK_BUILD = ("--station-id", 1001, "--timestamp", 1700000000000)
+
+
+def readme_walk(directory: Path) -> tuple[Path, Path, Path]:
+    """The README walk on the bundled fixture with both overlays, run in ``directory``: its CSV and JSON profiles and
+    its message text."""
+    scores_csv, scores_json, text = directory / "scores.csv", directory / "scores.json", directory / "msg.ivim.txt"
+    assert run("score", CORRIDOR, *WALK_OVERLAYS, "--out-csv", scores_csv, "--out-json", scores_json, "--pretty") == 0
+    assert run("ivim", "build", scores_json, *WALK_BUILD, "--out", text) == 0
+    return scores_csv, scores_json, text
 
 
 class TestScoreCommand:
@@ -75,7 +95,9 @@ class TestScoreCommand:
         out_csv, out_json = tmp_path / "p.csv", tmp_path / "p.json"
         args = ("--out-csv", out_csv, "--out-json", out_json)
         assert run("score", CORRIDOR, "--overlay", ROADWORKS, "--overlay", MAINTENANCE, "--overlay", far, *args) == 2
-        assert "range [11.0, 30.0) km outside corridor [0, 24.0) km" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: overlay 'roadworks-km11-17' range [11.0, 30.0) km outside corridor [0, 24.0) km\n"
+        )
         # the unreadable overlay after it is reported first, as an input error
         assert run("score", CORRIDOR, "--overlay", far, "--overlay", bad, *args) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}:")
@@ -277,6 +299,20 @@ class TestSurveyCommand:
         days = (tmp_path / "days.csv").read_text()
         assert "europe,day3,1.70" in days
         assert "usa,day3,0.33" in days
+
+    def test_weight_table_from_17_respondents_is_read_back_by_score(self, tmp_path):
+        from hri.fixtures import SURVEY17_RATINGS_FILE, SURVEY17_RESPONDENTS_FILE
+
+        weights = tmp_path / "survey17.weights.csv"
+        argv = [
+            "survey", fixture_path(SURVEY17_RATINGS_FILE), fixture_path(SURVEY17_RESPONDENTS_FILE),
+            "--out-weights", weights, "--out-diff", tmp_path / "diff.csv", "--out-days", tmp_path / "days.csv",
+        ]
+        assert run(*argv) == 0
+        out_json = tmp_path / "p.json"
+        outputs = ["--out-csv", tmp_path / "p.csv", "--out-json", out_json]
+        assert run("score", CORRIDOR, "--weights", weights, *outputs, "--pretty") == 0
+        assert json.loads(out_json.read_text())["weight_provenance"] == "custom"
 
     def test_single_all_two_respondent(self, tmp_path):
         from hri.taxonomy import attribute_ids
@@ -614,6 +650,18 @@ class TestIvimCommands:
             f"error: {profile}: segment 1: allowed_sae_levels [] follow score > threshold 50.0, "
             "but segment 0's follow score >= threshold\n"
         )
+        assert not out.exists()
+
+    def test_build_refuses_length_past_the_header_rule_exits_2(self, tmp_path, capsys):
+        profile = self.build_profile(tmp_path)
+        text = profile.read_text()
+        assert '"length_km": 24.0,' in text
+        profile.write_text(text.replace('"length_km": 24.0,', '"length_km": 1e400,'))  # json reads 1e400 as inf
+        capsys.readouterr()
+        out = tmp_path / "m.ivim.txt"
+        assert run("ivim", "build", profile, "--station-id", 1, "--out", out) == 2
+        message = "length_km must be at least 0 and finite in metres, got inf"
+        assert capsys.readouterr().err == f"error: {profile}: {message}\n"
         assert not out.exists()
 
     def test_build_deterministic_with_timestamp(self, tmp_path):
@@ -967,6 +1015,7 @@ def test_failed_last_output_leaves_no_output(tmp_path, capsys, monkeypatch, argv
     "argv, path",
     [
         (("score", CORRIDOR, "--out-csv", "same.out", "--out-json", "./same.out"), "same.out"),
+        (("score", CORRIDOR, "--out-csv", "same.out", "--out-json", "same.out"), "same.out"),
         (
             (
                 "survey", fixture_path(SURVEY20_RATINGS_FILE), fixture_path(SURVEY20_RESPONDENTS_FILE),
@@ -975,13 +1024,89 @@ def test_failed_last_output_leaves_no_output(tmp_path, capsys, monkeypatch, argv
             "s.csv",
         ),
     ],
-    ids=["score", "survey"],
+    ids=["score", "score-same-name", "survey"],
 )
 def test_outputs_that_name_one_file_exit_2_without_outputs(tmp_path, capsys, monkeypatch, argv, path):
     monkeypatch.chdir(tmp_path)
     assert run(*argv) == 2
     assert capsys.readouterr().err == f"error: two outputs name one file: {path}\n"
     assert list(tmp_path.iterdir()) == []  # no output, and no temporary file
+
+
+class TestInputsNoWriterGives:
+    """Inputs in a form or a spelling that no writer gives. Rows and columns in another order read as the written
+    ones; a fault exits 1 with the error line of the file's first fault, and no output."""
+
+    def test_reordered_inputs_give_the_readme_walks_bytes(self, tmp_path):
+        # corridor rows in reverse order go through the csv loop rather than the byte-slice kernel; a profile with
+        # float indexes and reversed level lists has its columns converted
+        scores_csv, scores_json, text = readme_walk(tmp_path)
+        lines = CORRIDOR.read_text().rstrip("\n").split("\n")
+        corridor_csv = tmp_path / "reversed.csv"
+        corridor_csv.write_text("\n".join(lines[:4] + lines[:3:-1]) + "\n")  # the metadata, comments and header first
+        out_csv, out_json = tmp_path / "reversed.scores.csv", tmp_path / "reversed.scores.json"
+        argv = ["score", corridor_csv, *WALK_OVERLAYS, "--out-csv", out_csv, "--out-json", out_json, "--pretty"]
+        assert run(*argv) == 0
+        assert out_csv.read_bytes() == scores_csv.read_bytes()
+        assert out_json.read_bytes() == scores_json.read_bytes()
+        doc = json.loads(scores_json.read_text())
+        for segment in doc["segments"]:
+            segment["segment_index"] = float(segment["segment_index"])
+            segment["allowed_sae_levels"].reverse()
+        converted, out = tmp_path / "converted.json", tmp_path / "converted.ivim.txt"
+        converted.write_text(json.dumps(doc, indent=2))
+        assert run("ivim", "build", converted, *WALK_BUILD, "--out", out) == 0
+        assert out.read_bytes() == text.read_bytes()
+
+    def case(self, name: str, tmp_path: Path) -> tuple[list, str]:
+        """The command of case ``name``, which reads the edited input ``tmp_path / "in"``, and its error after
+        that path."""
+        from hri.fixtures import SURVEY17_RATINGS_FILE, SURVEY17_RESPONDENTS_FILE
+
+        path, score = tmp_path / "in", ["--out-csv", tmp_path / "out.csv", "--out-json", tmp_path / "out.json"]
+        if name == "weights":
+            # a weight that is not a number on line 2 and a field over csv's size limit on line 4: the table is read
+            # as its rows are checked, so line 2 is reported
+            path.write_text(WEIGHTS_HEADER + "\nlighting,high,1\nhd-maps,1,1\nlane-width,1," + "2" * 200_000)
+            return ["score", CORRIDOR, "--weights", path, *score], "line 2: malformed weight for 'lighting'"
+        if name == "expertise":
+            # respondent r03 (line 4) with av_expertise 9, and an unknown attribute on line 2 of the ratings: the
+            # respondents file is read whole first, each respondent built at its row, so its line 4 is reported
+            respondents = fixture_path(SURVEY17_RESPONDENTS_FILE).read_text()
+            path.write_text(edited(respondents, "\nr03,PhD Student,europe,3,", "\nr03,PhD Student,europe,9,"))
+            ratings = tmp_path / "ratings.csv"
+            text = fixture_path(SURVEY17_RATINGS_FILE).read_text()
+            ratings.write_text(edited(text, "\nr01,lane-mark-retroreflectivity,", "\nr01,warp-drive,"))
+            outputs = ["--out-weights", tmp_path / "w", "--out-diff", tmp_path / "d", "--out-days", tmp_path / "y"]
+            return ["survey", ratings, path, *outputs], "line 4: av_expertise must be in [1, 5], got 9"
+        if name == "index":
+            # the corridor's rows reversed, so that the csv loop reads them, and the first index 10 written 1_0
+            lines = CORRIDOR.read_text().rstrip("\n").split("\n")
+            lines[4:] = lines[:3:-1]  # after the metadata line, two comment lines and the header
+            line = next(number for number, text in enumerate(lines, start=1) if text.startswith("10,"))
+            lines[line - 1] = "1_0," + lines[line - 1].removeprefix("10,")
+            path.write_text("\n".join(lines) + "\n")
+            return ["score", path, *score], f"line {line}: malformed segment index '1_0'"
+        # the README walk's message with zone 4 moved 5 m forward, so that it does not start where zone 3 ends, or
+        # with its station_id written with a sign and a `_`, or followed by a no-break space
+        key, old, new, problem = {
+            "gap": ("zone.4.start_m", "17000", "17005", "17: zone 4: start_m 17005 != previous zone end_m 17000"),
+            "sign": ("station_id", "1001", "+0_1", "13: station_id must be an integer, got '+0_1'"),
+            "nbsp": ("station_id", "1001", "1001\xa0", "13: station_id must be an integer, got '1001\\xa0'"),
+        }[name]
+        message = readme_walk(tmp_path)[2].read_text()
+        path.write_text(edited(message, f"\n{key}: {old}\n", f"\n{key}: {new}\n"))
+        line = message.split("\n").index(f"{key}: {old}") + 1
+        return ["ivim", "encode", path, "--out", tmp_path / "out.ivim"], f"line {line}, column {problem}"
+
+    @pytest.mark.parametrize("name", ["weights", "expertise", "index", "gap", "sign", "nbsp"])
+    def test_first_fault_exits_1_without_outputs(self, tmp_path, capsys, name):
+        argv, error = self.case(name, tmp_path)
+        before = set(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run(*argv) == 1
+        assert capsys.readouterr() == ("", f"error: {tmp_path / 'in'}:{error}\n")
+        assert set(tmp_path.iterdir()) == before
 
 
 class TestNonUtf8Input:
@@ -1051,6 +1176,17 @@ class TestNonUtf8Input:
         assert str(raised.value) == f"{rubric}:line 2, column 12: byte 0xc3 is not UTF-8 (invalid continuation byte)"
 
 
+# every option read as a number, under each command that takes it, and those of them read as a float
+NUMBER_OPTIONS = [
+    ("sensitivity", "--degraded-level"),
+    *(("score", option) for option in "--length-km --segment-length --threshold".split()),
+    *(("ivim build", option) for option in "--station-id --timestamp --validity --ivi-id --ref-lat --ref-lon".split()),
+    *(("simulate-rsu", option) for option in "--station-id --ivi-id --validity --count --timestamp --period".split()),
+]
+FLOAT_OPTIONS = {"--length-km", "--segment-length", "--threshold", "--ref-lat", "--ref-lon", "--period"}
+NUMBERS_NO_WRITER_GIVES = {"arabic-indic": "\u0662", "underscore": "0_2"}  # int() and float() read both as 2
+
+
 class TestUsage:
     """Usage errors exit 1 with the usage and ``error:`` on stderr; ``--help`` exits 0."""
 
@@ -1067,6 +1203,12 @@ class TestUsage:
             ["ivim", "build", "p.json", "--station-id", "x"],
             ["sensitivity", "--degraded-level", "3"],
             ["sensitivity", "--format", "xml"],
+            # a number spelt as hri never writes it: the number rule refuses it
+            *(
+                pytest.param([*command.split(), option, value], id=f"{command}-{option}-{name}")
+                for command, option in NUMBER_OPTIONS
+                for name, value in NUMBERS_NO_WRITER_GIVES.items()
+            ),
         ],
     )
     def test_usage_error_exits_1(self, tmp_path, capsys, monkeypatch, argv):
@@ -1075,6 +1217,9 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.err.startswith("usage: hri") and "\nerror: " in captured.err
         assert captured.out == "" and list(tmp_path.iterdir()) == []
+        if argv[-1:] and argv[-1] in NUMBERS_NO_WRITER_GIVES.values():
+            kind = "float" if argv[-2] in FLOAT_OPTIONS else "int"
+            assert captured.err.endswith(f"\nerror: argument {argv[-2]}: invalid {kind} value: {argv[-1]!r}\n")
 
     @pytest.mark.parametrize(
         "command",

@@ -88,6 +88,21 @@ class TestAsciiBlanksAroundAField:
             text = padded_field(text, line.partition(":")[0], pad)
         assert from_canonical_text(f"{pad}\n{pad}# a comment\n{text}{pad}\n") == message
 
+    @pytest.mark.parametrize(
+        "field, padded, where",
+        [
+            ("station_id: 1001", "station_id:    x", "line 3, column 16: station_id must be an integer, got 'x'"),
+            ("station_id: 1001", "station_id:\tx", "line 3, column 13: station_id must be an integer, got 'x'"),
+            # a fault the message checks find once the field is read
+            ("zone.0.end_m: 24000", "zone.0.end_m:\t  0", "line 10, column 17: zone 0: start_m 0 >= end_m 0"),
+        ],
+        ids=["four-spaces", "tab", "tab-and-spaces"],
+    )
+    def test_canonical_text_fault_at_the_values_first_character(self, field, padded, where):
+        text = to_canonical_text(one_zone_message())
+        assert text.count(field + "\n") == 1
+        assert str(parse_error(from_canonical_text, text.replace(field + "\n", padded + "\n"))) == where
+
     @pytest.mark.parametrize("pad", ASCII_PADS)
     def test_degraded_category(self, capsys, pad):
         assert main(["sensitivity", "--degraded", "road-markings-signage=0"]) == 0

@@ -433,7 +433,8 @@ class TestCanonicalText:
         problem = f"{field} must be an integer, got {spelling!r}"
         if field.endswith("levels"):
             problem = f"bad allowed_sae_levels {spelling!r}"
-        assert str(raised.value) == str(ParseError(problem, source="m.txt", line=line, column=len(field) + 2))
+        # at the value's first character, after the colon and the one space the writer puts before it
+        assert str(raised.value) == str(ParseError(problem, source="m.txt", line=line, column=len(field) + 3))
 
 
 class TestHelpers:

@@ -322,7 +322,8 @@ def load_rubric(path: str | Path) -> dict[str, RubricEntry]:
 # ---------------------------------------------------------------------------
 
 _CORRIDOR_HEADER = ["segment_index", "attribute", "value"]
-_PLAIN_HEADER = ",".join(_CORRIDOR_HEADER) + "\n"
+_PLAIN_HEADER = (",".join(_CORRIDOR_HEADER) + "\n").encode()
+_SLICE_SEGMENTS = 4096  # the most segments whose written lines the kernel rebuilds at once
 _CELL_OF_DIGIT = bytes.maketrans(_DIGITS, bytes(ADEQUACY))  # a written value -> its cell byte
 
 
@@ -336,11 +337,18 @@ def load_corridor(
     CSV itself starts with a ``# {...}`` metadata line.
     """
     source = str(path)
-    text = read_input(path)
+    data = Path(path).read_bytes()
+    # an ASCII file without CR is its own text, so the kernel reads its bytes; any other file is read as text
+    text = None if data.isascii() and b"\r" not in data else read_input(path, data)
 
     header = None  # (corridor_id, length_km, segment_length_m)
-    newline = text.find("\n")  # not split: that would copy the whole text
-    first_line = (text if newline < 0 else text[:newline]).strip(BLANKS)
+    if text is None:
+        newline = data.find(b"\n")  # not split: that would copy the whole file
+        first_line = (data if newline < 0 else data[:newline]).decode()
+    else:
+        newline = text.find("\n")
+        first_line = text if newline < 0 else text[:newline]
+    first_line = first_line.strip(BLANKS)
     if first_line.startswith("#"):
         candidate = first_line.lstrip("#").strip(BLANKS)
         if candidate.startswith("{"):
@@ -359,38 +367,40 @@ def load_corridor(
     corridor_id, length_km, segment_length_m = header
     registry = attribute_ids()
     expected = expected_segment_count(length_km, segment_length_m)
-    rows = _plain_rows(text, registry, expected)
+    rows = _plain_rows(data, registry, expected) if text is None else None
     if rows is None:
+        if text is None:
+            text = read_input(path, data)
+        del data  # the csv loop needs only the text, so the bytes are not held meanwhile
         rows = _csv_rows(text, source, registry, expected, length_km)
     segments = SegmentRows(registry, rows, segment_length_m)
     return CorridorProfile(corridor_id, length_km, segment_length_m, segments)
 
 
-def _plain_rows(text: str, registry: tuple[str, ...], expected: int) -> list[bytes] | None:
-    """The rows of a corridor CSV in the written form, or None for any other text.
+def _plain_rows(data: bytes, registry: tuple[str, ...], expected: int) -> list[bytes] | None:
+    """The rows of corridor CSV bytes in the written form, or None for any other bytes.
 
     The written form is what :func:`dump_corridor` writes: ``#`` lines that
     csv reads as one record each, the header line, and then a body in the
     written order that :func:`_ordered_cells` checks as a whole. Such rows
     hold no quote, CR or NUL, so csv splits them the same way, and each
-    check of :func:`_csv_rows` holds. Other text, a body in another order
-    among it, goes to :func:`_csv_rows`, which reads it or reports its first
-    fault.
+    check of :func:`_csv_rows` holds. Other bytes, a body in another order
+    among them, go to :func:`_csv_rows`, which reads their text or reports
+    its first fault.
     """
     start = 0
     limit = csv.field_size_limit()
-    while text.startswith("#", start):
-        end = text.find("\n", start)
+    while data.startswith(b"#", start):
+        end = data.find(b"\n", start)
         if end < 0:
             return None
-        comment = text[start:end]
-        if ',"' in comment or "\r" in comment or "\0" in comment or len(comment) > limit:
+        comment = data[start:end]
+        if b',"' in comment or b"\r" in comment or b"\0" in comment or len(comment) > limit:
             return None  # csv could read a quoted field across lines, a CR, a NUL or an over-long field
         start = end + 1
-    if not text.startswith(_PLAIN_HEADER, start):
+    if not data.startswith(_PLAIN_HEADER, start):
         return None
-    start += len(_PLAIN_HEADER)
-    cells = _ordered_cells(text[start:].encode(), registry, expected)  # the body's text is not kept meanwhile
+    cells = _ordered_cells(data, registry, expected, start + len(_PLAIN_HEADER))
     if cells is None:
         return None
     width = len(registry)
@@ -398,18 +408,20 @@ def _plain_rows(text: str, registry: tuple[str, ...], expected: int) -> list[byt
     return [filled[cell : cell + width] for cell in range(0, len(filled), width)]
 
 
-def _ordered_cells(body: bytes, registry: tuple[str, ...], expected: int) -> bytearray | None:
-    """The cells of a plain body in the written order, or None for any other body.
+def _ordered_cells(data: bytes, registry: tuple[str, ...], expected: int, start: int = 0) -> bytearray | None:
+    """The cells of the plain body that starts at byte ``start`` of ``data``
+    in the written order, or None for any other body.
 
     The written order is one ``index,attribute,value`` line per cell by
     ascending index, each segment's lines in ``registry`` order, the last
     newline optional. The segments whose indexes have ``d`` digits form one
     run of equal-length blocks, in which each index digit, each value and
     every other byte sits at a fixed offset; so each run is checked with a
-    few strided slices, not line by line. The run is rebuilt from the written
-    text of its indexes and attributes, with the values copied from ``body``
-    into their columns, and must equal ``body``'s bytes there; the values
-    must be ``0``, ``1`` or ``2``.
+    few strided slices, not line by line, in slices of at most
+    ``_SLICE_SEGMENTS`` segments. A slice is rebuilt from the written text
+    of its indexes and attributes, with the values copied from ``data`` into
+    their columns, and must equal ``data``'s bytes there; the values must be
+    ``0``, ``1`` or ``2``.
     """
     width = len(registry)
     names = len("".join(registry).encode())
@@ -419,30 +431,34 @@ def _ordered_cells(body: bytes, registry: tuple[str, ...], expected: int) -> byt
     while low < expected:  # the size of the written body, before anything sized by ``expected``
         high = min(10**digits, expected)
         block = width * (digits + 4) + names  # "i,attr,v\n" per attribute
-        runs.append((digits, low, high, size, block))
+        runs.append((digits, low, high, start + size, block))
         size += (high - low) * block
         low, digits = high, digits + 1
-    if len(body) != size and len(body) != size - 1:  # size - 1: no final newline
+    if len(data) - start not in (size, size - 1):  # size - 1: no final newline
         return None
     cells = bytearray(expected * width)
     for digits, low, high, first, block in runs:
-        end = first + (high - low) * block
-        numbers = b"%d" * (high - low) % tuple(range(low, high))
-        columns = [numbers[j::digits] for j in range(digits)]  # the j-th digit of each index
         lines = [f"{'0' * digits},{attr},0\n".encode() for attr in registry]
-        run = bytearray(b"".join(lines)) * (high - low)
-        at = 0
-        for slot, line in enumerate(lines):
-            for j, column in enumerate(columns):
-                run[at + j :: block] = column
-            at += len(line)
-            values = body[first + at - 2 : end : block]
-            run[at - 2 :: block] = values
-            cells[low * width + slot : high * width : width] = values
-        if end > len(body):  # the last line without its newline
-            del run[-1]
-        if not body.startswith(run, first):
-            return None
+        template = b"".join(lines)
+        for lo in range(low, high, _SLICE_SEGMENTS):
+            hi = min(lo + _SLICE_SEGMENTS, high)
+            begin = first + (lo - low) * block
+            end = begin + (hi - lo) * block
+            numbers = b"%d" * (hi - lo) % tuple(range(lo, hi))
+            columns = [numbers[j::digits] for j in range(digits)]  # the j-th digit of each index
+            run = bytearray(template) * (hi - lo)
+            at = 0
+            for slot, line in enumerate(lines):
+                for j, column in enumerate(columns):
+                    run[at + j :: block] = column
+                at += len(line)
+                values = data[begin + at - 2 : end : block]
+                run[at - 2 :: block] = values
+                cells[lo * width + slot : hi * width : width] = values
+            if end > len(data):  # the last line without its newline
+                del run[-1]
+            if not data.startswith(run, begin):
+                return None
     if cells.translate(None, _DIGITS):
         return None
     return cells.translate(_CELL_OF_DIGIT)

@@ -9,7 +9,6 @@ Transient send failures are logged and do not stop the loop.
 
 from __future__ import annotations
 
-import logging
 import socket
 import threading
 from dataclasses import dataclass
@@ -18,8 +17,6 @@ from typing import IO
 from ._util import now_ms
 from .errors import ValidationError
 from .ivim import IviStatus, IvimMessage, encode, with_management
-
-logger = logging.getLogger("hri.rsu")
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,9 @@ def run_broadcast(
             try:
                 sock.sendto(payload, config.target)
             except OSError as exc:
-                logger.warning("send to %s failed: %s", config.target, exc)
+                import logging  # here, so that importing hri.rsu does not load logging
+
+                logging.getLogger("hri.rsu").warning("send to %s failed: %s", config.target, exc)
         if out is not None:
             out.write(payload.hex() + "\n")
             out.flush()

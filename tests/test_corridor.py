@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hri import corridor as corridor_module
 from hri.corridor import (
     MISSING,
     CorridorProfile,
@@ -17,6 +18,7 @@ from hri.corridor import (
     ScenarioOverlay,
     SegmentObservation,
     SegmentRows,
+    _ordered_cells,
     apply_overlay,
     dump_corridor,
     load_corridor,
@@ -29,6 +31,8 @@ from hri.errors import ParseError, ValidationError
 from hri.fixtures import RUBRIC_EXAMPLE_FILE, fixture_path
 from hri.scoring import score_corridor, score_segment
 from hri.taxonomy import AutomationLevelGroup, WeightTable, attribute_ids
+
+from test_ingest import DIFFERENTIAL, csv_cells, spliced_bodies, written_body
 
 
 def tiny_profile(n_segments=4, fill=2, length_m=100.0):
@@ -236,6 +240,32 @@ class TestLoadCorridor:
         with pytest.raises(error) as raised:
             load_corridor(path)
         assert str(raised.value) == f"{path}:line 1: {message}"
+
+    @pytest.mark.parametrize("comment", ["", "# km 3.2: caf\u00e9 \u2013 works\n"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_utf8_comment_and_crlf_twins_read_as_the_ascii_lf_file(self, corridor, tmp_path, comment, newline):
+        # the ASCII LF file is read as bytes, the others as text: same profile, same fault at the same line
+        meta, rest = dump_corridor(corridor).split("\n", 1)
+        text = meta + "\n" + comment + rest
+        path = tmp_path / "c.csv"
+        path.write_bytes(text.replace("\n", newline).encode())
+        assert load_corridor(path) == corridor
+        lines = text.split("\n")
+        line = lines.index("17,hd-maps,2") + 1
+        lines[line - 1] = "17,hd-maps,3"
+        path.write_bytes("\n".join(lines).replace("\n", newline).encode())
+        with pytest.raises(ParseError) as raised:
+            load_corridor(path)
+        assert str(raised.value) == f"{path}:line {line}: adequacy value must be 0, 1 or 2, got 3"
+
+    @pytest.mark.parametrize("ending", ["", "\n# a comment without a final newline"])
+    def test_comment_lines_alone_hold_no_data_rows(self, tmp_path, ending):
+        meta = {"corridor_id": "t", "length_km": 0.1, "segment_length_m": 100.0}
+        path = tmp_path / "c.csv"
+        path.write_text("# " + json.dumps(meta) + ending)
+        with pytest.raises(ParseError) as raised:
+            load_corridor(path)
+        assert str(raised.value) == f"{path}: no data rows"
 
     def test_sidecar_metadata(self, tmp_path):
         data = "segment_index,attribute,value\n" + "\n".join(full_rows(0)) + "\n"
@@ -505,6 +535,29 @@ class TestRubrics:
             load_rubric(path)
         assert str(raised.value) == f"{path}: bad rubric for 'lane-mark-width': {text}"
 
+    @pytest.mark.parametrize(
+        "edit, text",
+        [
+            (lambda doc: [doc], "rubric document must be a JSON object"),
+            (lambda doc: {**doc, "lane-widths": doc["lane-mark-width"]}, "unknown attribute 'lane-widths'"),
+            (
+                lambda doc: {**doc, "lane-mark-width": {**doc["lane-mark-width"], "direction": "up"}},
+                "bad rubric for 'lane-mark-width': unknown direction 'up'",
+            ),
+            (
+                lambda doc: {**doc, "lane-mark-width": {**doc["lane-mark-width"], "breakpoints": [{"threshold": None, "level": 0}]}},
+                "bad rubric for 'lane-mark-width': rubric needs 3 breakpoints, the first with threshold null",
+            ),
+        ],
+    )
+    def test_load_names_a_document_or_entry_fault(self, tmp_path, edit, text):
+        doc = json.loads(fixture_path(RUBRIC_EXAMPLE_FILE).read_text())
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(edit(doc)))
+        with pytest.raises(ParseError) as raised:
+            load_rubric(path)
+        assert str(raised.value) == f"{path}: {text}"
+
     def test_load_takes_a_null_unit(self, tmp_path):
         doc = json.loads(fixture_path(RUBRIC_EXAMPLE_FILE).read_text())
         doc["lane-mark-width"]["unit"] = None
@@ -676,6 +729,12 @@ class TestSegmentRows:
                 SegmentRows(attribute_ids(), rows, 100.0)
             assert str(raised.value) == f"row byte {byte} is not an adequacy value 0, 1 or 2, or MISSING"
 
+    def test_rows_in_two_attribute_orders_compare_by_their_values(self):
+        ab = SegmentRows(("a", "b"), [bytes([0, 2]), bytes([1, MISSING])], 100.0)
+        assert ab == SegmentRows(("b", "a"), [bytes([2, 0]), bytes([MISSING, 1])], 100.0)
+        assert ab != SegmentRows(("b", "a"), [bytes([2, 0]), bytes([1, 1])], 100.0)
+        assert ab != SegmentRows(("a", "b"), [bytes([0, 2]), bytes([1, MISSING])], 50.0)
+
     def test_custom_attribute_names_keep_their_order(self):
         names = ["zeta", "alpha", "mid"]
         given = tuple(
@@ -713,3 +772,42 @@ class TestSegmentRows:
         result = apply_overlay(corridor, roadworks)
         kept = [i for i, (a, b) in enumerate(zip(corridor.segments.rows, result.segments.rows)) if a is b]
         assert kept == list(range(110)) + list(range(170, 240))
+
+
+class TestKernelSlices:
+    """The byte-slice kernel checks each digit run in slices of at most ``_SLICE_SEGMENTS`` segments. With slices
+    of one and of seven segments, slice ends fall inside every digit run of these bodies, which must read as the
+    csv loop reads them."""
+
+    @pytest.mark.parametrize("slice_segments", [1, 7])
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 101, 120])
+    def test_written_bodies_read_as_the_csv_loop(self, monkeypatch, slice_segments, n):
+        monkeypatch.setattr(corridor_module, "_SLICE_SEGMENTS", slice_segments)
+        body = written_body(n, seed=n)
+        for text in (body, body[:-1]) if body else (body,):  # with and without the final newline
+            assert _ordered_cells(text.encode(), attribute_ids(), n) == csv_cells(text, n)
+            head = b"# c\nsegment_index,attribute,value\n"
+            assert _ordered_cells(head + text.encode(), attribute_ids(), n, len(head)) == csv_cells(text, n)
+        if n:  # a changed byte in the last slice, then in the first, declines it
+            for at in (len(body) - 4, 0):
+                edited = bytearray(body.encode())
+                edited[at] = ord("5")
+                assert _ordered_cells(bytes(edited), attribute_ids(), n) is None
+
+    @DIFFERENTIAL
+    @given(spliced_bodies())
+    def test_spliced_bodies_are_declined_or_read_as_the_loop_reads_them(self, monkeypatch, case):
+        monkeypatch.setattr(corridor_module, "_SLICE_SEGMENTS", 7)
+        body, n = case
+        cells = _ordered_cells(body.encode(), attribute_ids(), n)
+        if cells is not None:
+            assert cells == csv_cells(body, n)
+
+    def test_a_corridor_of_several_slices_loads_as_its_quoted_twin(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(corridor_module, "_SLICE_SEGMENTS", 7)
+        meta = {"corridor_id": "c", "length_km": 12.0, "segment_length_m": 100.0}
+        text = "# " + json.dumps(meta) + "\nsegment_index,attribute,value\n" + written_body(120, seed=4)
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_text(text)
+        quoted.write_text(text.replace("segment_index,attribute,value", '"segment_index",attribute,value'))
+        assert load_corridor(plain) == load_corridor(quoted)

@@ -140,7 +140,7 @@ class TestCorridorFastPath:
     def test_same_profile_or_error_as_the_csv_loop(self, tmp_path, case):
         text, meta, n = case
         twin = quoted_twin(text)
-        assert _plain_rows(twin, ATTRS, n) is None
+        assert _plain_rows(twin.encode(), ATTRS, n) is None
         path = tmp_path / "c.csv"
         assert outcome(lambda p: load_corridor(p, meta), path, text) == outcome(lambda p: load_corridor(p, meta), path, twin)
 
@@ -148,7 +148,7 @@ class TestCorridorFastPath:
     @given(corridor_files())
     def test_written_and_benchmark_forms_take_the_fast_path(self, tmp_path, case):
         text, meta, n = case
-        rows = _plain_rows(text, ATTRS, n)
+        rows = _plain_rows(text.encode(), ATTRS, n)
         if ',"' in text.split("\n", 1)[0]:  # csv may read a quoted field across lines there
             assert rows is None
             return
@@ -159,7 +159,7 @@ class TestCorridorFastPath:
         if lines != written:  # shuffled or split: the csv loop reads it as the kernel reads the written order
             assert rows is None
             in_order = head + sep + "\n".join(written) + "\n"
-            assert _plain_rows(in_order, ATTRS, n) is not None
+            assert _plain_rows(in_order.encode(), ATTRS, n) is not None
             assert outcome(lambda p: load_corridor(p, meta), path, text) == outcome(lambda p: load_corridor(p, meta), path, in_order)
             return
         assert rows is not None
@@ -170,13 +170,13 @@ class TestCorridorFastPath:
     def test_bundled_fixture_takes_the_fast_path(self, corridor):
         text = fixture_path(BASELINE_CORRIDOR_FILE).read_text(encoding="utf-8")
         assert text.count("\n#") == 2  # the metadata line and two comment lines
-        assert _plain_rows(text, ATTRS, 240) == list(corridor.segments.rows)
-        assert _plain_rows(dump_corridor(corridor), ATTRS, 240) == list(corridor.segments.rows)
+        assert _plain_rows(text.encode(), ATTRS, 240) == list(corridor.segments.rows)
+        assert _plain_rows(dump_corridor(corridor).encode(), ATTRS, 240) == list(corridor.segments.rows)
 
     def test_declined_forms(self, corridor):
         text = dump_corridor(corridor)
         meta_line, rest = text.split("\n", 1)
-        assert _plain_rows(text, ATTRS, 240) is not None
+        assert _plain_rows(text.encode(), ATTRS, 240) is not None
         for other in [
             text.replace("\n17,", "\n 17,"),  # a padded index
             text.replace("\n17,", "\n017,"),  # a non-canonical index
@@ -189,9 +189,9 @@ class TestCorridorFastPath:
             meta_line + '\n# a ,"quoted\n# field"\n' + rest,  # a comment csv reads across lines
             meta_line + "\n# x\0\n" + rest,
         ]:
-            assert _plain_rows(other, ATTRS, 240) is None, other[:200]
-        assert _plain_rows(text, ATTRS, 241) is None
-        assert _plain_rows(text, ATTRS, 239) is None
+            assert _plain_rows(other.encode(), ATTRS, 240) is None, other[:200]
+        assert _plain_rows(text.encode(), ATTRS, 241) is None
+        assert _plain_rows(text.encode(), ATTRS, 239) is None
 
 
 def written_body(n: int, seed: int = 0) -> str:
@@ -285,7 +285,7 @@ class TestOrderedKernel:
             lines = lines[60 * len(ATTRS) :] + lines[: 60 * len(ATTRS)]
         body = "\n".join(lines) + "\n"
         assert _ordered_cells(body.encode(), ATTRS, 120) is None
-        assert _plain_rows(HEADER + "\n" + body, ATTRS, 120) is None
+        assert _plain_rows((HEADER + "\n" + body).encode(), ATTRS, 120) is None
         meta = "# " + json.dumps({"corridor_id": "c", "length_km": 12.0, "segment_length_m": 100.0}) + "\n"
         ordered, other = tmp_path / "ordered.csv", tmp_path / "other.csv"
         ordered.write_text(meta + HEADER + "\n" + written_body(120, seed=1), encoding="utf-8")

@@ -437,6 +437,15 @@ class TestCanonicalText:
         assert str(raised.value) == str(ParseError(problem, source="m.txt", line=line, column=len(field) + 3))
 
 
+    def test_negative_zone_count_is_refused_at_its_value(self):
+        lines = to_canonical_text(one_zone_message()).split("\n")
+        line = lines.index("zone_count: 1") + 1
+        lines[line - 1] = "zone_count: -1"
+        with pytest.raises(ParseError) as raised:
+            from_canonical_text("\n".join(lines), source="m.txt")
+        assert str(raised.value) == str(ParseError("zone_count -1 is negative", source="m.txt", line=line, column=13))
+
+
 class TestHelpers:
     def test_bitmask_round_trip(self):
         for levels in (frozenset(), frozenset({1, 2}), frozenset({3, 4}), frozenset({1, 2, 3, 4})):
@@ -458,6 +467,10 @@ class TestHelpers:
         text = describe(one_zone_message())
         assert "1 zone(s)" in text
         assert "1,2,3,4" in text
+
+    def test_describe_gives_the_reference_point_and_a_missing_container(self):
+        located = replace(minimal_message(), location=GeographicLocationContainer(483_000_000, -1_234_567))
+        assert describe(located).split("\n")[2:] == ["reference point 48.3000000, -0.1234567", "no automated-vehicle container", ""]
 
 
 CLASSES = (ReadinessClass.UNLIKELY, ReadinessClass.MAY_BE, ReadinessClass.HIGHLY_LIKELY)

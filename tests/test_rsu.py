@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import io
+import logging
 import math
+import os
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import hri
 from hri.errors import ValidationError
 from hri.ivim import IviStatus, decode
 from hri.rsu import BroadcastConfig, run_broadcast
@@ -98,6 +104,24 @@ class TestBroadcast:
             receiver.close()
         assert statuses == [IviStatus.NEW, IviStatus.UPDATE, IviStatus.CANCELLATION]
 
+    def test_failed_send_is_logged_and_the_loop_goes_on(self, caplog):
+        # port 0 is no destination: each sendto raises OSError (EINVAL)
+        out = io.StringIO()
+        config = BroadcastConfig(period_s=0.01, count=2, target=("127.0.0.1", 0), base_timestamp_ms=BASE_TS)
+        with caplog.at_level(logging.WARNING, logger="hri.rsu"):
+            emitted = run_broadcast(one_zone_message(), config, out=out)
+        assert emitted == 2
+        assert [decode(bytes.fromhex(line)).management.ivi_status for line in hex_lines(out)] == [
+            IviStatus.NEW,
+            IviStatus.UPDATE,
+            IviStatus.CANCELLATION,
+        ]
+        records = [(record.name, record.levelno, record.getMessage()) for record in caplog.records]
+        assert len(records) == 3
+        for name, level, message in records:
+            assert (name, level) == ("hri.rsu", logging.WARNING)
+            assert message.startswith("send to ('127.0.0.1', 0) failed: ")
+
     def test_wall_clock_when_no_base_timestamp(self):
         out = io.StringIO()
         run_broadcast(
@@ -136,3 +160,15 @@ class TestBroadcast:
     def test_rejects_bad_count(self):
         with pytest.raises(ValidationError, match="count"):
             BroadcastConfig(period_s=1.0, count=0)
+
+
+def test_import_loads_no_logging():
+    """``hri.rsu`` imports logging only when a send fails; checked in a fresh interpreter, as pytest loads logging."""
+    code = "import sys\nbefore = set(sys.modules)\nimport hri.rsu\nprint(*sorted(set(sys.modules) - before))"
+    src = str(Path(hri.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "hri.rsu" in loaded
+    assert "logging" not in loaded

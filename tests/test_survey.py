@@ -141,6 +141,11 @@ class TestImpactDifference:
         table = WeightTable({(g, "hd-maps"): 1.3 for g in AutomationLevelGroup})
         assert impact_difference(table) == {"hd-maps": 0.0}
 
+    def test_a_missing_group_weight_is_a_validation_error(self):
+        table = WeightTable({(AUD, "hd-maps"): 1.3})
+        with pytest.raises(ValidationError, match=r"no weight for \(asd, 'hd-maps'\)"):
+            impact_difference(table)
+
     def test_linear_in_per_respondent_differences(self):
         # with full coverage, diff(mean) == mean(per-respondent diffs)
         rng = random.Random(11)

@@ -14,6 +14,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "_util": ("AutomationLevelGroup", "MacroCategory", "ReadinessClass"),
     "corridor": (
         "CorridorProfile",
         "OverlayOp",
@@ -65,9 +66,6 @@ _EXPORTS = {
     ),
     "taxonomy": (
         "Attribute",
-        "AutomationLevelGroup",
-        "MacroCategory",
-        "ReadinessClass",
         "WeightTable",
         "builtin_attribute_registry",
         "builtin_weight_table",

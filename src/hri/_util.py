@@ -1,4 +1,4 @@
-"""Small internal helpers."""
+"""Small internal helpers, and the score vocabulary that scoring, the IVIM codec and the taxonomy share."""
 
 from __future__ import annotations
 
@@ -6,8 +6,12 @@ import math
 import os
 import tempfile
 import time
-from collections.abc import Callable, Iterable, Sequence
+from bisect import bisect_right
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from enum import Enum
+from itertools import chain, repeat
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import ParseError, ValidationError
 
@@ -225,6 +229,88 @@ def name_reader(members: Iterable, what: str, name: Callable = lambda member: me
             raise ValueError(f"unknown {what} {text!r} (expected {expected})")
         return member
     return read
+
+
+# The score vocabulary, shared by scoring, the IVIM codec and the taxonomy (which re-exports it).
+V_MAX = ADEQUACY[-1]
+"""Adequacy/rating scale maximum shared by observations and survey ratings."""
+
+
+class AutomationLevelGroup(Enum):
+    """Automation-level grouping: assisted (SAE 1-2) vs automated (SAE 3-4)."""
+
+    ASD = "asd"
+    AUD = "aud"
+
+    @classmethod
+    def parse(cls, text: str) -> AutomationLevelGroup:
+        return _read_group(text)
+
+
+class ReadinessClass(Enum):
+    UNLIKELY = "unlikely"
+    MAY_BE = "may-be"
+    HIGHLY_LIKELY = "highly-likely"
+
+    @classmethod
+    def parse(cls, text: str) -> ReadinessClass:
+        return _read_class(text)
+
+
+_read_group = name_reader(AutomationLevelGroup, "automation-level group")
+_read_class = name_reader(ReadinessClass, "readiness class")
+BANDS = tuple(ReadinessClass)
+_BAND_EDGES = (33.0, 66.0)
+
+LEVEL_SETS = (frozenset(), frozenset({1, 2}), frozenset({3, 4}), frozenset({1, 2, 3, 4}))
+"""The only valid allowed-level sets, indexed by their code ``asd_passes + 2 * aud_passes``:
+levels always enter in group pairs."""
+LEVEL_MASKS = (0x0, 0x3, 0xC, 0xF)
+"""The wire bitmask of each level set, by code: bit0 = SAE1 .. bit3 = SAE4."""
+LEVEL_CODES: Mapping[frozenset[int] | int, int] = MappingProxyType(
+    {key: code for code, pair in enumerate(zip(LEVEL_SETS, LEVEL_MASKS)) for key in pair}
+)
+"""The code of each valid level set and of each valid wire bitmask."""
+
+
+def level_code(levels: Iterable[int]) -> int:
+    """The code of a valid level set; a ``ValueError`` names any other set as
+    unpaired, or as invalid when its levels in 1..4 pair but it holds others."""
+    levels = frozenset(levels)
+    code = LEVEL_CODES.get(levels)
+    if code is None:
+        paired = levels & LEVEL_SETS[-1] in LEVEL_CODES
+        raise ValueError(f"{'invalid' if paired else 'unpaired'} SAE levels {sorted(levels)}")
+    return code
+
+
+def check_scores(*columns) -> None:
+    """Refuse a readiness score outside [0, 100], NaN included: a ValueError names the first one,
+    taking the columns' scores of one segment after another."""
+    for column in columns:
+        # min and max can pass over a NaN, which makes the sum NaN
+        if column and not (0.0 <= min(column) and max(column) <= 100.0 and not math.isnan(sum(column))):
+            for score in chain.from_iterable(zip(*columns)):
+                if not 0.0 <= score <= 100.0:
+                    raise ValueError(f"readiness score {score} outside [0, 100]")
+
+
+def readiness_band(score: float) -> ReadinessClass:
+    """Band a score: [0,33) unlikely, [33,66) may-be, [66,100] highly-likely."""
+    check_scores((score,))
+    return BANDS[bisect_right(_BAND_EDGES, score)]
+
+
+def band_indexes(scores: Iterable[float]) -> list[int]:
+    """The index in ``BANDS`` of each score's band; the scores must lie in [0, 100]."""
+    return list(map(bisect_right, repeat(_BAND_EDGES), scores))
+
+
+class MacroCategory(Enum):
+    ROAD_MARKINGS_SIGNAGE = "road-markings-signage"
+    ROAD_MAINTENANCE_MANAGEMENT = "road-maintenance-management"
+    ROADWAY_DESIGN_SAFETY = "roadway-design-safety"
+    PRELOADED_HD_MAPS = "preloaded-hd-maps"
 
 
 def write_csv_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:

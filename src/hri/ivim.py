@@ -33,9 +33,9 @@ from itertools import accumulate, groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from ._util import BLANKS, name_reader, parse_int
+from ._util import BANDS, BLANKS, LEVEL_CODES, LEVEL_MASKS, LEVEL_SETS, ReadinessClass, band_indexes, level_code
+from ._util import name_reader, parse_int
 from .errors import DecodeError, ParseError, ValidationError
-from .taxonomy import BANDS, LEVEL_CODES, LEVEL_MASKS, LEVEL_SETS, ReadinessClass, band_indexes, level_code
 
 if TYPE_CHECKING:
     from .scoring import CorridorAssessment
@@ -67,6 +67,8 @@ class IviStatus(Enum):
 
 @dataclass(frozen=True)
 class IvimHeader:
+    """Sending station id, protocol version and message type (always 0x06)."""
+
     station_id: int
     protocol_version: int = DEFAULT_PROTOCOL_VERSION
     message_type: int = MESSAGE_TYPE_IVIM
@@ -74,6 +76,8 @@ class IvimHeader:
 
 @dataclass(frozen=True)
 class ManagementContainer:
+    """Message id, issue time (ms since the Unix epoch), validity (s) and IVI status."""
+
     ivi_identification: int
     timestamp_ms: int
     validity_duration_s: int
@@ -90,6 +94,8 @@ class GeographicLocationContainer:
 
 @dataclass(frozen=True)
 class ZoneRecord:
+    """One zone: chainage span (m), allowed SAE levels, and each group's class and score (cpct)."""
+
     start_m: int
     end_m: int
     allowed_sae_levels: frozenset[int]
@@ -104,6 +110,8 @@ class ZoneRecord:
 
 @dataclass(frozen=True)
 class AutomatedVehicleContainer:
+    """The readiness zones, in chainage order."""
+
     zones: tuple[ZoneRecord, ...]
 
     def __post_init__(self) -> None:
@@ -112,6 +120,8 @@ class AutomatedVehicleContainer:
 
 @dataclass(frozen=True)
 class IvimMessage:
+    """Header and management container, with optional location and automated-vehicle containers."""
+
     header: IvimHeader
     management: ManagementContainer
     location: GeographicLocationContainer | None = None

@@ -33,27 +33,15 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from ._util import ADEQUACY, DEFAULT_THRESHOLD, check_adequacy, grid_error, hold_to_grid, json_float, json_int, json_str
-from ._util import parse_json, read_header, read_input, segment_count_error
+from ._util import ADEQUACY, BANDS, DEFAULT_THRESHOLD, LEVEL_CODES, LEVEL_SETS, V_MAX, AutomationLevelGroup
+from ._util import MacroCategory, ReadinessClass, band_indexes, check_adequacy, check_scores, grid_error, hold_to_grid
+from ._util import json_float, json_int, json_str, level_code, parse_json, read_header, read_input, readiness_band
+from ._util import segment_count_error
 from .errors import ParseError, ValidationError
-from .taxonomy import (
-    BANDS,
-    LEVEL_CODES,
-    LEVEL_SETS,
-    V_MAX,
-    AutomationLevelGroup,
-    MacroCategory,
-    ReadinessClass,
-    WeightTable,
-    band_indexes,
-    check_scores,
-    level_code,
-    macro_weight_table,
-    readiness_band,
-)
 
 if TYPE_CHECKING:
     from .corridor import CorridorProfile, SegmentObservation
+    from .taxonomy import WeightTable
 
 
 @dataclass(frozen=True)
@@ -413,6 +401,8 @@ def macro_sensitivity(config: SensitivityConfig) -> dict[AutomationLevelGroup, R
     categories at 2, degraded ones per config, HD maps 0 or 2); the weights
     are the built-in macro table.
     """
+    from .taxonomy import macro_weight_table  # here, so that scoring a profile loads no weight-table module
+
     weights = macro_weight_table()
     values = config.category_values()
     result = {}

@@ -116,7 +116,7 @@ def impact_difference(table: WeightTable) -> dict[str, float]:
             aud = table.lookup(AutomationLevelGroup.AUD, attr)
             asd = table.lookup(AutomationLevelGroup.ASD, attr)
         except KeyError as exc:
-            raise ValidationError(str(exc)) from None
+            raise ValidationError(exc.args[0]) from None
         diffs[attr] = aud - asd
     return diffs
 

@@ -143,8 +143,9 @@ class TestImpactDifference:
 
     def test_a_missing_group_weight_is_a_validation_error(self):
         table = WeightTable({(AUD, "hd-maps"): 1.3})
-        with pytest.raises(ValidationError, match=r"no weight for \(asd, 'hd-maps'\)"):
+        with pytest.raises(ValidationError) as excinfo:
             impact_difference(table)
+        assert str(excinfo.value) == "no weight for (asd, 'hd-maps')"
 
     def test_linear_in_per_respondent_differences(self):
         # with full coverage, diff(mean) == mean(per-respondent diffs)

@@ -260,7 +260,7 @@ class ReadinessClass(Enum):
 _read_group = name_reader(AutomationLevelGroup, "automation-level group")
 _read_class = name_reader(ReadinessClass, "readiness class")
 BANDS = tuple(ReadinessClass)
-_BAND_EDGES = (33.0, 66.0)
+BAND_EDGES = (33.0, 66.0)
 
 LEVEL_SETS = (frozenset(), frozenset({1, 2}), frozenset({3, 4}), frozenset({1, 2, 3, 4}))
 """The only valid allowed-level sets, indexed by their code ``asd_passes + 2 * aud_passes``:
@@ -298,12 +298,12 @@ def check_scores(*columns) -> None:
 def readiness_band(score: float) -> ReadinessClass:
     """Band a score: [0,33) unlikely, [33,66) may-be, [66,100] highly-likely."""
     check_scores((score,))
-    return BANDS[bisect_right(_BAND_EDGES, score)]
+    return BANDS[bisect_right(BAND_EDGES, score)]
 
 
 def band_indexes(scores: Iterable[float]) -> list[int]:
     """The index in ``BANDS`` of each score's band; the scores must lie in [0, 100]."""
-    return list(map(bisect_right, repeat(_BAND_EDGES), scores))
+    return list(map(bisect_right, repeat(BAND_EDGES), scores))
 
 
 class MacroCategory(Enum):

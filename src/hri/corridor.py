@@ -338,17 +338,15 @@ def load_corridor(
     """
     source = str(path)
     data = Path(path).read_bytes()
-    # an ASCII file without CR is its own text, so the kernel reads its bytes; any other file is read as text
-    text = None if data.isascii() and b"\r" not in data else read_input(path, data)
+    if not data.isascii() or b"\r" in data:  # read as the UTF-8 bytes of its text, LF-ended, which ASCII LF files are
+        text = read_input(path, data)
+        del data  # so that the raw bytes, the text and its bytes are never all held at once
+        data = text.encode()
+        del text
 
     header = None  # (corridor_id, length_km, segment_length_m)
-    if text is None:
-        newline = data.find(b"\n")  # not split: that would copy the whole file
-        first_line = (data if newline < 0 else data[:newline]).decode()
-    else:
-        newline = text.find("\n")
-        first_line = text if newline < 0 else text[:newline]
-    first_line = first_line.strip(BLANKS)
+    newline = data.find(b"\n")  # not split: that would copy the whole file
+    first_line = (data if newline < 0 else data[:newline]).decode().strip(BLANKS)
     if first_line.startswith("#"):
         candidate = first_line.lstrip("#").strip(BLANKS)
         if candidate.startswith("{"):
@@ -367,10 +365,9 @@ def load_corridor(
     corridor_id, length_km, segment_length_m = header
     registry = attribute_ids()
     expected = expected_segment_count(length_km, segment_length_m)
-    rows = _plain_rows(data, registry, expected) if text is None else None
+    rows = _plain_rows(data, registry, expected)
     if rows is None:
-        if text is None:
-            text = read_input(path, data)
+        text = data.decode()
         del data  # the csv loop needs only the text, so the bytes are not held meanwhile
         rows = _csv_rows(text, source, registry, expected, length_km)
     segments = SegmentRows(registry, rows, segment_length_m)

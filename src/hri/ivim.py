@@ -19,22 +19,24 @@ bit3 = SAE4, and a class code is the class's index in ``taxonomy.BANDS``.
 Scores travel as fixed-point hundredths of a percent (cpct), floored so a
 zone never claims more readiness than any of its coalesced segments.
 Decoding is strict: bad magic, unknown flag bits, out-of-range values,
-unpaired level bitmasks, zone disorder, truncation and trailing bytes are
-all rejected with the offending byte offset.
+unpaired level bitmasks, a class other than its score's band, zone
+disorder, truncation and trailing bytes are all rejected with the offending
+byte offset.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate, groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from ._util import BANDS, BLANKS, LEVEL_CODES, LEVEL_MASKS, LEVEL_SETS, ReadinessClass, band_indexes, level_code
-from ._util import name_reader, parse_int
+from ._util import BAND_EDGES, BANDS, BLANKS, LEVEL_CODES, LEVEL_MASKS, LEVEL_SETS, ReadinessClass, band_indexes
+from ._util import level_code, name_reader, parse_int
 from .errors import DecodeError, ParseError, ValidationError
 
 if TYPE_CHECKING:
@@ -49,6 +51,7 @@ _FLAG_AV = 0x02
 
 _U8 = 0xFF
 _CPCT_MAX = 100 * 100  # 100.00 %
+_CPCT_BAND_EDGES = tuple(round(edge * 100) for edge in BAND_EDGES)  # where each band after the first starts, in cpct
 
 
 class IviStatus(Enum):
@@ -294,6 +297,14 @@ def _problems(msg: IvimMessage):
         except ValueError as exc:
             yield i, "allowed_sae_levels", f"{at}{exc}"
         yield from _out_of_range(zone, scores, i)
+        # each class is the band of its group's score; a score out of range has no band
+        groups = ("asd", zone.asd_class, zone.asd_score_cpct), ("aud", zone.aud_class, zone.aud_score_cpct)
+        for group, readiness_class, cpct in groups:
+            if 0 <= cpct <= _CPCT_MAX:
+                band = BANDS[bisect_right(_CPCT_BAND_EDGES, cpct)]
+                if readiness_class is not band:
+                    problem = f"{group}_class {readiness_class.value!r} does not match {group}_score_cpct {cpct}"
+                    yield i, f"{group}_class", f"{at}{problem} ({band.value})"
 
 
 def validate_message(msg: IvimMessage) -> list[str]:

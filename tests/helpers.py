@@ -13,7 +13,7 @@ from hri.ivim import (
     ManagementContainer,
     ZoneRecord,
 )
-from hri.scoring import ReadinessClass
+from hri.scoring import classify
 
 _LEVEL_SETS = (
     frozenset(),
@@ -40,15 +40,16 @@ def random_message(rng: random.Random) -> IvimMessage:
         for _ in range(rng.randrange(0, 6)):
             start = end
             end = start + rng.randrange(1, 2000)
+            asd_cpct, aud_cpct = rng.randint(0, 10000), rng.randint(0, 10000)
             zones.append(
                 ZoneRecord(
                     start_m=start,
                     end_m=end,
                     allowed_sae_levels=rng.choice(_LEVEL_SETS),
-                    asd_class=rng.choice(list(ReadinessClass)),
-                    aud_class=rng.choice(list(ReadinessClass)),
-                    asd_score_cpct=rng.randint(0, 10000),
-                    aud_score_cpct=rng.randint(0, 10000),
+                    asd_class=classify(asd_cpct / 100),  # each class is the band of its score
+                    aud_class=classify(aud_cpct / 100),
+                    asd_score_cpct=asd_cpct,
+                    aud_score_cpct=aud_cpct,
                 )
             )
         av = AutomatedVehicleContainer(zones=tuple(zones))

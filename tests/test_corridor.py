@@ -28,7 +28,7 @@ from hri.corridor import (
 )
 from hri._util import GEOM_EPS
 from hri.errors import ParseError, ValidationError
-from hri.fixtures import RUBRIC_EXAMPLE_FILE, fixture_path
+from hri.fixtures import BASELINE_CORRIDOR_FILE, RUBRIC_EXAMPLE_FILE, fixture_path
 from hri.scoring import score_corridor, score_segment
 from hri.taxonomy import AutomationLevelGroup, WeightTable, attribute_ids
 
@@ -242,14 +242,19 @@ class TestLoadCorridor:
         assert str(raised.value) == f"{path}:line 1: {message}"
 
     @pytest.mark.parametrize("comment", ["", "# km 3.2: caf\u00e9 \u2013 works\n"])
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    def test_utf8_comment_and_crlf_twins_read_as_the_ascii_lf_file(self, corridor, tmp_path, comment, newline):
-        # the ASCII LF file is read as bytes, the others as text: same profile, same fault at the same line
-        meta, rest = dump_corridor(corridor).split("\n", 1)
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_utf8_comment_and_crlf_twins_read_as_the_ascii_lf_file(
+        self, corridor, tmp_path, monkeypatch, comment, newline
+    ):
+        # each twin of the bundled fixture is read as the bytes of its text with LF line ends, so the written
+        # form takes the kernel whatever its line ends and comments; a fault is at the same line
+        meta, rest = fixture_path(BASELINE_CORRIDOR_FILE).read_text(encoding="utf-8").split("\n", 1)
         text = meta + "\n" + comment + rest
         path = tmp_path / "c.csv"
         path.write_bytes(text.replace("\n", newline).encode())
-        assert load_corridor(path) == corridor
+        with monkeypatch.context() as patch:
+            patch.setattr(corridor_module, "_csv_rows", lambda *args: pytest.fail("the written form took the csv loop"))
+            assert load_corridor(path) == corridor
         lines = text.split("\n")
         line = lines.index("17,hd-maps,2") + 1
         lines[line - 1] = "17,hd-maps,3"

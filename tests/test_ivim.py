@@ -31,7 +31,7 @@ from hri.ivim import (
 )
 from hri._util import ADEQUACY, expected_segment_count
 from hri.corridor import CorridorProfile, OverlayOp, ScenarioOverlay, SegmentObservation, apply_overlay
-from hri.scoring import ReadinessClass, score_corridor
+from hri.scoring import ReadinessClass, classify, score_corridor
 from hri.taxonomy import AutomationLevelGroup, attribute_ids
 
 ASD = AutomationLevelGroup.ASD
@@ -576,8 +576,13 @@ def wire_fields(draw):
             start = min(draw(mostly(valid_start, uint(32))), 2**32 - 1)
             end = min(draw(mostly(st.integers(start + 1, start + 5000), uint(32))), 2**32 - 1)
             mask = draw(mostly(st.sampled_from([0x0, 0x3, 0xC, 0xF]), uint(8)))
-            classes = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
             scores = draw(st.tuples(*[mostly(st.integers(0, 10000), uint(16))] * 2))
+            # each class mostly the band of its score; a score out of range has no band
+            classes = [
+                draw(mostly(st.just(CLASSES.index(classify(cpct / 100))), st.integers(0, 2)))
+                if cpct <= 10000 else draw(st.integers(0, 2))
+                for cpct in scores
+            ]
             zones.append((start, end, mask, *classes, *scores))
     return dict(
         protocol_version=draw(uint(8)),
@@ -680,6 +685,9 @@ class TestOneChecker:
             ("zone.0.allowed_sae_levels", 35 + 8, ">B", 0x5, "1,3"),
             ("zone.0.asd_class", 35 + 9, ">B", 3, "x"),
             ("zone.0.aud_class", 35 + 10, ">B", 3, "x"),
+            # a class that is not the band of its score (7200 and 7000: highly-likely)
+            ("zone.0.asd_class", 35 + 9, ">B", 1, "may-be"),
+            ("zone.0.aud_class", 35 + 10, ">B", 0, "unlikely"),
             ("zone.0.asd_score_cpct", 35 + 11, ">H", 10001, 10001),
             ("zone.0.aud_score_cpct", 35 + 13, ">H", 10001, 10001),
         ],
@@ -697,3 +705,38 @@ class TestOneChecker:
         with pytest.raises(ParseError) as raised:
             from_canonical_text("\n".join(lines))
         assert raised.value.line == line
+
+    @pytest.mark.parametrize("group, class_at, score_at", [("asd", 35 + 9, 35 + 11), ("aud", 35 + 10, 35 + 13)])
+    def test_a_score_outside_its_class_band_is_refused_at_the_class(self, group, class_at, score_at):
+        msg = replace(one_zone_message(), location=GeographicLocationContainer(latitude_e7=0, longitude_e7=0))
+        zone = msg.av.zones[0]
+        problem = f"zone 0: {group}_class 'highly-likely' does not match {group}_score_cpct 500 (unlikely)"
+        edited = replace(msg, av=AutomatedVehicleContainer([replace(zone, **{f"{group}_score_cpct": 500})]))
+        assert validate_message(edited) == [problem]
+        wire = bytearray(encode(msg))
+        struct.pack_into(">H", wire, score_at, 500)
+        with pytest.raises(DecodeError) as raised:
+            decode(bytes(wire))
+        assert (raised.value.offset, str(raised.value)) == (class_at, f"offset {class_at}: {problem}")
+        lines = to_canonical_text(msg).split("\n")
+        score_line = lines.index(f"zone.0.{group}_score_cpct: {getattr(zone, f'{group}_score_cpct')}")
+        lines[score_line] = f"zone.0.{group}_score_cpct: 500"
+        with pytest.raises(ParseError) as raised:
+            from_canonical_text("\n".join(lines))
+        assert raised.value.line == lines.index(f"zone.0.{group}_class: highly-likely") + 1
+        assert str(raised.value).endswith(f": {problem}")
+
+    @pytest.mark.parametrize(
+        "cpct, band",
+        [(0, "unlikely"), (3299, "unlikely"), (3300, "may-be"), (6599, "may-be"), (6600, "highly-likely"),
+         (10000, "highly-likely")],
+    )
+    def test_the_class_rule_agrees_with_readiness_band_at_the_edges(self, cpct, band):
+        zone = replace(one_zone_message().av.zones[0], asd_score_cpct=cpct)
+        for readiness_class in CLASSES:
+            issues = validate_message(with_zones([replace(zone, asd_class=readiness_class)]))
+            assert (issues == []) == (readiness_class.value == band == classify(cpct / 100).value), issues
+
+    def test_a_score_out_of_range_is_a_range_fault_alone(self):
+        zone = replace(one_zone_message().av.zones[0], asd_class=ReadinessClass.UNLIKELY, asd_score_cpct=10001)
+        assert validate_message(with_zones([zone])) == ["zone 0: asd_score_cpct 10001 exceeds 10000"]

@@ -133,20 +133,32 @@ def parse_json(text: str, source: str, *, what: str = "JSON", line: int | None =
     raise ParseError(f"invalid {what}: {fault.msg}", source=source, line=fault.lineno, column=fault.colno)
 
 
-def read_input(path: str | Path, data: bytes | None = None) -> str:
-    """The text of the file ``path``, or of its bytes ``data`` when they are already read: UTF-8, with
-    ``\r\n`` and ``\r`` read as ``\n``, as ``Path.read_text`` reads it. A byte that is not UTF-8 is a
-    ParseError that names the file and gives the line and column of that byte."""
+def read_input_bytes(path: str | Path, data: bytes | None = None) -> bytes:
+    """The bytes of the file ``path``, or ``data`` when they are already read, as the UTF-8 text they hold: one
+    leading BOM dropped, and ``\\r\\n`` and ``\\r`` read as ``\\n`` (no multi-byte UTF-8 sequence holds either
+    byte). A byte that is not UTF-8 is a ParseError that names the file and gives the line and column, in
+    characters, of that byte."""
     if data is None:
         data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        before = read_input(path, data[: exc.start])  # the text before the byte, which is UTF-8
-        line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
-        message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
-        raise ParseError(message, source=str(path), line=line, column=column) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    if data.startswith(b"\xef\xbb\xbf"):  # U+FEFF, the BOM some editors write
+        data = data[3:]
+    if b"\r" in data:  # two statements, so that at most two copies are held at once
+        data = data.replace(b"\r\n", b"\n")
+        data = data.replace(b"\r", b"\n")
+    if not data.isascii():
+        try:
+            data.decode()
+        except UnicodeDecodeError as exc:
+            before = data[: exc.start].decode()  # the text before the byte, which is UTF-8
+            line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
+            message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+            raise ParseError(message, source=str(path), line=line, column=column) from None
+    return data
+
+
+def read_input(path: str | Path, data: bytes | None = None) -> str:
+    """The text of :func:`read_input_bytes`: every text input is read by its one rule."""
+    return read_input_bytes(path, data).decode()
 
 
 def read_csv_table(text: str, source: str | None, header: Sequence[str], empty: str, read_row: Callable) -> None:
@@ -341,6 +353,11 @@ def json_str(value, name: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{name} {value!r} is not a string")
     return value
+
+
+def json_fault(exc: Exception) -> str:
+    """The text of a JSON document's field fault ``exc``: a KeyError names the field that is missing."""
+    return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
 def json_int(value, name: str) -> int:

@@ -71,9 +71,11 @@ def score(args: argparse.Namespace) -> None:
     from . import scoring as scoring_mod
 
     _check_threshold(args.threshold)
+    if (args.corridor_id is None) != (args.length_km is None):
+        raise ValidationError("--corridor-id and --length-km must be given together")
     table = _load_weights(args.weights)
     meta: Path | dict | None = args.meta
-    if meta is None and args.corridor_id is not None and args.length_km is not None:
+    if meta is None and args.corridor_id is not None:
         meta = {
             "corridor_id": args.corridor_id,
             "length_km": args.length_km,

@@ -24,8 +24,8 @@ from typing import Mapping
 
 from ._util import DEFAULT_SEGMENT_LENGTH_M  # noqa: F401 - public at this path too
 from ._util import ADEQUACY, BLANKS, GEOM_EPS as _GEOM_EPS, check_adequacy, expected_segment_count, grid_error
-from ._util import hold_to_grid, json_float, json_int, json_str, parse_adequacy, parse_int, parse_json, read_csv_table
-from ._util import read_header, read_input, write_csv_table
+from ._util import hold_to_grid, json_fault, json_float, json_int, json_str, parse_adequacy, parse_int, parse_json
+from ._util import read_csv_table, read_header, read_input, read_input_bytes, write_csv_table
 from .errors import ParseError, ValidationError
 from .taxonomy import attribute_ids, is_known_attribute
 
@@ -309,7 +309,7 @@ def load_rubric(path: str | Path) -> dict[str, RubricEntry]:
                 unit=None if unit is None else json_str(unit, "unit"),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad rubric for {attr!r}: {exc}", source=source) from None
+            raise ParseError(f"bad rubric for {attr!r}: {json_fault(exc)}", source=source) from None
     return rubric
 
 
@@ -337,13 +337,7 @@ def load_corridor(
     CSV itself starts with a ``# {...}`` metadata line.
     """
     source = str(path)
-    data = Path(path).read_bytes()
-    if not data.isascii() or b"\r" in data:  # read as the UTF-8 bytes of its text, LF-ended, which ASCII LF files are
-        text = read_input(path, data)
-        del data  # so that the raw bytes, the text and its bytes are never all held at once
-        data = text.encode()
-        del text
-
+    data = read_input_bytes(path)
     header = None  # (corridor_id, length_km, segment_length_m)
     newline = data.find(b"\n")  # not split: that would copy the whole file
     first_line = (data if newline < 0 else data[:newline]).decode().strip(BLANKS)
@@ -377,13 +371,14 @@ def load_corridor(
 def _plain_rows(data: bytes, registry: tuple[str, ...], expected: int) -> list[bytes] | None:
     """The rows of corridor CSV bytes in the written form, or None for any other bytes.
 
-    The written form is what :func:`dump_corridor` writes: ``#`` lines that
-    csv reads as one record each, the header line, and then a body in the
-    written order that :func:`_ordered_cells` checks as a whole. Such rows
-    hold no quote, CR or NUL, so csv splits them the same way, and each
-    check of :func:`_csv_rows` holds. Other bytes, a body in another order
-    among them, go to :func:`_csv_rows`, which reads their text or reports
-    its first fault.
+    ``data`` holds no CR, as :func:`read_input_bytes` gives it. The written
+    form is what :func:`dump_corridor` writes: ``#`` lines that csv reads as
+    one record each, the header line, and then a body in the written order
+    that :func:`_ordered_cells` checks as a whole. Such rows hold no quote
+    or NUL, so csv splits them the same way, and each check of
+    :func:`_csv_rows` holds. Other bytes, a body in another order among
+    them, go to :func:`_csv_rows`, which reads their text or reports its
+    first fault.
     """
     start = 0
     limit = csv.field_size_limit()
@@ -392,8 +387,8 @@ def _plain_rows(data: bytes, registry: tuple[str, ...], expected: int) -> list[b
         if end < 0:
             return None
         comment = data[start:end]
-        if b',"' in comment or b"\r" in comment or b"\0" in comment or len(comment) > limit:
-            return None  # csv could read a quoted field across lines, a CR, a NUL or an over-long field
+        if b',"' in comment or b"\0" in comment or len(comment) > limit:
+            return None  # csv could read a quoted field across lines, a NUL or an over-long field
         start = end + 1
     if not data.startswith(_PLAIN_HEADER, start):
         return None
@@ -555,4 +550,4 @@ def load_overlay(path: str | Path) -> ScenarioOverlay:
             ops=ops,
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad overlay: {exc}", source=source) from None
+        raise ParseError(f"bad overlay: {json_fault(exc)}", source=source) from None

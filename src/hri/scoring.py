@@ -35,8 +35,8 @@ from typing import TYPE_CHECKING, Mapping
 
 from ._util import ADEQUACY, BANDS, DEFAULT_THRESHOLD, LEVEL_CODES, LEVEL_SETS, V_MAX, AutomationLevelGroup
 from ._util import MacroCategory, ReadinessClass, band_indexes, check_adequacy, check_scores, grid_error, hold_to_grid
-from ._util import json_float, json_int, json_str, level_code, parse_json, read_header, read_input, readiness_band
-from ._util import segment_count_error
+from ._util import json_fault, json_float, json_int, json_str, level_code, parse_json, read_header, read_input
+from ._util import readiness_band, segment_count_error
 from .errors import ParseError, ValidationError
 
 if TYPE_CHECKING:
@@ -553,6 +553,8 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
     """
     source = str(path)
     doc = parse_json(read_input(path), source)
+    if type(doc) is not dict:
+        raise ParseError("bad score profile: the document is not an object", source=source)
     corridor_id, length_km, segment_length_m = read_header(doc, source)
     try:
         segments = doc["segments"]
@@ -583,7 +585,7 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
             levels = [level_code([json_int(level, "SAE level") for level in given]) for given in listed]
         check_scores(asd, aud)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad score profile: {exc}", source=source) from None
+        raise ParseError(f"bad score profile: {json_fault(exc)}", source=source) from None
     for index, pair, loaded in zip(indexes, zip(asd, aud), classes or ()):  # no walk when every class is named
         for name, readiness_class, score in zip(("asd", "aud"), loaded, pair):
             if readiness_class is not readiness_band(score):

@@ -220,8 +220,9 @@ def dump_weight_table(table: WeightTable) -> str:
 @lru_cache(maxsize=1)
 def builtin_weight_table() -> WeightTable:
     """The committed per-attribute survey means (provenance ``builtin-fig2``)."""
-    text = resources.files("hri").joinpath("data/fig2_weights.csv").read_text(encoding="utf-8")
-    table = parse_weight_table(text, provenance=PROVENANCE_BUILTIN, source="hri/data/fig2_weights.csv")
+    source = "hri/data/fig2_weights.csv"
+    text = read_input(source, data=resources.files("hri").joinpath("data/fig2_weights.csv").read_bytes())
+    table = parse_weight_table(text, provenance=PROVENANCE_BUILTIN, source=source)
     issues = validate_weight_table(table)
     if issues:  # the committed file is valid by construction
         raise ValidationError(f"builtin weight table invalid: {issues[0].detail}")

@@ -33,6 +33,7 @@ from test_ivim import one_zone_message
 from test_survey import WEIGHTS_HEADER
 
 CORRIDOR = fixture_path(BASELINE_CORRIDOR_FILE)
+BOM = "\ufeff".encode()  # the UTF-8 byte order mark some editors write at the start of a file
 ROADWORKS = fixture_path(ROADWORKS_OVERLAY_FILE)
 MAINTENANCE = fixture_path(MAINTENANCE_OVERLAY_FILE)
 
@@ -204,6 +205,19 @@ class TestScoreCommand:
         argv = ("score", bare, "--corridor-id", "x", "--length-km", "inf", "--out-csv", out_csv, "--out-json", out_json)
         assert run(*argv) == 2  # was a ParseError, exit 1
         assert capsys.readouterr().err == "error: <meta>: length_km must be at least 0 and finite in metres, got inf\n"
+        assert not out_csv.exists() and not out_json.exists()
+
+    @pytest.mark.parametrize("flag", [("--corridor-id", "x"), ("--length-km", 0.1)], ids=["corridor-id", "length-km"])
+    @pytest.mark.parametrize("corridor", ["bare", "fixture"])
+    def test_lone_metadata_flag_exits_2_without_outputs(self, tmp_path, capsys, flag, corridor):
+        # either flag was dropped: a bare file was refused for its missing metadata, the fixture read its own
+        bare = tmp_path / "bare.csv"
+        bare.write_text("segment_index,attribute,value\n")
+        out_csv, out_json = tmp_path / "p.csv", tmp_path / "p.json"
+        argv = ("score", bare if corridor == "bare" else CORRIDOR, *flag, "--out-csv", out_csv, "--out-json", out_json)
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert capsys.readouterr() == ("", "error: --corridor-id and --length-km must be given together\n")
         assert not out_csv.exists() and not out_json.exists()
 
     @pytest.mark.parametrize(
@@ -583,7 +597,7 @@ class TestIvimCommands:
         profile.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run("ivim", "build", profile, "--station-id", 1, "--out", tmp_path / "m.ivim.txt") == 1
-        assert capsys.readouterr().err == f"error: {profile}: bad score profile: 'start_m'\n"
+        assert capsys.readouterr().err == f"error: {profile}: bad score profile: missing field 'start_m'\n"
 
     def test_build_rejects_class_that_disagrees_with_score_exits_2(self, tmp_path, capsys):
         profile = self.build_profile(tmp_path)
@@ -941,6 +955,35 @@ class TestJsonNumbers:
         with pytest.raises(ParseError, match=re.escape(f"bad rubric for '{attr}': {text}") + "$"):
             load_rubric(rubric)
 
+    @pytest.mark.parametrize("reader, field", [("overlay", "ops"), ("profile", "segments"), ("rubric", "breakpoints")])
+    def test_missing_field_is_named(self, tmp_path, reader, field):
+        # the text was Python's KeyError text, the field name alone: `bad overlay: 'ops'`
+        profile = tmp_path / "p.json"
+        assert run("score", CORRIDOR, "--out-csv", tmp_path / "p.csv", "--out-json", profile) == 0
+        rubric = fixture_path(RUBRIC_EXAMPLE_FILE)
+        attr = next(iter(json.loads(rubric.read_text())))
+        source, load, what = {
+            "overlay": (ROADWORKS, load_overlay, "bad overlay"),
+            "profile": (profile, load_score_profile_json, "bad score profile"),
+            "rubric": (rubric, load_rubric, f"bad rubric for {attr!r}"),
+        }[reader]
+        doc = json.loads(source.read_text())
+        del (doc[attr] if reader == "rubric" else doc)[field]
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as raised:
+            load(path)
+        assert str(raised.value) == f"{path}: {what}: missing field {field!r}"
+
+    def test_score_profile_that_is_not_an_object(self, tmp_path, capsys):
+        # was named as a corridor header without its fields, `corridor metadata must provide corridor_id, ...`
+        profile = tmp_path / "p.json"
+        profile.write_text("[1, 2]\n")
+        capsys.readouterr()
+        assert run("ivim", "build", profile, "--station-id", 1, "--out", tmp_path / "m.ivim.txt") == 1
+        assert capsys.readouterr().err == f"error: {profile}: bad score profile: the document is not an object\n"
+        assert not (tmp_path / "m.ivim.txt").exists()
+
     @pytest.mark.parametrize("reader", ["overlay", "metadata", "sidecar", "profile", "rubric"])
     def test_integer_longer_than_the_interpreter_converts(self, tmp_path, capsys, reader):
         """json reads an integer literal with int(), which refuses more than sys.get_int_max_str_digits() digits:
@@ -1111,9 +1154,11 @@ class TestInputsNoWriterGives:
 
 class TestNonUtf8Input:
     """A byte that is not UTF-8 in any file a command reads is an input error (exit 1) at its line and
-    column, with no output; line ends are read as ``Path.read_text`` reads them."""
+    column, with no output; a leading BOM is dropped and line ends are read as ``Path.read_text`` reads them."""
 
-    READERS = ["weights", "ratings", "respondents", "corridor", "metadata", "overlay", "profile", "text", "message"]
+    READERS = [
+        "weights", "ratings", "respondents", "corridor", "reversed", "metadata", "overlay", "profile", "text", "message"
+    ]
 
     def case(self, reader: str, tmp_path: Path) -> tuple[str, list]:
         """The valid text of the file that ``reader`` names, and a command that reads it from ``tmp_path / "in"``."""
@@ -1130,11 +1175,14 @@ class TestNonUtf8Input:
         meta, rows = CORRIDOR.read_text().split("\n", 1)
         (tmp_path / "rows.csv").write_text(rows)  # the corridor without its metadata line
         sidecar = json.dumps(json.loads(meta[2:]), indent=2)
+        lines = CORRIDOR.read_text().rstrip("\n").split("\n")
+        lines[4:] = lines[:3:-1]  # the rows reversed after the metadata line, two comment lines and the header
         cases = {
             "weights": (dump_weight_table(builtin_weight_table()), ["score", CORRIDOR, "--weights", path, *outputs]),
             "ratings": (ratings.read_text(), ["survey", path, respondents, *survey_outputs]),
             "respondents": (respondents.read_text(), ["survey", ratings, path, *survey_outputs]),
             "corridor": (CORRIDOR.read_text(), ["score", path, *outputs]),
+            "reversed": ("\n".join(lines) + "\n", ["score", path, *outputs]),  # read by the csv loop
             "metadata": (sidecar, ["score", tmp_path / "rows.csv", "--meta", path, *outputs]),
             "overlay": (ROADWORKS.read_text(), ["score", CORRIDOR, "--overlay", path, *outputs]),
             "profile": (profile.read_text(), ["ivim", "build", path, *build, "--out", tmp_path / "out.txt"]),
@@ -1156,17 +1204,45 @@ class TestNonUtf8Input:
         assert err == f"error: {tmp_path / 'in'}:line 2, column 3: byte 0xff is not UTF-8 (invalid start byte)\n"
         assert out == "" and set(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("line", [1, 2])
     @pytest.mark.parametrize("reader", READERS)
-    def test_crlf_reads_as_lf(self, tmp_path, capsys, reader):
+    def test_bad_byte_after_a_bom_and_crlf_lines_is_placed_in_characters(self, tmp_path, capsys, reader, line):
+        # the BOM is no character of line 1, a CRLF is one line end and the two-byte "\u00e9" one character
         valid, argv = self.case(reader, tmp_path)
+        lines = valid.replace("\n", "\r\n").encode().split(b"\r\n")
+        lines[line - 1] = "\u00e9".encode() + lines[line - 1][:1] + b"\xff" + lines[line - 1][1:]
+        (tmp_path / "in").write_bytes(BOM + b"\r\n".join(lines))
+        before = set(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run(*argv) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: {tmp_path / 'in'}:line {line}, column 3: byte 0xff is not UTF-8 (invalid start byte)\n"
+        assert out == "" and set(tmp_path.iterdir()) == before
+
+    def outcomes(self, tmp_path, capsys, argv, twins) -> list:
+        """The standard output and the output files of ``argv`` run on each of ``twins`` written to ``in``."""
         results = []
-        for newline in ("\n", "\r\n"):
-            (tmp_path / "in").write_bytes(valid.replace("\n", newline).encode())
+        for data in twins:
+            (tmp_path / "in").write_bytes(data)
             capsys.readouterr()
             assert run(*argv) == 0
             written = sorted(path for path in tmp_path.iterdir() if path.name.startswith(("out", "w", "d", "y")))
             results.append((capsys.readouterr().out, [path.read_bytes() for path in written]))
-        assert results[0] == results[1]
+        return results
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_crlf_reads_as_lf(self, tmp_path, capsys, reader):
+        valid, argv = self.case(reader, tmp_path)
+        lf, crlf = self.outcomes(tmp_path, capsys, argv, [valid.encode(), valid.replace("\n", "\r\n").encode()])
+        assert lf == crlf
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_bom_twins_read_as_the_lf_file(self, tmp_path, capsys, reader):
+        # a BOM was refused, with a different text for each kind of file
+        valid, argv = self.case(reader, tmp_path)
+        twins = [valid.encode(), BOM + valid.encode(), BOM + valid.replace("\n", "\r\n").encode()]
+        lf, *others = self.outcomes(tmp_path, capsys, argv, twins)
+        assert others == [lf, lf]
 
     def test_rubric(self, tmp_path):  # no command reads a rubric: the library only
         rubric = tmp_path / "rubric.json"

@@ -246,22 +246,28 @@ class TestLoadCorridor:
     def test_utf8_comment_and_crlf_twins_read_as_the_ascii_lf_file(
         self, corridor, tmp_path, monkeypatch, comment, newline
     ):
-        # each twin of the bundled fixture is read as the bytes of its text with LF line ends, so the written
-        # form takes the kernel whatever its line ends and comments; a fault is at the same line
+        # each twin of the bundled fixture, with or without a leading BOM, is read as the bytes of its text with
+        # LF line ends, so the written form takes the kernel whatever its line ends and comments; a fault is at the
+        # same line
         meta, rest = fixture_path(BASELINE_CORRIDOR_FILE).read_text(encoding="utf-8").split("\n", 1)
         text = meta + "\n" + comment + rest
         path = tmp_path / "c.csv"
-        path.write_bytes(text.replace("\n", newline).encode())
-        with monkeypatch.context() as patch:
-            patch.setattr(corridor_module, "_csv_rows", lambda *args: pytest.fail("the written form took the csv loop"))
-            assert load_corridor(path) == corridor
         lines = text.split("\n")
         line = lines.index("17,hd-maps,2") + 1
         lines[line - 1] = "17,hd-maps,3"
-        path.write_bytes("\n".join(lines).replace("\n", newline).encode())
-        with pytest.raises(ParseError) as raised:
-            load_corridor(path)
-        assert str(raised.value) == f"{path}:line {line}: adequacy value must be 0, 1 or 2, got 3"
+
+        def csv_loop(*args):
+            pytest.fail("the written form took the csv loop")
+
+        for bom in (b"", "\ufeff".encode()):
+            path.write_bytes(bom + text.replace("\n", newline).encode())
+            with monkeypatch.context() as patch:
+                patch.setattr(corridor_module, "_csv_rows", csv_loop)
+                assert load_corridor(path) == corridor
+            path.write_bytes(bom + "\n".join(lines).replace("\n", newline).encode())
+            with pytest.raises(ParseError) as raised:
+                load_corridor(path)
+            assert str(raised.value) == f"{path}:line {line}: adequacy value must be 0, 1 or 2, got 3"
 
     @pytest.mark.parametrize("ending", ["", "\n# a comment without a final newline"])
     def test_comment_lines_alone_hold_no_data_rows(self, tmp_path, ending):
@@ -600,6 +606,11 @@ class TestSegmentObservation:
         assert copied.values["hd-maps"] == 2
         proxy = MappingProxyType({"hd-maps": 1})
         assert SegmentObservation(index=0, start_m=0.0, length_m=100.0, values=proxy).values is proxy
+
+    def test_rejects_negative_index(self):
+        with pytest.raises(ValueError) as raised:
+            SegmentObservation(-1, -100.0, 100.0, {"hd-maps": 2})
+        assert str(raised.value) == "segment index must be non-negative, got -1"
 
     def test_rejects_misaligned_start(self):
         with pytest.raises(ValueError, match="start_m"):

@@ -104,6 +104,37 @@ class TestBroadcast:
             receiver.close()
         assert statuses == [IviStatus.NEW, IviStatus.UPDATE, IviStatus.CANCELLATION]
 
+    def test_bound_sender_sends_from_its_address_and_closes(self, monkeypatch):
+        opened = []
+
+        class Recorded(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        probe.bind(("127.0.0.1", 0))
+        bind = probe.getsockname()  # a free loopback port, released for the sender
+        probe.close()
+        receiver = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        receiver.bind(("127.0.0.1", 0))
+        receiver.settimeout(5.0)
+        config = BroadcastConfig(
+            period_s=0.01, count=1, target=receiver.getsockname(), bind=bind, base_timestamp_ms=BASE_TS
+        )
+        try:
+            monkeypatch.setattr(socket, "socket", Recorded)
+            assert run_broadcast(one_zone_message(), config) == 1
+            monkeypatch.undo()
+            received = [receiver.recvfrom(65535) for _ in range(2)]
+        finally:
+            receiver.close()
+        assert [(decode(data).management.ivi_status, sender) for data, sender in received] == [
+            (IviStatus.NEW, bind),
+            (IviStatus.CANCELLATION, bind),
+        ]
+        assert len(opened) == 1 and all(sock.fileno() == -1 for sock in opened)
+
     def test_failed_send_is_logged_and_the_loop_goes_on(self, caplog):
         # port 0 is no destination: each sendto raises OSError (EINVAL)
         out = io.StringIO()

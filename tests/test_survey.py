@@ -56,6 +56,14 @@ class TestAggregateMeanImpact:
         assert table.lookup(AUD, "hd-maps") == 1.5
         assert table.provenance == "custom"
 
+    def test_attributes_leave_out_the_other_ratings(self):
+        responses = [
+            response("a", {("hd-maps", AUD): 2, ("hd-maps", ASD): 1, ("lighting", AUD): 0, ("lighting", ASD): 0}),
+            response("b", {("hd-maps", AUD): 1, ("hd-maps", ASD): 0, ("lighting", AUD): 2}),
+        ]
+        table = aggregate_mean_impact(responses, attributes=["hd-maps"])
+        assert dict(table.weights) == {(ASD, "hd-maps"): 0.5, (AUD, "hd-maps"): 1.5}
+
     def test_constant_input(self):
         ratings = {(attr, group): 2 for attr in attribute_ids() for group in AutomationLevelGroup}
         table = aggregate_mean_impact([response("a", ratings)])

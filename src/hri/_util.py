@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import math
 import os
 import tempfile
@@ -133,6 +134,9 @@ def parse_json(text: str, source: str, *, what: str = "JSON", line: int | None =
     raise ParseError(f"invalid {what}: {fault.msg}", source=source, line=fault.lineno, column=fault.colno)
 
 
+UTF8_CHUNK = 1 << 16  # the bytes read_input_bytes checks for UTF-8 at a time
+
+
 def read_input_bytes(path: str | Path, data: bytes | None = None) -> bytes:
     """The bytes of the file ``path``, or ``data`` when they are already read, as the UTF-8 text they hold: one
     leading BOM dropped, and ``\\r\\n`` and ``\\r`` read as ``\\n`` (no multi-byte UTF-8 sequence holds either
@@ -145,14 +149,18 @@ def read_input_bytes(path: str | Path, data: bytes | None = None) -> bytes:
     if b"\r" in data:  # two statements, so that at most two copies are held at once
         data = data.replace(b"\r\n", b"\n")
         data = data.replace(b"\r", b"\n")
-    if not data.isascii():
-        try:
-            data.decode()
-        except UnicodeDecodeError as exc:
-            before = data[: exc.start].decode()  # the text before the byte, which is UTF-8
-            line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
-            message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
-            raise ParseError(message, source=str(path), line=line, column=column) from None
+    if not data.isascii():  # checked a chunk at a time, so that no text of the whole file is made
+        decoder = codecs.getincrementaldecoder("utf-8")()
+        for start in range(0, len(data), UTF8_CHUNK):
+            held = len(decoder.getstate()[0])  # the bytes of a sequence the last chunk left open
+            try:
+                decoder.decode(data[start : start + UTF8_CHUNK], final=start + UTF8_CHUNK >= len(data))
+            except UnicodeDecodeError as exc:
+                at = start - held + exc.start
+                line_start = data.rfind(b"\n", 0, at) + 1  # the part of the line before the byte is UTF-8
+                line, column = data.count(b"\n", 0, at) + 1, len(data[line_start:at].decode()) + 1
+                message = f"byte 0x{data[at]:02x} is not UTF-8 ({exc.reason})"
+                raise ParseError(message, source=str(path), line=line, column=column) from None
     return data
 
 

@@ -73,15 +73,11 @@ def score(args: argparse.Namespace) -> None:
     _check_threshold(args.threshold)
     if (args.corridor_id is None) != (args.length_km is None):
         raise ValidationError("--corridor-id and --length-km must be given together")
+    if args.corridor_id is not None and args.meta is not None:
+        raise ValidationError("--meta and --corridor-id/--length-km must not be given together")
     table = _load_weights(args.weights)
-    meta: Path | dict | None = args.meta
-    if meta is None and args.corridor_id is not None:
-        meta = {
-            "corridor_id": args.corridor_id,
-            "length_km": args.length_km,
-            "segment_length_m": args.segment_length,
-        }
-    profile = corridor_mod.load_corridor(args.corridor_csv, meta=meta)
+    flags = {"corridor_id": args.corridor_id, "length_km": args.length_km, "segment_length_m": args.segment_length}
+    profile = corridor_mod.load_corridor(args.corridor_csv, meta=args.meta if args.corridor_id is None else flags)
     overlays = [corridor_mod.load_overlay(overlay_path) for overlay_path in args.overlay or ()]
     profile = corridor_mod.apply_overlay(profile, *overlays)
     assessment = scoring_mod.score_corridor(profile, table, threshold=args.threshold)
@@ -404,12 +400,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p = command(commands, "score", score)
     p.add_argument("corridor_csv", type=Path)
-    p.add_argument("--meta", type=Path, help="Corridor metadata JSON sidecar.")
-    p.add_argument("--corridor-id", help="Metadata fallback when the CSV has no metadata line.")
-    p.add_argument("--length-km", type=float, help="Metadata fallback corridor length.")
+    p.add_argument("--meta", type=Path, help="Corridor metadata JSON sidecar; must agree with a metadata line.")
+    p.add_argument("--corridor-id", help="Corridor metadata in place of --meta; must agree with a metadata line.")
+    p.add_argument("--length-km", type=float, help="Corridor length, with --corridor-id.")
     p.add_argument(
         "--segment-length", type=float, default=DEFAULT_SEGMENT_LENGTH_M,
-        help="Metadata fallback segment length, metres.",
+        help="Segment length, metres, with --corridor-id.",
     )
     p.add_argument(
         "--weights", default=os.environ.get("HRI_WEIGHTS") or "builtin",

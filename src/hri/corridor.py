@@ -333,8 +333,9 @@ def load_corridor(
 ) -> CorridorProfile:
     """Load a corridor CSV, enforcing attribute totality per segment.
 
-    ``meta`` may be a JSON sidecar path or a mapping; it is ignored when the
-    CSV itself starts with a ``# {...}`` metadata line.
+    The metadata comes from a leading ``# {...}`` line of the CSV or from
+    ``meta``, a JSON sidecar path or a mapping. Given in both places, they
+    must agree field for field, else a ValidationError names both.
     """
     source = str(path)
     data = read_input_bytes(path)
@@ -346,15 +347,19 @@ def load_corridor(
         if candidate.startswith("{"):
             doc = parse_json(candidate, source, what="metadata JSON", line=1)
             header = read_header(doc, source, line=1)
+    if meta is not None:
+        meta_source = "<meta>" if isinstance(meta, Mapping) else str(meta)
+        doc = dict(meta) if isinstance(meta, Mapping) else parse_json(read_input(meta), meta_source)
+        given = read_header(doc, meta_source)
+        if header is not None and given != header:
+            fields = zip(("corridor_id", "length_km", "segment_length_m"), header, given)
+            name, ours, theirs = next(field for field in fields if field[1] != field[2])
+            raise ValidationError(
+                f"corridor metadata given twice: {source}:line 1 has {name} {ours!r}, {meta_source} has {theirs!r}"
+            )
+        header = given
     if header is None:
-        if meta is None:
-            raise ParseError("no metadata: expected a leading '# {json}' line or a sidecar", source=source)
-        if isinstance(meta, Mapping):
-            header = read_header(dict(meta), "<meta>")
-        else:
-            meta_source = str(meta)
-            doc = parse_json(read_input(meta), meta_source)
-            header = read_header(doc, meta_source)
+        raise ParseError("no metadata: expected a leading '# {json}' line or a sidecar", source=source)
 
     corridor_id, length_km, segment_length_m = header
     registry = attribute_ids()

@@ -51,7 +51,6 @@ _FLAG_AV = 0x02
 
 _U8 = 0xFF
 _CPCT_MAX = 100 * 100  # 100.00 %
-_CPCT_BAND_EDGES = tuple(round(edge * 100) for edge in BAND_EDGES)  # where each band after the first starts, in cpct
 
 
 class IviStatus(Enum):
@@ -301,7 +300,7 @@ def _problems(msg: IvimMessage):
         groups = ("asd", zone.asd_class, zone.asd_score_cpct), ("aud", zone.aud_class, zone.aud_score_cpct)
         for group, readiness_class, cpct in groups:
             if 0 <= cpct <= _CPCT_MAX:
-                band = BANDS[bisect_right(_CPCT_BAND_EDGES, cpct)]
+                band = BANDS[bisect_right(BAND_EDGES, cpct / 100)]
                 if readiness_class is not band:
                     problem = f"{group}_class {readiness_class.value!r} does not match {group}_score_cpct {cpct}"
                     yield i, f"{group}_class", f"{at}{problem} ({band.value})"

@@ -61,12 +61,10 @@ def run_broadcast(
         if config.bind is not None:
             sock.bind(config.bind)
 
-    def stamp(i: int) -> int:
-        if config.base_timestamp_ms is not None:
-            return config.base_timestamp_ms + i * period_ms
-        return now_ms()
-
-    def emit(payload: bytes) -> None:
+    def emit(i: int, status: IviStatus) -> None:
+        """Send emission ``i``, stamped and encoded with ``status``."""
+        timestamp_ms = now_ms() if config.base_timestamp_ms is None else config.base_timestamp_ms + i * period_ms
+        payload = encode(with_management(message, timestamp_ms=timestamp_ms, ivi_status=status))
         if sock is not None:
             try:
                 sock.sendto(payload, config.target)
@@ -81,20 +79,13 @@ def run_broadcast(
     emissions = 0
     try:
         while not stop.is_set():
-            status = IviStatus.NEW if emissions == 0 else IviStatus.UPDATE
-            emit(encode(with_management(message, timestamp_ms=stamp(emissions), ivi_status=status)))
+            emit(emissions, IviStatus.NEW if emissions == 0 else IviStatus.UPDATE)
             emissions += 1
             if config.count is not None and emissions >= config.count:
                 break
             if stop.wait(config.period_s):
                 break
-        emit(
-            encode(
-                with_management(
-                    message, timestamp_ms=stamp(emissions), ivi_status=IviStatus.CANCELLATION
-                )
-            )
-        )
+        emit(emissions, IviStatus.CANCELLATION)
     finally:
         if sock is not None:
             sock.close()

@@ -71,11 +71,9 @@ class Recommendation:
 
     segment_index: int | None
     allowed_sae_levels: frozenset[int]
-    scores: Mapping[AutomationLevelGroup, ReadinessScore]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "allowed_sae_levels", LEVEL_SETS[level_code(self.allowed_sae_levels)])
-        object.__setattr__(self, "scores", MappingProxyType(dict(self.scores)))
 
 
 class _WeightedRatio:
@@ -170,11 +168,7 @@ def recommend(
     passes = operator.ge if threshold_inclusive else operator.gt
     (code,) = _level_codes([scores[_ASD].value], [scores[_AUD].value], threshold, passes)
     indexes = {score.segment_index for score in scores.values()}
-    return Recommendation(
-        segment_index=indexes.pop() if len(indexes) == 1 else None,
-        allowed_sae_levels=LEVEL_SETS[code],
-        scores=scores,
-    )
+    return Recommendation(indexes.pop() if len(indexes) == 1 else None, LEVEL_SETS[code])
 
 
 @dataclass(frozen=True)
@@ -208,7 +202,7 @@ class SegmentAssessment:
 
     @property
     def recommendation(self) -> Recommendation:
-        return Recommendation(self.segment_index, self.allowed_sae_levels, self.scores)
+        return Recommendation(self.segment_index, self.allowed_sae_levels)
 
 
 _LEVEL_BYTES = bytes(range(len(LEVEL_SETS)))
@@ -363,12 +357,11 @@ DEFAULT_DEGRADED_LEVELS: Mapping[MacroCategory, int] = MappingProxyType(
 
 @dataclass(frozen=True)
 class SensitivityConfig:
-    """Scenario plus the adequacy assigned to degraded physical categories."""
+    """Scenario plus the adequacy assigned to degraded physical categories; a category not given in
+    ``degraded_levels`` keeps its level in ``DEFAULT_DEGRADED_LEVELS``."""
 
     scenario: SensitivityScenario
-    degraded_levels: Mapping[MacroCategory, int] = field(
-        default_factory=lambda: dict(DEFAULT_DEGRADED_LEVELS)
-    )
+    degraded_levels: Mapping[MacroCategory, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for category, level in self.degraded_levels.items():
@@ -383,14 +376,9 @@ class SensitivityConfig:
     def category_values(self) -> dict[MacroCategory, int]:
         if self.scenario is SensitivityScenario.COMPLIANT_NO_HD:
             values = {category: 2 for category in _PHYSICAL_CATEGORIES}
-            hd = 0
-        elif self.scenario is SensitivityScenario.DEGRADED_NO_HD:
-            values = dict(self.degraded_levels)
-            hd = 0
         else:
             values = dict(self.degraded_levels)
-            hd = 2
-        values[MacroCategory.PRELOADED_HD_MAPS] = hd
+        values[MacroCategory.PRELOADED_HD_MAPS] = 2 if self.scenario is SensitivityScenario.DEGRADED_WITH_HD else 0
         return values
 
 

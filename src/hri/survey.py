@@ -70,6 +70,14 @@ class SurveyResponse:
         object.__setattr__(self, "cits_day_ratings", MappingProxyType(dict(self.cits_day_ratings)))
 
 
+def _means(ratings: Iterable[tuple]) -> dict:
+    """The mean rating of each key of the ``(key, rating)`` pairs, keys in first-seen order."""
+    rated: dict = {}
+    for key, rating in ratings:
+        rated.setdefault(key, []).append(rating)
+    return {key: sum(values) / len(values) for key, values in rated.items()}
+
+
 def aggregate_mean_impact(
     responses: Sequence[SurveyResponse],
     attributes: Iterable[str] | None = None,
@@ -82,29 +90,17 @@ def aggregate_mean_impact(
     ids = tuple(attributes) if attributes is not None else attribute_ids()
     if not responses:
         raise ValidationError("cannot aggregate an empty response list")
-    sums: dict[tuple[AutomationLevelGroup, str], int] = {}
-    counts: dict[tuple[AutomationLevelGroup, str], int] = {}
-    for response in responses:
-        for (attr, group), rating in response.attribute_ratings.items():
-            if attr not in ids:
-                continue
-            key = (group, attr)
-            sums[key] = sums.get(key, 0) + rating
-            counts[key] = counts.get(key, 0) + 1
-    missing = [
-        (group, attr)
-        for attr in ids
-        for group in AutomationLevelGroup
-        if counts.get((group, attr), 0) == 0
-    ]
+    means = _means(
+        ((group, attr), rating)
+        for response in responses
+        for (attr, group), rating in response.attribute_ratings.items()
+        if attr in ids
+    )
+    missing = [(group, attr) for attr in ids for group in AutomationLevelGroup if (group, attr) not in means]
     if missing:
         listed = ", ".join(f"({g.value}, {a})" for g, a in missing)
         raise ValidationError(f"no ratings for: {listed}")
-    weights = {
-        (group, attr): sums[(group, attr)] / counts[(group, attr)]
-        for group in AutomationLevelGroup
-        for attr in ids
-    }
+    weights = {(group, attr): means[(group, attr)] for group in AutomationLevelGroup for attr in ids}
     return WeightTable(weights, provenance=PROVENANCE_CUSTOM)
 
 
@@ -129,14 +125,9 @@ def grouped_mean(
     Groups with no ratings at all are absent from the result rather than
     reported as zero.
     """
-    sums: dict[tuple[Region, DayService], int] = {}
-    counts: dict[tuple[Region, DayService], int] = {}
-    for response in responses:
-        for day, rating in response.cits_day_ratings.items():
-            key = (response.region, day)
-            sums[key] = sums.get(key, 0) + rating
-            counts[key] = counts.get(key, 0) + 1
-    return {key: sums[key] / counts[key] for key in sums}
+    return _means(
+        ((response.region, day), rating) for response in responses for day, rating in response.cits_day_ratings.items()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,12 @@ def validate_weight_table(table: WeightTable) -> list[WeightIssue]:
 _WEIGHT_HEADER = ("attribute", "asd_weight", "aud_weight")
 
 
+def _group_major(pairs: Mapping) -> dict:
+    """``{(group, key): weight}`` of ``{key: (asd, aud)}``, group-major, so that each group's weights follow the
+    keys' order (``group_weights()`` gives a weight file's attributes in file order)."""
+    return {(group, key): pair[slot] for slot, group in enumerate(AutomationLevelGroup) for key, pair in pairs.items()}
+
+
 def parse_weight_table(
     text: str,
     *,
@@ -197,13 +203,7 @@ def parse_weight_table(
         pairs[attr] = (asd_w, aud_w)
 
     read_csv_table(text, source, _WEIGHT_HEADER, "empty weight table", read_row)
-    # Group-major, so that group_weights() follows file order per group.
-    weights = {
-        (group, attr): pair[slot]
-        for slot, group in enumerate(AutomationLevelGroup)
-        for attr, pair in pairs.items()
-    }
-    return WeightTable(weights, provenance=provenance)
+    return WeightTable(_group_major(pairs), provenance=provenance)
 
 
 def load_weight_table(path: str | Path) -> WeightTable:
@@ -243,8 +243,4 @@ _MACRO_WEIGHTS: Mapping[MacroCategory, tuple[float, float]] = MappingProxyType(
 @lru_cache(maxsize=1)
 def macro_weight_table() -> Mapping[tuple[AutomationLevelGroup, MacroCategory], float]:
     """The eight averaged macro-category weights from the expert survey."""
-    table = {}
-    for group in AutomationLevelGroup:
-        for category, (asd_w, aud_w) in _MACRO_WEIGHTS.items():
-            table[(group, category)] = asd_w if group is AutomationLevelGroup.ASD else aud_w
-    return MappingProxyType(table)
+    return MappingProxyType(_group_major(_MACRO_WEIGHTS))

@@ -221,6 +221,50 @@ class TestScoreCommand:
         assert not out_csv.exists() and not out_json.exists()
 
     @pytest.mark.parametrize(
+        "corridor, given, code, outcome",
+        [
+            ("line", (), 0, "D08-synthetic"),
+            ("line", ("--corridor-id", "D08-synthetic", "--length-km", 24), 0, "D08-synthetic"),
+            ("line", ("--corridor-id", "other", "--length-km", 1), 2, "{line} has corridor_id 'D08-synthetic', <meta> "
+             "has 'other'"),
+            ("line", ("--corridor-id", "D08-synthetic", "--length-km", 24, "--segment-length", 50), 2,
+             "{line} has segment_length_m 100.0, <meta> has 50.0"),
+            ("line", ("--meta", "same.json"), 0, "D08-synthetic"),
+            ("line", ("--meta", "side.json"), 2, "{line} has corridor_id 'D08-synthetic', {side} has 'side'"),
+            ("line", ("--meta", "same.json", "--corridor-id", "D08-synthetic", "--length-km", 24), 2, "flags"),
+            ("bare", ("--meta", "side.json", "--corridor-id", "side", "--length-km", 24), 2, "flags"),
+            ("bare", ("--corridor-id", "spur", "--length-km", 24), 0, "spur"),
+            ("bare", ("--meta", "side.json"), 0, "side"),
+        ],
+        ids=[
+            "line", "line+flags", "line+other-flags", "line+other-segment-length", "line+meta", "line+other-meta",
+            "line+meta+flags", "bare+meta+flags", "bare+flags", "bare+meta",
+        ],
+    )
+    def test_metadata_from_one_place(self, tmp_path, capsys, corridor, given, code, outcome):
+        # a sidecar or flags beside a metadata line were dropped without a word, and --meta beat the flags
+        line, body = CORRIDOR.read_text().split("\n", 1)
+        bare = tmp_path / "bare.csv"
+        bare.write_text(body)
+        side = tmp_path / "side.json"
+        side.write_text(json.dumps({"corridor_id": "side", "length_km": 24, "segment_length_m": 100}))
+        (tmp_path / "same.json").write_text(line.lstrip("# "))
+        given = [tmp_path / arg if str(arg).endswith(".json") else arg for arg in given]
+        out_csv, out_json = tmp_path / "p.csv", tmp_path / "p.json"
+        capsys.readouterr()
+        argv = ("score", CORRIDOR if corridor == "line" else bare, *given, "--out-csv", out_csv, "--out-json", out_json)
+        assert run(*argv) == code
+        if code == 0:
+            assert json.loads(out_json.read_text())["corridor_id"] == outcome
+            return
+        if outcome == "flags":
+            problem = "--meta and --corridor-id/--length-km must not be given together"
+        else:
+            problem = "corridor metadata given twice: " + outcome.format(line=f"{CORRIDOR}:line 1", side=side)
+        assert capsys.readouterr() == ("", f"error: {problem}\n")
+        assert not out_csv.exists() and not out_json.exists()
+
+    @pytest.mark.parametrize(
         "asd_weight, code, problem",
         [
             ("nan", 1, "weight for 'lighting' is not finite"),
@@ -1243,6 +1287,29 @@ class TestNonUtf8Input:
         twins = [valid.encode(), BOM + valid.encode(), BOM + valid.replace("\n", "\r\n").encode()]
         lf, *others = self.outcomes(tmp_path, capsys, argv, twins)
         assert others == [lf, lf]
+
+    @pytest.mark.parametrize("chunk", range(1, 9))
+    @pytest.mark.parametrize(
+        "tail, problem",
+        [
+            (b"\xe2\x80A\n", "byte 0xe2 is not UTF-8 (invalid continuation byte)"),
+            (b"\xf0\x9f\x98", "byte 0xf0 is not UTF-8 (unexpected end of data)"),
+        ],
+        ids=["invalid", "truncated"],
+    )
+    def test_sequence_across_check_chunks_is_placed_as_in_one(self, tmp_path, monkeypatch, chunk, tail, problem):
+        # the check reads UTF8_CHUNK bytes at a time: with small chunks, the sequences before the bad one and the bad
+        # one itself are cut at every offset
+        from hri import _util
+
+        monkeypatch.setattr(_util, "UTF8_CHUNK", chunk)
+        path = tmp_path / "in"
+        path.write_bytes("ab\n\u00e9\u2013\U0001f600".encode() + tail)
+        with pytest.raises(ParseError) as raised:
+            _util.read_input_bytes(path)
+        assert str(raised.value) == f"{path}:line 2, column 4: {problem}"
+        path.write_bytes("ab\n\u00e9\u2013\U0001f600\n".encode())
+        assert _util.read_input(path) == "ab\n\u00e9\u2013\U0001f600\n"
 
     def test_rubric(self, tmp_path):  # no command reads a rubric: the library only
         rubric = tmp_path / "rubric.json"

@@ -291,6 +291,14 @@ class TestLoadCorridor:
         with pytest.raises(ParseError, match="no metadata"):
             load_corridor(csv_path)
 
+    def test_metadata_given_twice_must_agree_field_for_field(self):
+        path = fixture_path(BASELINE_CORRIDOR_FILE)
+        same = {"corridor_id": "D08-synthetic", "length_km": 24, "segment_length_m": 100}  # ints equal to the floats
+        assert load_corridor(path, meta=same) == load_corridor(path)
+        with pytest.raises(ValidationError) as raised:
+            load_corridor(path, meta={**same, "length_km": 1})
+        assert str(raised.value) == f"corridor metadata given twice: {path}:line 1 has length_km 24.0, <meta> has 1.0"
+
 
 class TestApplyOverlay:
     def test_km_range_affects_exact_segments(self, corridor):

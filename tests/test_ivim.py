@@ -32,7 +32,7 @@ from hri.ivim import (
 from hri._util import ADEQUACY, expected_segment_count
 from hri.corridor import CorridorProfile, OverlayOp, ScenarioOverlay, SegmentObservation, apply_overlay
 from hri.scoring import ReadinessClass, classify, score_corridor
-from hri.taxonomy import AutomationLevelGroup, attribute_ids
+from hri.taxonomy import AutomationLevelGroup, attribute_ids, readiness_band
 
 ASD = AutomationLevelGroup.ASD
 AUD = AutomationLevelGroup.AUD
@@ -736,6 +736,19 @@ class TestOneChecker:
         for readiness_class in CLASSES:
             issues = validate_message(with_zones([replace(zone, asd_class=readiness_class)]))
             assert (issues == []) == (readiness_class.value == band == classify(cpct / 100).value), issues
+
+    def test_the_class_rule_is_readiness_band_at_every_cpct(self):
+        zone = one_zone_message().av.zones[0]
+        for cpct in range(10001):
+            band = readiness_band(cpct / 100)
+            banded = replace(zone, asd_class=band, aud_class=band, asd_score_cpct=cpct, aud_score_cpct=cpct)
+            assert validate_message(with_zones([banded])) == [], cpct
+            for group in ("asd", "aud"):
+                for readiness_class in CLASSES:
+                    if readiness_class is not band:
+                        issues = validate_message(with_zones([replace(banded, **{f"{group}_class": readiness_class})]))
+                        problem = f"{group}_class {readiness_class.value!r} does not match {group}_score_cpct {cpct}"
+                        assert issues == [f"zone 0: {problem} ({band.value})"]
 
     def test_a_score_out_of_range_is_a_range_fault_alone(self):
         zone = replace(one_zone_message().av.zones[0], asd_class=ReadinessClass.UNLIKELY, asd_score_cpct=10001)

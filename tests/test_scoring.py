@@ -502,7 +502,7 @@ class TestSegmentAssessmentStore:
         assert type(seg.scores) is MappingProxyType and seg.scores == scores
         assert type(seg.classes) is MappingProxyType
         assert dict(seg.classes) == {ASD: ReadinessClass.HIGHLY_LIKELY, AUD: ReadinessClass.MAY_BE}
-        assert seg.recommendation == Recommendation(4, frozenset({1, 2}), scores)
+        assert seg.recommendation == Recommendation(4, frozenset({1, 2}))
         assert seg.recommendation == recommend(scores)
         assert seg.end_m == 500.0
 
@@ -529,7 +529,7 @@ class TestSegmentAssessmentStore:
         assert str(raised.value) == message
         if "levels" in kwargs:
             with pytest.raises(ValueError) as raised:
-                Recommendation(0, kwargs["levels"], {})
+                Recommendation(0, kwargs["levels"])
             assert str(raised.value) == message
 
     def test_loader_accepts_integral_floats(self, baseline_assessment, tmp_path):

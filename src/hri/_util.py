@@ -23,6 +23,7 @@ ADEQUACY = (0, 1, 2)  # the adequacy scale of every attribute value and survey r
 BLANKS = " \t\n\r\v\f"  # the ASCII blanks: all that is stripped from around a CSV cell or canonical-text field
 
 GEOM_EPS = 1e-6  # float slack for chainage arithmetic on metre grids
+SLICE_SEGMENTS = 4096  # the most segments whose written text a written-form kernel rebuilds at once
 
 
 def header_error(length_km: float, segment_length_m: float) -> str | None:

@@ -23,7 +23,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._util import DEFAULT_SEGMENT_LENGTH_M  # noqa: F401 - public at this path too
-from ._util import ADEQUACY, BLANKS, GEOM_EPS as _GEOM_EPS, check_adequacy, expected_segment_count, grid_error
+from ._util import ADEQUACY, BLANKS, GEOM_EPS as _GEOM_EPS, SLICE_SEGMENTS as _SLICE_SEGMENTS, check_adequacy
+from ._util import expected_segment_count, grid_error
 from ._util import hold_to_grid, json_fault, json_float, json_int, json_str, parse_adequacy, parse_int, parse_json
 from ._util import read_csv_table, read_header, read_input, read_input_bytes, write_csv_table
 from .errors import ParseError, ValidationError
@@ -323,7 +324,6 @@ def load_rubric(path: str | Path) -> dict[str, RubricEntry]:
 
 _CORRIDOR_HEADER = ["segment_index", "attribute", "value"]
 _PLAIN_HEADER = (",".join(_CORRIDOR_HEADER) + "\n").encode()
-_SLICE_SEGMENTS = 4096  # the most segments whose written lines the kernel rebuilds at once
 _CELL_OF_DIGIT = bytes.maketrans(_DIGITS, bytes(ADEQUACY))  # a written value -> its cell byte
 
 

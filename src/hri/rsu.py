@@ -3,8 +3,10 @@
 Re-emits one message every period with a fresh management timestamp:
 ``new`` on the first emission, ``update`` afterwards, and a final
 ``cancellation`` when the loop ends (count reached or stop requested).
-Datagrams go to a UDP target, or as hex lines to a writer in dry-run mode.
-Transient send failures are logged and do not stop the loop.
+Datagrams go to a UDP target, resolved once to an IPv4 address before the
+first emission, or as hex lines to a writer in dry-run mode. A target that
+does not resolve is an OSError before anything is sent; transient send
+failures are logged and do not stop the loop.
 """
 
 from __future__ import annotations
@@ -40,6 +42,19 @@ class BroadcastConfig:
             raise ValidationError(f"broadcast count must be at least 1, got {self.count}")
 
 
+def _ipv4_address(target: tuple[str, int]) -> tuple[str, int]:
+    """The IPv4 UDP address of ``target``; a host that does not resolve to one is an OSError naming the target."""
+    host, port = target
+    if ":" in host or "[" in host:  # an IPv6 literal, bracketed or not, names no IPv4 host: nothing is looked up
+        problem = "not an IPv4 host name or address"
+    else:
+        try:
+            return socket.getaddrinfo(host, port, socket.AF_INET, socket.SOCK_DGRAM)[0][4]
+        except OSError as exc:
+            problem = str(exc)
+    raise OSError(f"UDP target {host}:{port} does not resolve to an IPv4 address: {problem}")
+
+
 def run_broadcast(
     message: IvimMessage,
     config: BroadcastConfig,
@@ -57,6 +72,7 @@ def run_broadcast(
 
     sock: socket.socket | None = None
     if config.target is not None:
+        address = _ipv4_address(config.target)
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         if config.bind is not None:
             sock.bind(config.bind)
@@ -67,7 +83,7 @@ def run_broadcast(
         payload = encode(with_management(message, timestamp_ms=timestamp_ms, ivi_status=status))
         if sock is not None:
             try:
-                sock.sendto(payload, config.target)
+                sock.sendto(payload, address)
             except OSError as exc:
                 import logging  # here, so that importing hri.rsu does not load logging
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,10 +34,10 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from ._util import ADEQUACY, BANDS, DEFAULT_THRESHOLD, LEVEL_CODES, LEVEL_SETS, V_MAX, AutomationLevelGroup
-from ._util import MacroCategory, ReadinessClass, band_indexes, check_adequacy, check_scores, grid_error, hold_to_grid
-from ._util import json_fault, json_float, json_int, json_str, level_code, parse_json, read_header, read_input
-from ._util import readiness_band, segment_count_error
+from ._util import ADEQUACY, BANDS, DEFAULT_THRESHOLD, LEVEL_CODES, LEVEL_SETS, SLICE_SEGMENTS, V_MAX
+from ._util import AutomationLevelGroup, MacroCategory, ReadinessClass, band_indexes, check_adequacy, check_scores
+from ._util import expected_segment_count, grid_error, hold_to_grid, json_fault, json_float, json_int, json_str
+from ._util import level_code, parse_json, read_header, read_input, readiness_band, segment_count_error
 from .errors import ParseError, ValidationError
 
 if TYPE_CHECKING:
@@ -474,73 +475,184 @@ _LEVELS_JSON = tuple(
 )
 
 
+def _profile_head(corridor_id, length_km, segment_length_m, threshold, weight_provenance) -> str:
+    """The written profile up to the comma before ``"segments"``."""
+    return (
+        "{\n"
+        f'  "corridor_id": {encode_basestring_ascii(corridor_id)},\n'
+        f'  "length_km": {_json_number(length_km)},\n'
+        f'  "segment_length_m": {_json_number(segment_length_m)},\n'
+        f'  "threshold": {_json_number(threshold)},\n'
+        f'  "weight_provenance": {encode_basestring_ascii(weight_provenance)}'
+    )
+
+
+_SEGMENTS_KEY = ',\n  "segments": '
+_SEGMENT_PIECES = _SEGMENT_JSON.split("%s")
+# a segment's text after its aud score, by its asd band, its aud band and its level-set code
+_SEGMENT_ENDS = tuple(
+    tuple(
+        tuple(
+            _SEGMENT_PIECES[5] + asd + _SEGMENT_PIECES[6] + aud + _SEGMENT_PIECES[7] + levels + _SEGMENT_PIECES[8]
+            for levels in _LEVELS_JSON
+        )
+        for aud in _CLASS_NAMES
+    )
+    for asd in _CLASS_NAMES
+)
+
+
+def _segments_text(first: int, length: float, asd_texts, aud_texts, asd_scores, aud_scores, levels) -> str:
+    """Segments ``first``, ``first + 1``, ... of the written profile, joined by ``",\n"``: each is ``_SEGMENT_JSON``
+    filled in from one value of each column, the scores written as ``asd_texts`` and ``aud_texts``."""
+    indexes = range(first, first + len(levels))
+    before_index, before_start, before_length, before_asd, before_aud = _SEGMENT_PIECES[:5]
+    if type(length) is float and length.is_integer() and indexes.stop * length <= 2.0**53:
+        # each start is a whole number of at most 2**53, exact as a float, which float.__repr__ writes as digits + ".0"
+        step = int(length)
+        starts, after_start = map(str, range(first * step, indexes.stop * step, step)), ".0"
+    else:
+        starts, after_start = _json_numbers([index * length for index in indexes]), ""
+    asd_bands, aud_bands = band_indexes(asd_scores), band_indexes(aud_scores)
+    ends = map(operator.getitem, map(operator.getitem, map(_SEGMENT_ENDS.__getitem__, asd_bands), aud_bands), levels)
+    segments = zip(
+        repeat(before_index),
+        map(str, indexes),
+        repeat(before_start),
+        starts,
+        repeat(after_start + before_length + _json_number(length) + before_asd),
+        asd_texts,
+        repeat(before_aud),
+        aud_texts,
+        ends,
+    )
+    return ",\n".join(map("".join, segments))
+
+
 def dump_score_profile_json(assessment: CorridorAssessment) -> str:
     """JSON score profile with full float precision.
 
     The text is byte-identical to ``json.dumps(doc, indent=2) + "\n"`` for
     the document of the README's "File formats" section, written directly
-    because ``json`` skips its C encoder whenever ``indent`` is set. Each
-    segment is the template's constant pieces joined with one value from
-    each column.
+    because ``json`` skips its C encoder whenever ``indent`` is set.
     """
+    head = _profile_head(
+        assessment.corridor_id,
+        assessment.length_km,
+        assessment.segment_length_m,
+        assessment.threshold,
+        assessment.weight_provenance,
+    )
     segments = assessment.segments
-    n, length = len(segments), segments.segment_length_m
-    columns = (
-        map(str, range(n)),
-        _json_numbers([index * length for index in range(n)]),
-        # length_m: the same text in every segment, written into the constant pieces below
-        _json_numbers(segments.asd_scores),
-        _json_numbers(segments.aud_scores),
-        _class_names(segments.asd_scores),
-        _class_names(segments.aud_scores),
-        map(_LEVELS_JSON.__getitem__, segments.levels),
-    )
-    first, *pieces = (_SEGMENT_JSON % ("%s", "%s", _json_number(length), *["%s"] * 5)).split("%s")
-    parts = [repeat(first)]
-    for column, piece in zip(columns, pieces):
-        parts += (column, repeat(piece))
-    segments_json = "[\n" + ",\n".join(map("".join, zip(*parts))) + "\n  ]" if n else "[]"
-    return (
-        "{\n"
-        f'  "corridor_id": {encode_basestring_ascii(assessment.corridor_id)},\n'
-        f'  "length_km": {_json_number(assessment.length_km)},\n'
-        f'  "segment_length_m": {_json_number(assessment.segment_length_m)},\n'
-        f'  "threshold": {_json_number(assessment.threshold)},\n'
-        f'  "weight_provenance": {encode_basestring_ascii(assessment.weight_provenance)},\n'
-        f'  "segments": {segments_json}\n'
-        "}\n"
-    )
+    if not segments:
+        return head + _SEGMENTS_KEY + "[]\n}\n"
+    asd, aud, length = segments.asd_scores, segments.aud_scores, segments.segment_length_m
+    body = _segments_text(0, length, _json_numbers(asd), _json_numbers(aud), asd, aud, segments.levels)
+    return "".join((head, _SEGMENTS_KEY, "[\n", body, "\n  ]\n}\n"))  # one copy of the body, not one per piece
+
+
+# the asd and aud score texts of a segment in the written form: at most 32 characters each (a float's repr has at
+# most 24), so that no match attempt runs on to the end of a long line
+_SCORE_TEXTS = re.compile(r'"asd_score": ([^,\n]{1,32}),\n      "aud_score": ([^,\n]{1,32}),\n')
+
+
+def _written_profile(text: str) -> CorridorAssessment | None:
+    """The assessment of a profile ``text`` in the written form, or None for any other text.
+
+    The written form is what :func:`dump_score_profile_json` writes, with each
+    score written as any JSON number text of at most 32 characters that
+    reads as a float. The header is read by one ``json.loads`` of the text
+    before ``"segments"``; the score texts of at most ``SLICE_SEGMENTS``
+    segments at a time are read by one ``json.loads`` of their list, and the
+    slice is rendered from them, as written, and must equal the text there.
+    Any other text, a header or scores that break a rule among them, gives
+    None, and :func:`load_score_profile_json`'s checker reads it or reports
+    its first fault.
+    """
+    head_end = text.find(_SEGMENTS_KEY)
+    if head_end < 0:
+        return None
+    try:
+        doc = json.loads(text[:head_end] + "}")
+        corridor_id = json_str(doc["corridor_id"], "corridor_id")
+        weight_provenance = json_str(doc["weight_provenance"], "weight_provenance")
+        length_km, segment_length_m, threshold = (
+            json_float(doc[name], name) for name in ("length_km", "segment_length_m", "threshold")
+        )
+        count = expected_segment_count(length_km, segment_length_m)
+    except (KeyError, TypeError, ValueError, RecursionError, ValidationError):
+        return None
+    head = _profile_head(corridor_id, length_km, segment_length_m, threshold, weight_provenance)
+    if len(head) != head_end or not text.startswith(head):
+        return None
+    at = head_end + len(_SEGMENTS_KEY)
+    asd, aud, levels = [], [], bytearray()
+    for low in range(0, count, SLICE_SEGMENTS):
+        high = min(low + SLICE_SEGMENTS, count)
+        at += 2  # "[\n" before the first segment, ",\n" before each other slice
+        if not text.startswith("[\n" if low == 0 else ",\n", at - 2):
+            return None
+        end = text.find('\n      "segment_index": %d,\n' % high, at) if high < count else len(text)
+        pairs = _SCORE_TEXTS.findall(text, at, end) if end >= 0 else ()
+        if len(pairs) != high - low:
+            return None
+        asd_texts, aud_texts = zip(*pairs)
+        try:  # no text holds a comma, so each is one item of the list, or the list is not all floats
+            scores = json.loads("[" + ",".join(chain(asd_texts, aud_texts)) + "]")
+        except ValueError:
+            return None
+        if len(scores) != 2 * len(pairs) or {*map(type, scores)} != {float}:
+            return None
+        slice_asd, slice_aud = scores[: len(pairs)], scores[len(pairs) :]
+        slice_levels = _level_codes(slice_asd, slice_aud, threshold, operator.ge)
+        rendered = _segments_text(low, segment_length_m, asd_texts, aud_texts, slice_asd, slice_aud, slice_levels)
+        if not text.startswith(rendered, at):
+            return None
+        at += len(rendered)
+        asd += slice_asd
+        aud += slice_aud
+        levels += bytes(slice_levels)
+    tail = "\n  ]\n}\n" if count else "[]\n}\n"
+    if len(text) != at + len(tail) or not text.startswith(tail, at):
+        return None
+    try:
+        segments = SegmentColumns(asd, aud, levels, segment_length_m)
+    except ValueError:  # a score outside [0, 100], NaN included
+        return None
+    return CorridorAssessment(corridor_id, length_km, segment_length_m, threshold, weight_provenance, segments)
 
 
 # a segment lacking several of these fields is reported as lacking the first
 _SEGMENT_FIELDS = operator.itemgetter(
     "segment_index", "asd_score", "aud_score", "asd_class", "aud_class", "allowed_sae_levels", "start_m", "length_m"
 )
-_LEVEL_LISTS = tuple(sorted(levels) for levels in LEVEL_SETS)
-
-
-def _typed(column: tuple, kind: type, convert, name: str) -> tuple:
-    """``column`` when each value has the writer's type ``kind``, else ``convert(value, name)`` of each."""
-    return column if {*map(type, column)} <= {kind} else tuple(map(convert, column, repeat(name)))
 
 
 def load_score_profile_json(path: str | Path) -> CorridorAssessment:
     """Reconstruct an assessment from its JSON profile.
 
-    The document is checked column by column, in this order: the header, by
-    :func:`read_header`; each other field's type, the class names and level
-    lists included (a column not already of the type the writer gives it is
-    converted, so integral floats, class names in other case and level lists
-    in any order load); the scores in [0, 100]; each class the band of its
-    score; each segment at its position on the ``segment_length_m`` grid; each
-    level set the one its scores give at ``threshold`` (under one rule for the
-    whole profile, ``>=`` or ``>``, which it does not record); and as many
-    segments as ``length_km`` gives. A check that fails walks its column and
-    reports the first segment at fault, so of several faults the one reported
-    is the first of the first check that fails.
+    A profile in exactly the written form is read from its score texts by
+    :func:`_written_profile`. Any other text is read by the checker, which
+    gives the same assessment for a written profile: the document is checked
+    column by column, in this order: the header, by :func:`read_header`;
+    each other field's type, the class names and level lists included (each
+    column is converted, so integral floats, class names in other case and
+    level lists in any order load); the scores in [0, 100]; each class the
+    band of its score; each segment at its position on the
+    ``segment_length_m`` grid; each level set the one its scores give at
+    ``threshold`` (under one rule for the whole profile, ``>=`` or ``>``,
+    which it does not record); and as many segments as ``length_km`` gives.
+    A check that fails walks its column and reports the first segment at
+    fault, so of several faults the one reported is the first of the first
+    check that fails.
     """
     source = str(path)
-    doc = parse_json(read_input(path), source)
+    text = read_input(path)
+    written = _written_profile(text)
+    if written is not None:
+        return written
+    doc = parse_json(text, source)
+    del text  # the checker needs only the document
     if type(doc) is not dict:
         raise ParseError("bad score profile: the document is not an object", source=source)
     corridor_id, length_km, segment_length_m = read_header(doc, source)
@@ -553,28 +665,25 @@ def load_score_profile_json(path: str | Path) -> CorridorAssessment:
                 raise TypeError(f"segment {position} is not an object")
         columns = list(zip(*map(_SEGMENT_FIELDS, segments))) or [()] * 8
         indexes, asd, aud, asd_classes, aud_classes, listed, starts, lengths = columns
-        indexes = _typed(indexes, int, json_int, "segment_index")
+        indexes = tuple(map(json_int, indexes, repeat("segment_index")))
         asd, aud, starts, lengths = (
-            _typed(column, float, json_float, name)
+            tuple(map(json_float, column, repeat(name)))
             for column, name in ((asd, "asd_score"), (aud, "aud_score"), (starts, "start_m"), (lengths, "length_m"))
         )
         threshold = json_float(doc.get("threshold", DEFAULT_THRESHOLD), "threshold")
         weight_provenance = json_str(doc.get("weight_provenance", "unknown"), "weight_provenance")
-        # class names other than the bands' are read here, and compared with the bands once the scores are checked
-        named = asd_classes == tuple(_class_names(asd)) and aud_classes == tuple(_class_names(aud))
-        classes = None if named else [list(map(ReadinessClass.parse, pair)) for pair in zip(asd_classes, aud_classes)]
-        levels = inclusive = _level_codes(asd, aud, threshold, operator.ge)
-        written = tuple(map(_LEVEL_LISTS.__getitem__, inclusive))  # the lists the writer gives under >=
-        if listed != written or not {*map(type, chain.from_iterable(listed))} <= {int}:  # equal lists may hold bools
-            # a string or a bool in a set is refused here, and the sets are checked after the grid
-            for given in listed:
-                if type(given) is not list:
-                    raise TypeError(f"allowed_sae_levels {given!r} is not a list")
-            levels = [level_code([json_int(level, "SAE level") for level in given]) for given in listed]
+        # the class names are read here, and compared with the bands once the scores are checked
+        classes = [list(map(ReadinessClass.parse, pair)) for pair in zip(asd_classes, aud_classes)]
+        inclusive = _level_codes(asd, aud, threshold, operator.ge)
+        # a string or a bool in a set is refused here, and the sets are checked after the grid
+        for given in listed:
+            if type(given) is not list:
+                raise TypeError(f"allowed_sae_levels {given!r} is not a list")
+        levels = [level_code([json_int(level, "SAE level") for level in given]) for given in listed]
         check_scores(asd, aud)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad score profile: {json_fault(exc)}", source=source) from None
-    for index, pair, loaded in zip(indexes, zip(asd, aud), classes or ()):  # no walk when every class is named
+    for index, pair, loaded in zip(indexes, zip(asd, aud), classes):
         for name, readiness_class, score in zip(("asd", "aud"), loaded, pair):
             if readiness_class is not readiness_band(score):
                 raise ValidationError(

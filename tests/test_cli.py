@@ -812,6 +812,24 @@ class TestSimulateRsuCommand:
         assert captured.err.startswith(f"error: {problem}") and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("target", ["::1:9000", "[::1]:9000"])
+    def test_target_without_an_ipv4_address_exits_3_before_sending(self, tmp_path, capsys, monkeypatch, target):
+        import socket
+
+        msg_path = tmp_path / "m.ivim"
+        msg_path.write_bytes(encode(one_zone_message()))
+        lookups = []
+        monkeypatch.setattr(socket, "getaddrinfo", lambda *args: lookups.append(args))  # an IPv6 literal is not looked up
+        # --dry-run beside --target prints every emission, so an empty stdout shows that none was made
+        argv = ["simulate-rsu", "--message", msg_path, "--target", target, "--dry-run", "--count", 2, "--period", 0.01]
+        assert run(*argv) == 3
+        captured = capsys.readouterr()
+        host = target.rpartition(":")[0]
+        assert captured.err == (
+            f"i/o error: UDP target {host}:9000 does not resolve to an IPv4 address: not an IPv4 host name or address\n"
+        )
+        assert captured.out == "" and lookups == []
+
     def test_bad_period_exits_2(self, tmp_path):
         msg_path = tmp_path / "m.ivim"
         msg_path.write_bytes(encode(one_zone_message()))

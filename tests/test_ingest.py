@@ -5,10 +5,12 @@ The corridor CSV's byte-slice kernel (``_ordered_cells``) reads only a body
 in the written order, and the csv loop (``_csv_rows``) reads every other
 text; a corridor test loads a file and a quoted twin that only the csv loop
 reads, or compares the kernel's cells with the csv loop's rows. The JSON
-profile has one checker, which converts a column only when it is not of the
-writer's type; a profile test loads a document and a twin with float indexes
-and reversed level lists, which that checker must convert. Both must give
-the same result or the same error (type, text and line).
+profile has a written-form kernel (``_written_profile``), which reads a text
+in exactly the writer's form from its score texts, and one checker, which
+converts every column of any other document; a profile test loads a
+document and a twin with float indexes and reversed level lists, or loads a
+text with and without the kernel. Both must give the same result or the
+same error (type, text and line).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import random
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -24,6 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hri import scoring as scoring_module
 from hri.corridor import (
     CorridorProfile,
     SegmentRows,
@@ -36,7 +40,7 @@ from hri.corridor import (
 )
 from hri.errors import ParseError, ValidationError
 from hri.fixtures import BASELINE_CORRIDOR_FILE, fixture_path
-from hri.scoring import dump_score_profile_json, load_score_profile_json, score_corridor
+from hri.scoring import _written_profile, dump_score_profile_json, load_score_profile_json, score_corridor
 from hri.taxonomy import attribute_ids, builtin_weight_table
 
 DIFFERENTIAL = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -129,7 +133,9 @@ def mutated_corridor_files(draw):
         body = "\n".join(lines)
         if edit == "splice":
             at = draw(st.integers(0, len(body)))
-            piece = draw(st.sampled_from(TOKENS) | st.text(st.characters(blacklist_characters='"\r'), max_size=3))
+            # no lone surrogate: a file holds UTF-8, which cannot encode one
+            characters = st.characters(blacklist_characters='"\r', blacklist_categories=("Cs",))
+            piece = draw(st.sampled_from(TOKENS) | st.text(characters, max_size=3))
             body = body[:at] + piece + body[at + draw(st.integers(0, 8)) :]
     return head + sep + body, meta, n
 
@@ -450,3 +456,139 @@ class TestProfileFastPath:
             path = tmp_path / "p.json"
             path.write_text(text, encoding="utf-8")
             assert load_score_profile_json(path) == assessment
+
+
+# edits of one number in a written profile: forms json reads as the same or another float, as an int or not at all
+NUMBER_EDITS = ["-0.0", "-0", "0", "100", "100.0", "1e2", "1E2", "NaN", "Infinity", ".5", " 87.5", "87.5 ", "87.50", "1e400"]
+NUMBER_VALUE = re.compile(r'(": )(-?[0-9][^,\n]*|NaN|-?Infinity)(,?\n)')
+SCORE_VALUE = re.compile(r'("(?:asd|aud)_score": )([^,\n]*)(,\n)')
+
+
+@st.composite
+def edited_profile_texts(draw):
+    """A written profile's text, as the writer gives it or with one number or one score text replaced."""
+    text = json.dumps(draw(profile_docs() | mutated_profile_docs()), indent=2) + "\n"
+    kind = draw(st.sampled_from(["as written", "score", "number"]))
+    if kind == "as written":
+        return text
+    pattern = SCORE_VALUE if kind == "score" else NUMBER_VALUE
+    spots = list(pattern.finditer(text))
+    if not spots:
+        return text
+    spot = spots[draw(st.integers(0, len(spots) - 1))]
+    return text[: spot.start(2)] + draw(st.sampled_from(NUMBER_EDITS)) + text[spot.end(2) :]
+
+
+def edited_corridor() -> CorridorProfile:
+    """A three-segment corridor whose segments score high, middling and low."""
+    rows = [bytes([value]) * len(ATTRS) for value in (2, 1, 0)]
+    return CorridorProfile("c", 0.3, 100.0, SegmentRows(ATTRS, rows, 100.0))
+
+
+def assert_loads_as_the_checker_alone(monkeypatch, path, text: str, loaded) -> None:
+    """``loaded``, what :func:`load_score_profile_json` gave for ``text``, is what it gives with the written-form
+    kernel patched out: the same error, or an assessment it writes back to the same text."""
+    with monkeypatch.context() as patched:
+        patched.setattr(scoring_module, "_written_profile", lambda text: None)
+        alone = outcome(load_score_profile_json, path, text)
+    if isinstance(loaded, tuple) or isinstance(alone, tuple):
+        assert loaded == alone
+    else:
+        assert dump_score_profile_json(loaded) == dump_score_profile_json(alone)
+
+
+class TestWrittenProfileKernel:
+    """``_written_profile`` reads a profile in the written form from its score
+    texts and gives None for any other text, which the checker then reads: the
+    loader gives the same assessment or the same error with and without it."""
+
+    @DIFFERENTIAL
+    @given(edited_profile_texts(), st.sampled_from([1, 2, 3, 4096]))
+    def test_same_assessment_or_error_as_the_checker_alone(self, tmp_path, monkeypatch, text, slice_segments):
+        path = tmp_path / "p.json"
+        with monkeypatch.context() as patched:
+            patched.setattr(scoring_module, "SLICE_SEGMENTS", slice_segments)
+            loaded = outcome(load_score_profile_json, path, text)
+        assert_loads_as_the_checker_alone(monkeypatch, path, text, loaded)
+
+    @pytest.mark.parametrize("edit", NUMBER_EDITS)
+    @pytest.mark.parametrize("segment", [0, 1, 2])
+    def test_score_text_edits(self, tmp_path, monkeypatch, edit, segment):
+        text = dump_score_profile_json(score_corridor(edited_corridor(), builtin_weight_table()))
+        spot = list(SCORE_VALUE.finditer(text))[2 * segment + 1]  # the segment's aud score
+        text = text[: spot.start(2)] + edit + text[spot.end(2) :]
+        path = tmp_path / "p.json"
+        loaded = outcome(load_score_profile_json, path, text)
+        assert_loads_as_the_checker_alone(monkeypatch, path, text, loaded)
+
+    @pytest.mark.parametrize(
+        "edit, read",
+        [("100.0", True), ("1e2", True), ("1E2", True), (" 100.0", True), ("100.00", True), ("100", False), ("1e400", False)],
+    )
+    def test_score_texts_are_read_as_json_floats(self, edit, read):
+        # segment 0 scores 100.0 in both groups: a text json reads as the float 100.0 keeps its class and levels
+        assessment = score_corridor(edited_corridor(), builtin_weight_table())
+        text = dump_score_profile_json(assessment)
+        spot = next(SCORE_VALUE.finditer(text))
+        kernel = _written_profile(text[: spot.start(2)] + edit + text[spot.end(2) :])
+        assert (kernel == assessment) if read else (kernel is None)
+
+    def test_bundled_fixture_is_read_by_the_kernel(self, corridor, weights, roadworks, maintenance):
+        for profile in (corridor, apply_overlay(apply_overlay(corridor, roadworks), maintenance)):
+            assessment = score_corridor(profile, weights)
+            assert _written_profile(dump_score_profile_json(assessment)) == assessment
+
+    @pytest.mark.parametrize("slice_segments", [1, 2, 5, 4096])
+    def test_slices_join_to_the_whole(self, monkeypatch, corridor, weights, roadworks, slice_segments):
+        assessment = score_corridor(apply_overlay(corridor, roadworks), weights)
+        text = dump_score_profile_json(assessment)
+        monkeypatch.setattr(scoring_module, "SLICE_SEGMENTS", slice_segments)
+        assert _written_profile(text) == assessment
+        last = text.rindex('"aud_score": ')  # a fault in the last slice only
+        assert _written_profile(text[:last] + '"aud_score": -1.0' + text[text.index(",", last) :]) is None
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"threshold": 66.0,', '"threshold": 66,'),
+            ('"threshold": 66.0,', '"threshold": 6.6e1,'),
+            ('"corridor_id": "c",', '"corridor_id": "\\u0063",'),
+            ('"corridor_id": "c",\n', '"corridor_id": "c", "extra": 1,\n'),
+            ('  "length_km": 0.3,\n  "segment_length_m": 100.0,', '  "segment_length_m": 100.0,\n  "length_km": 0.3,'),
+        ],
+        ids=["integral-threshold", "exponent-threshold", "escaped-id", "extra-key", "key-order"],
+    )
+    def test_only_the_written_header_is_read(self, tmp_path, old, new):
+        assessment = score_corridor(edited_corridor(), builtin_weight_table())
+        text = dump_score_profile_json(assessment)
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+        assert _written_profile(text) is None
+        path = tmp_path / "p.json"
+        path.write_text(text, encoding="utf-8")
+        assert load_score_profile_json(path) == assessment
+
+    def test_threshold_rule_exclusive_score_at_the_threshold(self, tmp_path):
+        # every score is 100.0: at threshold 100 the > rule allows no level, the >= rule all four
+        profile = CorridorProfile("c", 0.3, 100.0, SegmentRows(ATTRS, [bytes([2]) * len(ATTRS)] * 3, 100.0))
+        assessment = score_corridor(profile, builtin_weight_table(), threshold=100.0, threshold_inclusive=False)
+        text = dump_score_profile_json(assessment)
+        assert _written_profile(text) is None
+        path = tmp_path / "p.json"
+        path.write_text(text, encoding="utf-8")
+        assert load_score_profile_json(path) == assessment
+
+    def test_a_huge_length_declines_before_allocating(self, tmp_path):
+        text = dump_score_profile_json(score_corridor(edited_corridor(), builtin_weight_table()))
+        text = text.replace('"length_km": 0.3,', '"length_km": 1000000000000.0,')
+        tracemalloc.start()
+        try:
+            assert _written_profile(text) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        path = tmp_path / "p.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"3 segments, expected 10000000000000 for 1000000000000\.0 km"):
+            load_score_profile_json(path)

@@ -135,6 +135,37 @@ class TestBroadcast:
         ]
         assert len(opened) == 1 and all(sock.fileno() == -1 for sock in opened)
 
+    def test_target_is_resolved_once_before_the_first_emission(self, monkeypatch):
+        receiver = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        receiver.bind(("127.0.0.1", 0))
+        receiver.settimeout(5.0)
+        lookups = []
+
+        def getaddrinfo(*args):
+            lookups.append(args)
+            return [(socket.AF_INET, socket.SOCK_DGRAM, 17, "", receiver.getsockname())]
+
+        monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+        config = BroadcastConfig(period_s=0.01, count=3, target=("rsu.example", 9), base_timestamp_ms=BASE_TS)
+        try:
+            assert run_broadcast(one_zone_message(), config) == 3
+            received = [decode(receiver.recvfrom(65535)[0]).management.ivi_status for _ in range(4)]
+        finally:
+            receiver.close()
+        assert lookups == [("rsu.example", 9, socket.AF_INET, socket.SOCK_DGRAM)]
+        assert received == [IviStatus.NEW, IviStatus.UPDATE, IviStatus.UPDATE, IviStatus.CANCELLATION]
+
+    def test_unresolved_target_is_an_os_error_before_anything_is_sent(self, monkeypatch):
+        def getaddrinfo(*args):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+        out = io.StringIO()
+        config = BroadcastConfig(period_s=0.01, count=2, target=("no-such-rsu", 9000), base_timestamp_ms=BASE_TS)
+        with pytest.raises(OSError, match=r"^UDP target no-such-rsu:9000 does not resolve to an IPv4 address: "):
+            run_broadcast(one_zone_message(), config, out=out)
+        assert out.getvalue() == ""
+
     def test_failed_send_is_logged_and_the_loop_goes_on(self, caplog):
         # port 0 is no destination: each sendto raises OSError (EINVAL)
         out = io.StringIO()

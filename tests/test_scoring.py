@@ -794,6 +794,12 @@ class TestJsonProfileLayout:
         profile = corridor_of([{attr: 2 for attr in attribute_ids()}], corridor_id="Autobahn Ö \U0001f697 \u00e9\u200b")
         self.check(score_corridor(profile, weights), tmp_path)
 
+    @pytest.mark.parametrize("segments", [1, 4])
+    def test_whole_number_starts_past_2_to_the_53(self, segments, tmp_path):
+        # at 2**52 + 1 m a segment, segment 3 starts at an odd whole number past 2**53, which no float holds
+        scores = [50.0] * segments
+        self.check(self.columns_assessment(scores, scores, segment_length_m=2.0**52 + 1), tmp_path)
+
     def test_non_integral_segment_length(self, tmp_path):
         self.check(self.columns_assessment([12.5, 80.0, 66.0, 100.0], [0.0, 99.9, 70.1, 33.3], segment_length_m=33.3), tmp_path)
 
